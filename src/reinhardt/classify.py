@@ -11,13 +11,18 @@ Given (n, dim) the decision ladder is exact:
     block, general-only if it is achievable but only with two or more
     marked blocks (hence by no smooth bounded domain), else unrealizable.
 
-All queries are read-only against an immutable table and safe for
+Realizations (n <= 80) come from one search over the marked-set table
+(:func:`~reinhardt.dimsets.marked_set_rows`, built once on first use):
+parts are placed largest first, and one bit test per branch cuts every
+remainder that cannot reach the remaining value, so no partition is
+enumerated in vain.  Partition enumeration is left to the oracles.
+
+All queries are read-only against immutable tables and safe for
 concurrent callers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +30,7 @@ from .dimsets import (
     MARKED_ORACLE_MAX_N,
     DimTable,
     is_realizable,
+    marked_set_rows,
     noncompact_set,
     set_bit_length,
 )
@@ -32,12 +38,7 @@ from .partitions import (
     MarkedPartition,
     _marked_unchecked,
     _partition_unchecked,
-    iter_partition_tuples,
 )
-
-#: Up to this n the partition list is cached and indexed by square sum,
-#: so repeated queries only scan the feasible window.
-_INDEX_MAX_N = 48
 
 STATUS_UNREALIZABLE = "unrealizable"
 STATUS_BALL = "ball"
@@ -159,62 +160,9 @@ def n_squared_families(n: int) -> list[DomainFamily]:
     return families
 
 
-def _mark_solutions(
-    values: tuple[int, ...], mults: tuple[int, ...], target: int
-) -> list[tuple[int, ...]]:
-    """Count vectors over distinct part values summing to ``target``.
-
-    Greedy-descending order: solutions taking more of larger values come
-    first, which fixes the canonical realization order.
-    """
-    k = len(values)
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + values[i] * mults[i]
-    sols: list[tuple[int, ...]] = []
-    counts = [0] * k
-
-    def rec(i: int, left: int) -> None:
-        if left == 0:
-            sols.append(tuple(counts))
-            return
-        if i == k or left > suffix[i]:
-            return
-        for t in range(min(mults[i], left // values[i]), -1, -1):
-            counts[i] = t
-            rec(i + 1, left - t * values[i])
-        counts[i] = 0
-
-    rec(0, target)
-    return sols
-
-
-@lru_cache(maxsize=4)
-def _partition_index(n: int):
-    """Partitions of n with precomputed statistics, sorted by square sum."""
-    entries = []
-    for parts in iter_partition_tuples(n):
-        base = sum(p * p for p in parts)
-        vals = tuple(sorted(set(parts), reverse=True))
-        mults = tuple(parts.count(v) for v in vals)
-        entries.append((base, parts, vals, mults, _partition_unchecked(parts)))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return entries, [e[0] for e in entries]
-
-
-def _candidate_entries(n: int, dim: int):
-    # a partition can reach dim only if dim - 2n <= square sum <= dim
-    if n <= _INDEX_MAX_N:
-        entries, bases = _partition_index(n)
-        return entries[bisect_left(bases, dim - 2 * n) : bisect_right(bases, dim)]
-
-    def stream():
-        for parts in iter_partition_tuples(n):
-            vals = tuple(sorted(set(parts), reverse=True))
-            mults = tuple(parts.count(v) for v in vals)
-            yield sum(p * p for p in parts), parts, vals, mults, _partition_unchecked(parts)
-
-    return stream()
+@lru_cache(maxsize=1)
+def _marked_rows() -> tuple[tuple[int, ...], ...]:
+    return marked_set_rows(MARKED_ORACLE_MAX_N)
 
 
 def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
@@ -225,6 +173,16 @@ def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
     dim <= n^2 - 2.  The list is ordered by mark count, then by the part
     tuple ascending, then greedy-descending over the marked values; an
     empty list means the value is unrealizable (in the given mode).
+
+    The search picks distinct part values d in decreasing order, each
+    with a multiplicity k and a marked count c <= k, and keeps a branch
+    only if the rest of n, split into parts below d, can still reach the
+    rest of the value: one bit test in the marked-set table
+    (:func:`~reinhardt.dimsets.marked_set_rows`).  All markings of one
+    part prefix travel down together, so a partition is built once for
+    all its markings, and in mode "all" every branch ends in at least
+    one realization (with at most one mark allowed, a branch can still
+    die when its remainder needs more marks).
     """
     if mode not in ("all", "smooth_bounded"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -235,33 +193,51 @@ def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
             f"realization enumeration is limited to n <= {MARKED_ORACLE_MAX_N}, got {n}"
         )
     smooth = mode == "smooth_bounded"
-    if smooth and dim > n * n - 2:
+    if smooth and dim > n * n - 2:  # this also rules out the single block (n)
         return []
-    found: list[tuple[int, tuple[int, ...], Realization]] = []
-    for base, parts, vals, mults, partition in _candidate_entries(n, dim):
-        rest = dim - base
-        if rest < 0 or rest % 2:
-            continue
-        target = rest // 2
-        if target > n:
-            continue
-        if smooth and len(parts) < 2:
-            continue
-        if smooth:
-            sols = []
-            if target == 0:
-                sols.append(tuple(0 for _ in vals))
-            elif target in vals:
-                sols.append(tuple(1 if v == target else 0 for v in vals))
-        else:
-            sols = _mark_solutions(vals, mults, target)
-        for counts in sols:
-            marks = tuple((v, c) for v, c in zip(vals, counts) if c)
-            marked = _marked_unchecked(partition, marks)
-            real = Realization(marked, len(parts), sum(counts))
-            found.append((real.mark_count, parts, real))
-    found.sort(key=lambda item: (item[0], item[1]))
-    return [item[2] for item in found]
+    max_marks = 1 if smooth else n
+    index, odd = divmod(dim - n, 2)
+    rows = _marked_rows()
+    if odd or index < 0 or not rows[n][n] >> index & 1:
+        return []
+    found: list[Realization] = []
+
+    def extend(m: int, cap: int, parts: tuple[int, ...], states: list) -> None:
+        # states: (index left, marks so far, mark count), greedy-descending
+        if m == 0:
+            partition = _partition_unchecked(parts)
+            for _, marks, count in states:
+                found.append(Realization(_marked_unchecked(partition, marks), len(parts), count))
+            return
+        lefts = [state[0] for state in states]
+        bottom, top = min(lefts), max(lefts)
+        # d ascending, then k ascending, yields the part tuples in ascending order
+        for d in range(1, min(cap, m) + 1):
+            if rows[d][m].bit_length() <= bottom:
+                continue  # parts up to d reach no state's index yet
+            below = rows[d - 1]
+            unmarked = (d * d - d) // 2
+            # ones are the smallest part, so d = 1 must take all of m
+            for k in range(1 if d > 1 else m, m // d + 1):
+                if k * unmarked > top:
+                    break
+                rest = below[m - k * d]
+                # the c marked blocks lower the index by c*d; only c that land
+                # between the lowest and highest bit of rest can pass the test
+                low, high = (rest & -rest).bit_length() - 1, rest.bit_length() - 1
+                kept = []
+                for left, marks, count in states:
+                    left -= k * unmarked
+                    c_min = max(0, -((high - left) // d))
+                    for c in range(min(k, max_marks - count, (left - low) // d), c_min - 1, -1):
+                        if rest >> (left - c * d) & 1:
+                            kept.append((left - c * d, marks + ((d, c),) if c else marks, count + c))
+                if kept:
+                    extend(m - k * d, d - 1, parts + (d,) * k, kept)
+
+    extend(n, n, (), [(index, (), 0)])
+    found.sort(key=lambda real: real.mark_count)  # stable: keeps the rest of the order
+    return found
 
 
 def classify_dimension(

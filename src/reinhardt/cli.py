@@ -72,17 +72,20 @@ def _load_or_build(
     cache: str | None,
     no_cache: bool,
     memory_limit: int,
-    force: bool,
+    build_limit: int | None,
 ) -> DimTable:
+    """Load the cached table if it covers n_max, else build one (refused above
+    ``build_limit``; None lifts the limit) and save it to the cache."""
     cache = None if no_cache else cache
     if cache and os.path.exists(cache):
         with open(cache, "rb") as fh:
             table = load_table(fh)
         if table.n_max >= n_max:
             return table
-    if n_max > FORCE_BUILD_LIMIT and not force:
+    if build_limit is not None and n_max > build_limit:
         raise CliError(
-            f"builds above n={FORCE_BUILD_LIMIT} need --force and an adequate --memory-limit"
+            f"no cached table covers n={n_max}; inline builds stop at n={build_limit}"
+            " (use --force with an adequate --memory-limit, or a cache built by `table`)"
         )
     table = build_table(n_max, memory_limit)
     if cache:
@@ -100,8 +103,9 @@ def _open_out(path: str | None):
 def cmd_table(args: argparse.Namespace) -> int:
     if not 2 <= args.min_n <= args.max_n:
         raise CliError(f"need 2 <= min_n <= max_n, got ({args.min_n}, {args.max_n})")
+    limit = None if args.force else FORCE_BUILD_LIMIT
     table = _load_or_build(
-        args.max_n, _default_cache(args.cache), args.no_cache, args.memory_limit, args.force
+        args.max_n, _default_cache(args.cache), args.no_cache, args.memory_limit, limit
     )
     records = []
     for n in range(args.min_n, args.max_n + 1):
@@ -138,20 +142,10 @@ def cmd_set(args: argparse.Namespace) -> int:
     n = args.n
     if n < 0:
         raise CliError(f"n must be non-negative, got {n}")
-    cache = None if args.no_cache else _default_cache(args.cache)
-    table = None
-    if cache and os.path.exists(cache):
-        with open(cache, "rb") as fh:
-            candidate = load_table(fh)
-        if candidate.n_max >= n:
-            table = candidate
-    if table is None:
-        if n > INLINE_BUILD_LIMIT and not args.force:
-            raise CliError(
-                f"no cached table covers n={n}; inline builds stop at"
-                f" n={INLINE_BUILD_LIMIT} (use --force, or build a cache via `table`)"
-            )
-        table = _load_or_build(n, cache, args.no_cache, args.memory_limit, args.force)
+    limit = None if args.force else INLINE_BUILD_LIMIT
+    table = _load_or_build(
+        n, _default_cache(args.cache), args.no_cache, args.memory_limit, limit
+    )
     values = list(table.sets[n].values())
     if args.format == "csv":
         _emit_csv(("n", "values"), [(n, " ".join(map(str, values)))], sys.stdout)

@@ -158,6 +158,30 @@ def _finish_table(sets_bits: list[int]) -> DimTable:
     return DimTable(n_max, sets, compact, noncompact)
 
 
+def marked_set_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
+    """Marked dimension values of partitions with capped parts.
+
+    Bit j of ``rows[p][m]`` is set when m + 2j is the dimension value of
+    some marked partition of m whose parts are all at most p.  A block d
+    adds d to m and d^2 (unmarked) or d^2 + 2d (marked) to the value: a
+    left shift by (d^2 - d)/2 or (d^2 + d)/2 in index space, the same
+    shift-and-OR as :func:`build_table`.  Adding parts of size p is an
+    unbounded knapsack over m ascending; ``rows[p]`` is the snapshot
+    taken after part size p, sharing the unchanged ints of ``rows[p-1]``.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    row = [1] + [0] * n_max
+    rows = [tuple(row)]
+    for p in range(1, n_max + 1):
+        unmarked, marked = (p * p - p) // 2, (p * p + p) // 2
+        for m in range(p, n_max + 1):
+            prev = row[m - p]
+            row[m] |= (prev << unmarked) | (prev << marked)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def square_sums_bruteforce(n: int) -> DimSet:
     """Oracle: the set of squared-part sums via full partition enumeration.
 
@@ -192,10 +216,6 @@ def noncompact_count(table: DimTable, n: int) -> int:
     return table.noncompact_counts[n - 2]
 
 
-def _chat_bits(table: DimTable, n: int) -> int:
-    return table.sets[n].bits
-
-
 def noncompact_set(table: DimTable, n: int) -> DimSet:
     """The set of noncompact dimensions for n.
 
@@ -207,8 +227,8 @@ def noncompact_set(table: DimTable, n: int) -> DimSet:
     """
     _check_count_range(table, n, need_successor=True)
     top_succ = set_bit_length(n + 1) - 1
-    shifted = _chat_bits(table, n + 1) & ~(1 << top_succ)
-    return DimSet(n, shifted & ~_chat_bits(table, n))
+    shifted = table.sets[n + 1].bits & ~(1 << top_succ)
+    return DimSet(n, shifted & ~table.sets[n].bits)
 
 
 def dimensions_bruteforce(n: int, length: int, marks: int) -> set[int]:
@@ -291,9 +311,9 @@ def smooth_bounded_sets(n: int, table: DimTable) -> tuple[DimSet, DimSet]:
     """
     _check_count_range(table, n, need_successor=True)
     top = set_bit_length(n) - 1
-    compact_bits = _chat_bits(table, n) & ~(1 << top)
+    compact_bits = table.sets[n].bits & ~(1 << top)
     top_succ = set_bit_length(n + 1) - 1
-    one_marked = _chat_bits(table, n + 1) & ~(1 << top_succ) & ~1
+    one_marked = table.sets[n + 1].bits & ~(1 << top_succ) & ~1
     one_marked &= ~(1 << top)  # cap at n^2 - 2: drop the value n^2
     noncompact_bits = one_marked & ~compact_bits
     expected = noncompact_set(table, n)
@@ -319,8 +339,8 @@ def is_realizable(table: DimTable, n: int, dim: int) -> bool:
         t = (dim - 2 * a - n) // 2  # combined index budget for the two sets
         if t < 0:
             continue
-        sa = _chat_bits(table, a)
-        sb = _chat_bits(table, n - a)
+        sa = table.sets[a].bits
+        sb = table.sets[n - a].bits
         if sa.bit_length() - 1 + sb.bit_length() - 1 < t:
             continue
         window = min(t, sb.bit_length() - 1)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from reinhardt import (
@@ -8,7 +10,7 @@ from reinhardt import (
     n_squared_families,
     realizations,
 )
-from reinhardt.partitions import iter_partition_tuples
+from reinhardt.partitions import iter_partition_tuples, partition_count
 
 
 def _omega_values(n):
@@ -25,6 +27,27 @@ def _omega_values(n):
             sums >>= 1
             s += 1
     return out
+
+
+def _oracle_realizations(n, mode):
+    """dim -> realization tuples of n, by full enumeration.
+
+    Every partition times every per-value mark count vector, sorted by
+    (mark count, parts, negated counts per distinct value descending).
+    """
+    by_dim = {}
+    for parts in iter_partition_tuples(n):
+        vals = sorted(set(parts), reverse=True)
+        base = sum(p * p for p in parts)
+        for counts in product(*(range(parts.count(v) + 1) for v in vals)):
+            dim = base + 2 * sum(v * c for v, c in zip(vals, counts))
+            marks = sum(counts)
+            if mode == "smooth_bounded" and (marks > 1 or len(parts) < 2 or dim > n * n - 2):
+                continue
+            key = (marks, parts, tuple(-c for c in counts))
+            marked = tuple((v, c) for v, c in zip(vals, counts) if c)
+            by_dim.setdefault(dim, []).append((key, (parts, marked, len(parts), marks)))
+    return {dim: [real for _, real in sorted(found)] for dim, found in by_dim.items()}
 
 
 class TestLadderGoldens:
@@ -204,21 +227,35 @@ class TestExhaustiveness:
 
     @pytest.mark.parametrize("n", range(1, 27))
     def test_mark_solver_equals_subset_sum_bitsets(self, n):
-        # the mark solver behind realizations() against an independent
-        # bitset subset-sum route, every partition, every target
-        from reinhardt.classify import _mark_solutions
-
+        # the markings realizations() finds over every dim against an
+        # independent bitset subset-sum route: each partition reaches
+        # exactly its subset sums, and each marking sums to its target
+        targets = {}
+        for dim in range(n, n * n + 2 * n + 1, 2):
+            for r in realizations(n, dim):
+                parts = r.marked.partition.parts
+                target = (dim - sum(p * p for p in parts)) // 2
+                assert r.marked.marked_sum == target, (parts, r.marked.marks, dim)
+                targets.setdefault(parts, set()).add(target)
+        assert len(targets) == partition_count(n)
         for parts in iter_partition_tuples(n):
-            vals = tuple(sorted(set(parts), reverse=True))
-            mults = tuple(parts.count(v) for v in vals)
             sums = 1
             for v in parts:
                 sums |= sums << v
-            for target in range(n + 1):
-                sols = _mark_solutions(vals, mults, target)
-                assert bool(sols) == bool((sums >> target) & 1), (parts, target)
-                for counts in sols:
-                    assert sum(v * c for v, c in zip(vals, counts)) == target
+            assert targets[parts] == {t for t in range(n + 1) if (sums >> t) & 1}, parts
+
+    @pytest.mark.parametrize("mode", ["all", "smooth_bounded"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_realizations_equal_enumeration_oracle(self, n, mode):
+        # list for list and in order, against every partition times every
+        # mark count vector, over the whole value range and past both ends
+        oracle = _oracle_realizations(n, mode)
+        for dim in range(n - 2, n * n + 2 * n + 3):
+            got = [
+                (r.marked.partition.parts, r.marked.marks, r.length, r.mark_count)
+                for r in realizations(n, dim, mode)
+            ]
+            assert got == oracle.get(dim, []), (n, dim, mode)
 
     @pytest.mark.parametrize("n", range(2, 26))
     def test_status_partition_below_gap(self, table64, n):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import reinhardt.cli
 from reinhardt.cli import main
 
 
@@ -91,6 +92,21 @@ class TestCache:
         code, _, err = run(capsys, "table", "--max-n", "10", "--cache", str(cache))
         assert code == 1 and "checksum" in err
 
+    def test_set_reads_short_cache_once(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "table.rdim"
+        run(capsys, "table", "--max-n", "10", "--cache", str(cache))
+        load_table = reinhardt.cli.load_table
+        calls = []
+
+        def counting_load(fh):
+            calls.append(fh.name)
+            return load_table(fh)
+
+        monkeypatch.setattr(reinhardt.cli, "load_table", counting_load)
+        code, out, _ = run(capsys, "set", "--n", "20", "--cache", str(cache))
+        assert code == 0 and out.startswith("n,values\n20,20 22 ")
+        assert calls == [str(cache)]
+
     def test_env_var_default(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env.rdim"
         monkeypatch.setenv("REINHARDT_CACHE", str(cache))
@@ -145,6 +161,38 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--n", "1", "--dim", "3")
         assert code == 1 and "n >= 2" in err
 
+    # byte-exact stdout of an upper-half query at n = 50, where the
+    # realization order (mark count, parts, greedy marks) is visible
+    def test_n50_csv_golden(self, capsys):
+        code, out, _ = run(capsys, "classify", "--n", "50", "--dim", "2216")
+        assert code == 0
+        assert out == (
+            "field,value\n"
+            "n,50\n"
+            "dim,2216\n"
+            "status,noncompact_good\n"
+            "notes,\n"
+            'realization,"(46,2,2) marks[46] (blocks=3, marked=1)"\n'
+            'realization,"(47,2,1) marks[1] (blocks=3, marked=1)"\n'
+            'realization,"(46,2,1,1) marks[46,1] (blocks=4, marked=2)"\n'
+            'realization,"(47,1,1,1) marks[1x2] (blocks=4, marked=2)"\n'
+            'realization,"(46,1,1,1,1) marks[46,1x2] (blocks=5, marked=3)"\n'
+        )
+
+    def test_n50_json_golden(self, capsys):
+        code, out, _ = run(capsys, "classify", "--n", "50", "--dim", "2216", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"rows": [{"n": 50, "dim": 2216, "status": "noncompact_good", "notes": "",'
+            ' "families": [], "realizations": ['
+            '{"parts": [46, 2, 2], "marks": [[46, 1]], "blocks": 3, "marked": 1},'
+            ' {"parts": [47, 2, 1], "marks": [[1, 1]], "blocks": 3, "marked": 1},'
+            ' {"parts": [46, 2, 1, 1], "marks": [[46, 1], [1, 1]], "blocks": 4, "marked": 2},'
+            ' {"parts": [47, 1, 1, 1], "marks": [[1, 2]], "blocks": 4, "marked": 2},'
+            ' {"parts": [46, 1, 1, 1, 1], "marks": [[46, 1], [1, 2]], "blocks": 5, "marked": 3}'
+            "]}]}\n"
+        )
+
 
 class TestWitness:
     def test_marked_egg(self, capsys):
@@ -170,6 +218,27 @@ class TestWitness:
     def test_index_out_of_range(self, capsys):
         code, _, err = run(capsys, "witness", "--n", "4", "--dim", "12", "--index", "9")
         assert code == 1 and "out of range" in err
+
+    @pytest.mark.parametrize(
+        "index,golden",
+        [
+            (
+                "0",
+                "|z¹|⁴+|z²|⁶+|z³|⁸<1\n"
+                "canonical candidate; automorphism group not verified by this library"
+                " (construction egg, claimed dimension 741)\n",
+            ),
+            (
+                "5",
+                "|z¹|⁴+|z²|⁶+|z³|²+|z⁴|⁸+|z⁵|¹⁰+|z⁶|¹²+|z⁷|¹⁴+|z⁸|¹⁶<1\n"
+                "canonical candidate; automorphism group not verified by this library"
+                " (construction marked_egg, claimed dimension 741)\n",
+            ),
+        ],
+    )
+    def test_n35_golden(self, capsys, index, golden):
+        code, out, _ = run(capsys, "witness", "--n", "35", "--dim", "741", "--index", index)
+        assert code == 0 and out == golden
 
 
 class TestVerify:

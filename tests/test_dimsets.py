@@ -16,7 +16,7 @@ from reinhardt import (
     square_sums_bruteforce,
     two_block_dimensions,
 )
-from reinhardt.dimsets import set_bit_length
+from reinhardt.dimsets import marked_set_rows, set_bit_length
 from reinhardt.partitions import iter_partition_tuples
 
 
@@ -178,6 +178,31 @@ class TestMarkedOracle:
     def test_refusal(self):
         with pytest.raises(ValueError, match="80"):
             dimensions_bruteforce(81, 2, 0)
+
+
+class TestMarkedSetRows:
+    def test_capped_rows_equal_enumeration(self):
+        # every partition of m with parts <= p, every marking as a subset sum
+        rows = marked_set_rows(14)
+        for p in range(15):
+            for m in range(15):
+                expected = 0
+                for parts in iter_partition_tuples(m, max_part=p):
+                    sums = 1
+                    for v in parts:
+                        sums |= sums << v
+                    expected |= sums << (sum(d * d for d in parts) - m) // 2
+                assert rows[p][m] == expected, (p, m)
+
+    @pytest.mark.parametrize("n", [2, 17, 40, 64])
+    def test_full_row_equals_realizable(self, table64, n):
+        row = marked_set_rows(n)[n][n]
+        for dim in range(n, n * n + 2 * n + 1, 2):
+            assert bool(row >> (dim - n) // 2 & 1) == is_realizable(table64, n, dim), dim
+
+    def test_refusal(self):
+        with pytest.raises(ValueError):
+            marked_set_rows(-1)
 
 
 class TestTwoBlockClosedForm:
