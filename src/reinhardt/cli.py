@@ -18,14 +18,8 @@ import sys
 from typing import Any, Sequence, TextIO
 
 from .classify import classify_dimension, make_witness, realizations
-from .dimsets import (
-    DimTable,
-    MemoryLimitError,
-    build_table,
-    compact_count,
-    noncompact_count,
-)
-from .sequences import format_ratio, growth_sequence
+from .dimsets import DimTable, MemoryLimitError, build_table
+from .sequences import growth_sequence, ratio_table
 from .storage import TableCorruptionError, UnsupportedFormatError, load_table, save_table
 from .verifiers import (
     STATUS_FAIL,
@@ -74,14 +68,15 @@ def _load_or_build(
     memory_limit: int,
     build_limit: int | None,
 ) -> DimTable:
-    """Load the cached table if it covers n_max, else build one (refused above
-    ``build_limit``; None lifts the limit) and save it to the cache."""
+    """The table for n = 0..n_max: cut from the cached table if that covers
+    n_max, else built (refused above ``build_limit``; None lifts the limit)
+    and saved to the cache."""
     cache = None if no_cache else cache
     if cache and os.path.exists(cache):
         with open(cache, "rb") as fh:
             table = load_table(fh)
         if table.n_max >= n_max:
-            return table
+            return DimTable(table.sets[: n_max + 1])
     if build_limit is not None and n_max > build_limit:
         raise CliError(
             f"no cached table covers n={n_max}; inline builds stop at n={build_limit}"
@@ -107,31 +102,18 @@ def cmd_table(args: argparse.Namespace) -> int:
     table = _load_or_build(
         args.max_n, _default_cache(args.cache), args.no_cache, args.memory_limit, limit
     )
-    records = []
-    for n in range(args.min_n, args.max_n + 1):
-        c = compact_count(table, n)
-        # the requested top row never reports h, whatever the cache holds
-        if n < args.max_n:
-            h = noncompact_count(table, n)
-            records.append((n, c, format_ratio(c, n * n), h, format_ratio(h, n)))
-        else:
-            records.append((n, c, format_ratio(c, n * n), None, None))
+    records = [
+        (r.n, r.compact, r.compact_ratio, r.noncompact, r.noncompact_ratio)
+        for r in ratio_table(table, list(range(args.min_n, args.max_n + 1)))
+    ]
     out, close = _open_out(args.out)
     try:
         if args.format == "csv":
-            rows = [
-                (n, c, cr, "" if h is None else h, "" if hr is None else hr)
-                for n, c, cr, h, hr in records
-            ]
+            rows = [["" if v is None else v for v in record] for record in records]
             _emit_csv(("n", "c", "c/n^2", "h", "h/n"), rows, out)
         else:
-            _emit_json(
-                [
-                    {"n": n, "c": c, "c_over_n2": cr, "h": h, "h_over_n": hr}
-                    for n, c, cr, h, hr in records
-                ],
-                out,
-            )
+            keys = ("n", "c", "c_over_n2", "h", "h_over_n")
+            _emit_json([dict(zip(keys, record)) for record in records], out)
     finally:
         if close:
             out.close()
@@ -181,7 +163,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise CliError(f"classification needs n >= 2, got {args.n}")
     if args.n + 1 > FORCE_BUILD_LIMIT:
         raise CliError(f"classification tables stop at n={FORCE_BUILD_LIMIT - 1}")
-    table = build_table(args.n + 1, DEFAULT_MEMORY_LIMIT)
+    table = _load_or_build(args.n + 1, _default_cache(None), False, DEFAULT_MEMORY_LIMIT, None)
     result = classify_dimension(table, args.n, args.dim)
     if args.format == "json":
         _emit_json([_classification_record(result)], sys.stdout)

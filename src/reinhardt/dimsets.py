@@ -21,7 +21,7 @@ any alternative reduction order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .partitions import (
@@ -89,13 +89,9 @@ class DimSet:
 
     def values(self) -> Iterator[int]:
         """Stored values in ascending order."""
-        bits = self.bits
-        j = 0
-        while bits:
-            if bits & 1:
+        for j, bit in enumerate(reversed(bin(self.bits))):
+            if bit == "1":
                 yield self.n + 2 * j
-            bits >>= 1
-            j += 1
 
     def to_set(self) -> set[int]:
         return set(self.values())
@@ -103,18 +99,17 @@ class DimSet:
 
 @dataclass(frozen=True)
 class DimTable:
-    """The square-sum sets for n = 0..n_max plus derived counts.
+    """The square-sum sets for n = 0..n_max; ``sets[n]`` has base n.
 
-    ``compact_counts[i]`` is the compact-dimension count for n = i + 2
-    (set size minus one: the top value n^2 is excluded), and
-    ``noncompact_counts[i]`` the noncompact count for n = i + 2, defined
-    up to n_max - 1 via first differences of the compact counts.
+    The counts are functions of the set sizes: see :func:`compact_count`
+    and :func:`noncompact_count`.
     """
 
-    n_max: int
     sets: tuple[DimSet, ...]
-    compact_counts: tuple[int, ...] = field(repr=False)
-    noncompact_counts: tuple[int, ...] = field(repr=False)
+
+    @property
+    def n_max(self) -> int:
+        return len(self.sets) - 1
 
 
 def projected_bits(n_max: int) -> int:
@@ -146,16 +141,7 @@ def build_table(n_max: int, memory_limit: int | None = None) -> DimTable:
             d = n - i
             acc |= sets_bits[i] << ((d * d - d) // 2)
         sets_bits.append(acc)
-    return _finish_table(sets_bits)
-
-
-def _finish_table(sets_bits: list[int]) -> DimTable:
-    n_max = len(sets_bits) - 1
-    sets = tuple(DimSet(n, bits) for n, bits in enumerate(sets_bits))
-    sizes = [b.bit_count() for b in sets_bits]
-    compact = tuple(sizes[n] - 1 for n in range(2, n_max + 1))
-    noncompact = tuple(compact[i + 1] - compact[i] - 1 for i in range(len(compact) - 1))
-    return DimTable(n_max, sets, compact, noncompact)
+    return DimTable(tuple(DimSet(n, bits) for n, bits in enumerate(sets_bits)))
 
 
 def marked_set_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
@@ -207,13 +193,13 @@ def _check_count_range(table: DimTable, n: int, need_successor: bool) -> None:
 def compact_count(table: DimTable, n: int) -> int:
     """c(n): number of compact dimensions (set size minus the top value)."""
     _check_count_range(table, n, need_successor=False)
-    return table.compact_counts[n - 2]
+    return len(table.sets[n]) - 1
 
 
 def noncompact_count(table: DimTable, n: int) -> int:
     """h(n): number of noncompact dimensions, c(n+1) - c(n) - 1."""
     _check_count_range(table, n, need_successor=True)
-    return table.noncompact_counts[n - 2]
+    return compact_count(table, n + 1) - compact_count(table, n) - 1
 
 
 def noncompact_set(table: DimTable, n: int) -> DimSet:
@@ -306,8 +292,9 @@ def smooth_bounded_sets(n: int, table: DimTable) -> tuple[DimSet, DimSet]:
     exactly one marked block and at least two blocks, capped at n^2 - 2,
     minus the compact set.  A marked partition of n with one mark is a
     partition of n+1 with one incremented part, so the one-marked values
-    are the (n+1)-set minus {n+1, (n+1)^2}, shifted down by 1.  The
-    result is cross-checked against :func:`noncompact_set`.
+    are the (n+1)-set minus {n+1, (n+1)^2}, shifted down by 1.  This
+    one-marked route is independent of :func:`noncompact_set`'s
+    difference route; the tests compare the two.
     """
     _check_count_range(table, n, need_successor=True)
     top = set_bit_length(n) - 1
@@ -315,13 +302,7 @@ def smooth_bounded_sets(n: int, table: DimTable) -> tuple[DimSet, DimSet]:
     top_succ = set_bit_length(n + 1) - 1
     one_marked = table.sets[n + 1].bits & ~(1 << top_succ) & ~1
     one_marked &= ~(1 << top)  # cap at n^2 - 2: drop the value n^2
-    noncompact_bits = one_marked & ~compact_bits
-    expected = noncompact_set(table, n)
-    if noncompact_bits != expected.bits:
-        raise AssertionError(
-            f"noncompact sets disagree at n={n}: enumeration route vs difference route"
-        )
-    return DimSet(n, compact_bits), expected
+    return DimSet(n, compact_bits), DimSet(n, one_marked & ~compact_bits)
 
 
 def is_realizable(table: DimTable, n: int, dim: int) -> bool:

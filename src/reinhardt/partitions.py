@@ -46,10 +46,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def distinct_parts(self) -> tuple[int, ...]:
-        """Distinct part values, descending."""
-        return tuple(sorted(set(self.parts), reverse=True))
-
     def multiplicity(self, value: int) -> int:
         return self.parts.count(value)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from typing import BinaryIO
 
-from .dimsets import DimTable, _finish_table, set_bit_length
+from .dimsets import DimSet, DimTable, set_bit_length
 
 MAGIC = b"RDIM"
 VERSION = 1
@@ -90,7 +90,7 @@ def load_table(source: BinaryIO) -> DimTable:
     if version != VERSION:
         raise UnsupportedFormatError(f"unsupported version {version}, expected {VERSION}")
     checksum = 0
-    sets_bits: list[int] = []
+    sets: list[DimSet] = []
     for n in range(n_max + 1):
         (length,) = struct.unpack("<Q", _read_exact(source, 8, "bit length", n))
         expected = set_bit_length(n)
@@ -107,7 +107,7 @@ def load_table(source: BinaryIO) -> DimTable:
             raise TableCorruptionError(
                 f"record {n} has nonzero padding bits", record_index=n
             )
-        sets_bits.append(bits)
+        sets.append(DimSet(n, bits))
     (stored,) = struct.unpack("<Q", _read_exact(source, 8, "checksum", None))
     if source.read(1):
         raise TableCorruptionError("trailing bytes after checksum")
@@ -115,4 +115,4 @@ def load_table(source: BinaryIO) -> DimTable:
         raise TableCorruptionError(
             f"checksum mismatch: stored {stored:#018x}, computed {checksum:#018x}"
         )
-    return _finish_table(sets_bits)
+    return DimTable(tuple(sets))

@@ -78,10 +78,18 @@ class TestCache:
     def test_cache_larger_than_request_serves_query(self, capsys, tmp_path):
         cache = tmp_path / "table.rdim"
         run(capsys, "table", "--max-n", "30", "--cache", str(cache))
-        code, out, _ = run(capsys, "table", "--max-n", "10", "--min-n", "10", "--cache", str(cache))
-        assert code == 0
+        outs = {}
+        for fmt in ("csv", "json"):
+            code, outs[fmt], _ = run(
+                capsys, "table", "--max-n", "10", "--min-n", "10", "--format", fmt,
+                "--cache", str(cache),
+            )
+            assert code == 0
         # h(10) still omitted at the requested top row, cache coverage aside
-        assert out.splitlines()[1].endswith(",,")
+        assert outs["csv"] == "n,c,c/n^2,h,h/n\n10,26,0.2600,,\n"
+        assert json.loads(outs["json"])["rows"] == [
+            {"n": 10, "c": 26, "c_over_n2": "0.2600", "h": None, "h_over_n": None}
+        ]
 
     def test_corrupted_cache_fails_loudly(self, capsys, tmp_path):
         cache = tmp_path / "table.rdim"
@@ -105,6 +113,26 @@ class TestCache:
         monkeypatch.setattr(reinhardt.cli, "load_table", counting_load)
         code, out, _ = run(capsys, "set", "--n", "20", "--cache", str(cache))
         assert code == 0 and out.startswith("n,values\n20,20 22 ")
+        assert calls == [str(cache)]
+
+    def test_classify_reads_env_cache(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "env.rdim"
+        run(capsys, "table", "--max-n", "6", "--cache", str(cache))
+        load_table = reinhardt.cli.load_table
+        calls = []
+
+        def counting_load(fh):
+            calls.append(fh.name)
+            return load_table(fh)
+
+        def no_build(*args):
+            raise AssertionError("classify rebuilt a table the cache covers")
+
+        monkeypatch.setenv("REINHARDT_CACHE", str(cache))
+        monkeypatch.setattr(reinhardt.cli, "load_table", counting_load)
+        monkeypatch.setattr(reinhardt.cli, "build_table", no_build)
+        code, out, _ = run(capsys, "classify", "--n", "5", "--dim", "35")
+        assert code == 0 and "status,ball" in out.splitlines()
         assert calls == [str(cache)]
 
     def test_env_var_default(self, capsys, tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 
+import random
+
 import pytest
 
 from reinhardt import (
@@ -26,6 +28,12 @@ class TestDimSet:
         assert 6 in s and 8 not in s and 5 not in s and 100 not in s
         assert list(s.values()) == [4, 6, 16]
         assert len(s) == 3
+
+    @pytest.mark.parametrize("n", [400, 401])
+    def test_values_equal_membership_scan(self, n):
+        length = set_bit_length(n)
+        s = DimSet(n, random.Random(n).getrandbits(length - 1) | 1 << (length - 1))
+        assert list(s.values()) == [v for v in range(n, n * n + 1, 2) if v in s]
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -58,7 +66,10 @@ class TestBuild:
     def test_n_max_zero(self):
         t = build_table(0)
         assert t.n_max == 0 and t.sets[0].to_set() == {0}
-        assert t.compact_counts == () and t.noncompact_counts == ()
+        with pytest.raises(ValueError, match="2 <= n <= 0"):
+            compact_count(t, 2)
+        with pytest.raises(ValueError, match="2 <= n <= -1"):
+            noncompact_count(t, 2)
 
     def test_memory_refusal_names_requirement(self):
         with pytest.raises(MemoryLimitError, match=str(projected_bits(100))):
