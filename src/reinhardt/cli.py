@@ -70,7 +70,9 @@ def _load_or_build(
 ) -> DimTable:
     """The table for n = 0..n_max: cut from the cached table if that covers
     n_max, else built (refused above ``build_limit``; None lifts the limit)
-    and saved to the cache."""
+    and saved to the cache.  The save goes to a temporary file beside the
+    cache and replaces it only once complete, so a failed save leaves any
+    previous cache intact."""
     cache = None if no_cache else cache
     if cache and os.path.exists(cache):
         with open(cache, "rb") as fh:
@@ -84,8 +86,15 @@ def _load_or_build(
         )
     table = build_table(n_max, memory_limit)
     if cache:
-        with open(cache, "wb") as fh:
-            save_table(table, fh)
+        tmp = f"{cache}.{os.getpid()}.tmp"
+        fh = open(tmp, "wb")
+        try:
+            with fh:
+                save_table(table, fh)
+            os.replace(tmp, cache)
+        except BaseException:
+            os.remove(tmp)
+            raise
     return table
 
 

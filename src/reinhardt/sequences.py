@@ -40,7 +40,6 @@ def growth_sequence(n_max: int) -> list[GrowthRow]:
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     reach = [0]
-    threshold = [Fraction(0 + 0 + 4, 2)]
     anchor: list[int | None] = [None]
     for n in range(1, n_max + 1):
         if n == 1:
@@ -50,13 +49,15 @@ def growth_sequence(n_max: int) -> list[GrowthRow]:
             assert prev is not None
             k = prev  # non-decreasing: the previous anchor always qualifies
             for kappa in range(n - 1, prev, -1):
-                if threshold[kappa] <= n:
+                if reach[kappa] + kappa + 4 <= 2 * n:  # threshold(kappa) <= n
                     k = kappa
                     break
         anchor.append(k)
         reach.append((n - k) ** 2 + reach[k])
-        threshold.append(Fraction(reach[n] + n + 4, 2))
-    return [GrowthRow(n, reach[n], threshold[n], anchor[n]) for n in range(n_max + 1)]
+    return [
+        GrowthRow(n, reach[n], Fraction(reach[n] + n + 4, 2), anchor[n])
+        for n in range(n_max + 1)
+    ]
 
 
 def format_ratio(numerator: int, denominator: int) -> str:

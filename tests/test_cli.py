@@ -75,6 +75,21 @@ class TestCache:
         code, second, _ = run(capsys, "table", "--max-n", "10", "--cache", str(cache))
         assert code == 0 and second == first
 
+    def test_failed_save_keeps_previous_cache(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "table.rdim"
+        run(capsys, "table", "--max-n", "10", "--cache", str(cache))
+        before = cache.read_bytes()
+
+        def failing_save(table, fh):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(reinhardt.cli, "save_table", failing_save)
+        code, _, err = run(capsys, "table", "--max-n", "20", "--cache", str(cache))
+        assert code == 1 and "disk full" in err
+        assert cache.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["table.rdim"]
+
     def test_cache_larger_than_request_serves_query(self, capsys, tmp_path):
         cache = tmp_path / "table.rdim"
         run(capsys, "table", "--max-n", "30", "--cache", str(cache))

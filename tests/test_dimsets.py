@@ -80,6 +80,35 @@ class TestBuild:
         b = build_table(30)
         assert all(x.bits == y.bits for x, y in zip(a.sets, b.sets))
 
+    def test_equals_plain_recurrence_to_1001(self, big_table):
+        plain = _plain_recurrence(1001)
+        mismatched = [n for n, s in enumerate(big_table.sets) if s.bits != plain[n]]
+        assert big_table.n_max == 1001 and mismatched == []
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+    def test_tiny_tables(self, n_max):
+        assert [s.bits for s in build_table(n_max).sets] == _plain_recurrence(n_max)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 64, 299])
+    def test_prefix_closed(self, table300, k):
+        assert build_table(k).sets == table300.sets[: k + 1]
+
+
+def _plain_recurrence(n_max: int) -> list[int]:
+    """Oracle: S(n) as the OR of every shifted S(n-d) across its full width."""
+    bits = [1]
+    for n in range(1, n_max + 1):
+        acc = 0
+        for d in range(1, n + 1):
+            acc |= bits[n - d] << ((d * d - d) // 2)
+        bits.append(acc)
+    return bits
+
+
+@pytest.fixture(scope="module")
+def table300():
+    return build_table(300)
+
 
 class TestOracle:
     @pytest.mark.parametrize("n", range(1, 41))

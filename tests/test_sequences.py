@@ -33,6 +33,13 @@ class TestGrowthSequence:
     def test_anchor_18(self):
         assert growth_sequence(18)[18].anchor == 7
 
+    def test_anchors_equal_direct_fraction_scan(self):
+        rows = growth_sequence(2000)
+        for n in range(1, 2001):
+            # anchor(1) = 0 by definition; threshold(0) = 2 > 1
+            kappa = next((k for k in range(n - 1, -1, -1) if rows[k].threshold <= n), 0)
+            assert rows[n].anchor == kappa, n
+
     def test_parity_and_monotone_anchor(self):
         rows = growth_sequence(300)
         for row in rows:
