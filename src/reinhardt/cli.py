@@ -68,17 +68,17 @@ def _load_or_build(
     memory_limit: int,
     build_limit: int | None,
 ) -> DimTable:
-    """The table for n = 0..n_max: cut from the cached table if that covers
-    n_max, else built (refused above ``build_limit``; None lifts the limit)
-    and saved to the cache.  The save goes to a temporary file beside the
-    cache and replaces it only once complete, so a failed save leaves any
-    previous cache intact."""
+    """The table for n = 0..n_max: read from the front of the cached table
+    if that covers n_max, else built (refused above ``build_limit``; None
+    lifts the limit) and saved to the cache.  The save goes to a temporary
+    file beside the cache and replaces it only once complete, so a failed
+    save leaves any previous cache intact."""
     cache = None if no_cache else cache
     if cache and os.path.exists(cache):
         with open(cache, "rb") as fh:
-            table = load_table(fh)
+            table = load_table(fh, n_max)
         if table.n_max >= n_max:
-            return DimTable(table.sets[: n_max + 1])
+            return table
     if build_limit is not None and n_max > build_limit:
         raise CliError(
             f"no cached table covers n={n_max}; inline builds stop at n={build_limit}"
@@ -134,10 +134,10 @@ def cmd_set(args: argparse.Namespace) -> int:
     if n < 0:
         raise CliError(f"n must be non-negative, got {n}")
     limit = None if args.force else INLINE_BUILD_LIMIT
-    table = _load_or_build(
+    dimset = _load_or_build(
         n, _default_cache(args.cache), args.no_cache, args.memory_limit, limit
-    )
-    values = list(table.sets[n].values())
+    ).sets[n]
+    values = list(dimset.values())
     if args.format == "csv":
         _emit_csv(("n", "values"), [(n, " ".join(map(str, values)))], sys.stdout)
     else:

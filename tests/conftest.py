@@ -2,8 +2,14 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import settings
 
 from reinhardt import build_table
+
+# Property tests draw the same examples on every run, and a slow example
+# is not a failure.
+settings.register_profile("reinhardt", derandomize=True, deadline=None)
+settings.load_profile("reinhardt")
 
 _ACCEPTANCE_LINES: list[str] = []
 

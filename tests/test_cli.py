@@ -121,14 +121,31 @@ class TestCache:
         load_table = reinhardt.cli.load_table
         calls = []
 
-        def counting_load(fh):
+        def counting_load(fh, n_max=None):
             calls.append(fh.name)
-            return load_table(fh)
+            return load_table(fh, n_max)
 
         monkeypatch.setattr(reinhardt.cli, "load_table", counting_load)
         code, out, _ = run(capsys, "set", "--n", "20", "--cache", str(cache))
         assert code == 0 and out.startswith("n,values\n20,20 22 ")
         assert calls == [str(cache)]
+
+    def test_set_reads_only_the_cache_prefix(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "table.rdim"
+        run(capsys, "table", "--max-n", "300", "--cache", str(cache))
+        load_table = reinhardt.cli.load_table
+        positions = []
+
+        def tracking_load(fh, *args):
+            table = load_table(fh, *args)
+            positions.append(fh.tell())
+            return table
+
+        monkeypatch.setattr(reinhardt.cli, "load_table", tracking_load)
+        code, out, _ = run(capsys, "set", "--n", "20", "--cache", str(cache))
+        assert code == 0
+        assert out == run(capsys, "set", "--n", "20", "--no-cache")[1]
+        assert len(positions) == 1 and positions[0] < cache.stat().st_size
 
     def test_classify_reads_env_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env.rdim"
@@ -136,9 +153,9 @@ class TestCache:
         load_table = reinhardt.cli.load_table
         calls = []
 
-        def counting_load(fh):
+        def counting_load(fh, n_max=None):
             calls.append(fh.name)
-            return load_table(fh)
+            return load_table(fh, n_max)
 
         def no_build(*args):
             raise AssertionError("classify rebuilt a table the cache covers")

@@ -1,7 +1,10 @@
 import io
 import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reinhardt import (
     TableCorruptionError,
@@ -10,6 +13,7 @@ from reinhardt import (
     load_table,
     save_table,
 )
+from reinhardt.dimsets import set_bit_length
 
 
 def _dump(table) -> bytes:
@@ -18,6 +22,41 @@ def _dump(table) -> bytes:
     data = buf.getvalue()
     assert count == len(data)
     return data
+
+
+def _dump_v1(table) -> bytes:
+    """Format v1, written independently of the library: header, records
+    without CRCs, then the sum of all data words mod 2^64."""
+    parts = [b"RDIM", struct.pack("<HI", 1, table.n_max)]
+    total = 0
+    for dimset in table.sets:
+        nwords = (dimset.length + 63) // 64
+        data = dimset.bits.to_bytes(nwords * 8, "little")
+        total += sum(struct.unpack(f"<{nwords}Q", data))
+        parts += [struct.pack("<Q", dimset.length), data]
+    parts.append(struct.pack("<Q", total % 2**64))
+    return b"".join(parts)
+
+
+def _words(n: int) -> int:
+    return (set_bit_length(n) + 63) // 64
+
+
+def _record_start(n: int) -> int:
+    """Offset of record n's bit-length field in a v2 file."""
+    return 10 + sum(12 + 8 * _words(k) for k in range(n))
+
+
+def _record_end(n: int) -> int:
+    """Offset just past record n's CRC in a v2 file."""
+    return _record_start(n + 1)
+
+
+def _reseal(data: bytearray, n_max: int) -> None:
+    """Recompute every record's CRC in a v2 file, in place."""
+    for k in range(n_max + 1):
+        end = _record_end(k)
+        data[end - 4 : end] = struct.pack("<I", zlib.crc32(data[: end - 4]))
 
 
 class TestRoundTrip:
@@ -48,17 +87,25 @@ class TestRoundTrip:
 
     def test_trivial_table_layout(self):
         data = _dump(build_table(0))
-        # magic, version, n_max, one record (length 1, one word = 1), checksum 1
+        # magic, version, n_max, one record (length 1, one word = 1, CRC-32)
         assert data[:4] == b"RDIM"
         version, n_max = struct.unpack("<HI", data[4:10])
-        assert (version, n_max) == (1, 0)
+        assert (version, n_max) == (2, 0)
         (bit_length,) = struct.unpack("<Q", data[10:18])
         assert bit_length == 1
         (word,) = struct.unpack("<Q", data[18:26])
         assert word == 1
-        (checksum,) = struct.unpack("<Q", data[26:34])
-        assert checksum == 1
-        assert len(data) == 34
+        (crc,) = struct.unpack("<I", data[26:30])
+        assert crc == zlib.crc32(data[:26])
+        assert len(data) == 30
+
+    def test_each_crc_covers_every_byte_before_it(self):
+        data = _dump(build_table(9))
+        ends = [_record_end(k) for k in range(10)]
+        assert ends[-1] == len(data)
+        for end in ends:
+            (crc,) = struct.unpack("<I", data[end - 4 : end])
+            assert crc == zlib.crc32(data[: end - 4])
 
 
 class TestValidation:
@@ -85,6 +132,13 @@ class TestValidation:
         with pytest.raises(TableCorruptionError, match="record 0"):
             load_table(io.BytesIO(bytes(data)))
 
+    def test_padding_checked_behind_valid_crcs(self):
+        data = bytearray(_dump(build_table(4)))
+        data[_record_start(3) + 15] ^= 0x80  # record 3 has 4 bits in one word
+        _reseal(data, 4)
+        with pytest.raises(TableCorruptionError, match="record 3 has nonzero padding"):
+            load_table(io.BytesIO(bytes(data)))
+
     def test_bit_length_mismatch_names_record(self):
         data = bytearray(_dump(build_table(4)))
         data[10] ^= 0xFF
@@ -103,3 +157,138 @@ class TestValidation:
         data = _dump(build_table(2)) + b"\x00"
         with pytest.raises(TableCorruptionError, match="trailing"):
             load_table(io.BytesIO(data))
+
+
+class TestPrefixRead:
+    @pytest.fixture(scope="class")
+    def table300(self):
+        return build_table(300)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 64, 300])
+    def test_prefix_equals_built_sets(self, table300, k):
+        loaded = load_table(io.BytesIO(_dump(table300)), k)
+        assert loaded.sets == table300.sets[: k + 1]
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 64, 299])
+    def test_read_stops_at_end_of_record(self, table300, k):
+        source = io.BytesIO(_dump(table300))
+        load_table(source, k)
+        assert source.tell() == _record_end(k)
+
+    def test_request_beyond_file_returns_whole_table(self):
+        table = build_table(6)
+        assert load_table(io.BytesIO(_dump(table)), 40).sets == table.sets
+
+    def test_full_read_checks_trailing_bytes(self):
+        data = _dump(build_table(6)) + b"\x00"
+        assert load_table(io.BytesIO(data), 5).n_max == 5
+        for n_max in (None, 6, 7):
+            with pytest.raises(TableCorruptionError, match="trailing"):
+                load_table(io.BytesIO(data), n_max)
+
+    def test_negative_request_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            load_table(io.BytesIO(_dump(build_table(2))), -1)
+
+
+class TestVersion1:
+    def test_trivial_table_layout(self):
+        data = _dump_v1(build_table(0))
+        # magic, version, n_max, one record (length 1, one word = 1), checksum 1
+        assert data[:4] == b"RDIM"
+        version, n_max = struct.unpack("<HI", data[4:10])
+        assert (version, n_max) == (1, 0)
+        (bit_length,) = struct.unpack("<Q", data[10:18])
+        assert bit_length == 1
+        (word,) = struct.unpack("<Q", data[18:26])
+        assert word == 1
+        (checksum,) = struct.unpack("<Q", data[26:34])
+        assert checksum == 1
+        assert len(data) == 34
+
+    @pytest.mark.parametrize("n_max", [0, 1, 4, 100])
+    def test_loads_same_table(self, n_max):
+        table = build_table(n_max)
+        assert load_table(io.BytesIO(_dump_v1(table))).sets == table.sets
+
+    def test_prefix_request_reads_whole_file(self):
+        table = build_table(20)
+        source = io.BytesIO(_dump_v1(table))
+        assert load_table(source, 7).sets == table.sets[:8]
+        assert source.tell() == len(source.getvalue())
+
+    @pytest.mark.parametrize("n_max", [None, 3])
+    def test_footer_flip_raises_checksum(self, n_max):
+        data = bytearray(_dump_v1(build_table(20)))
+        data[-3] ^= 0x10
+        with pytest.raises(TableCorruptionError, match="checksum"):
+            load_table(io.BytesIO(bytes(data)), n_max)
+
+
+FUZZ_N_MAX = 12
+_FUZZ_TABLE = build_table(FUZZ_N_MAX)
+_FUZZ_DATA = _dump(_FUZZ_TABLE)
+_FUZZ_ENDS = [_record_end(k) for k in range(FUZZ_N_MAX + 1)]
+# starts of the magic, version and n_max fields, then of every record's
+# length field, each data word and its CRC
+_FIELD_STARTS = sorted(
+    {0, 4, 6}
+    | {start for k in range(FUZZ_N_MAX + 1) for start in (_record_start(k), _FUZZ_ENDS[k] - 4)}
+    | {_record_start(k) + 8 + 8 * w for k in range(FUZZ_N_MAX + 1) for w in range(_words(k))}
+)
+
+
+@st.composite
+def _corruptions(draw):
+    """One word flipped, or two words swapped, in the fuzz table's v2 bytes;
+    returns the bytes and the lowest offset touched."""
+    data = bytearray(_FUZZ_DATA)
+    width = draw(st.sampled_from([1, 4, 8]))
+    offsets = st.one_of(
+        st.sampled_from(_FIELD_STARTS), st.integers(0, len(data) - 1)
+    ).map(lambda i: min(i, len(data) - width))
+    first = draw(offsets)
+    if draw(st.booleans()):
+        span = int.from_bytes(data[first : first + width], "little")
+        span ^= draw(st.integers(1, 2 ** (8 * width) - 1))
+        data[first : first + width] = span.to_bytes(width, "little")
+        return bytes(data), first
+    second = draw(offsets.filter(lambda j: abs(j - first) >= width))
+    a, b = data[first : first + width], data[second : second + width]
+    data[first : first + width], data[second : second + width] = b, a
+    return bytes(data), min(first, second)
+
+
+def _sets_or_none(data: bytes, n_max: int | None):
+    try:
+        return load_table(io.BytesIO(data), n_max).sets
+    except (TableCorruptionError, UnsupportedFormatError):
+        return None
+
+
+class TestCorruptionFuzz:
+    @settings(max_examples=400)
+    @given(_corruptions())
+    def test_single_corruption_detected_or_harmless(self, case):
+        data, first_touched = case
+        assert _sets_or_none(data, None) in (None, _FUZZ_TABLE.sets)
+        for k, end in enumerate(_FUZZ_ENDS):
+            expected = _FUZZ_TABLE.sets[: k + 1]
+            got = _sets_or_none(data, k)
+            if first_touched >= end:
+                assert got == expected  # the read never reached the change
+            else:
+                assert got in (None, expected)
+
+    def test_swapped_words_in_last_record_detected(self):
+        # the v1 word sum cannot see this: both words stay in the file
+        table = build_table(100)
+        data = bytearray(_dump(table))
+        start = _record_start(100) + 8
+        words = [data[start + 8 * w : start + 8 * w + 8] for w in range(_words(100))]
+        other = next(w for w in range(1, len(words)) if words[w] != words[0])
+        data[start : start + 8] = words[other]
+        data[start + 8 * other : start + 8 * other + 8] = words[0]
+        with pytest.raises(TableCorruptionError, match="record 100 checksum"):
+            load_table(io.BytesIO(bytes(data)))
+        assert load_table(io.BytesIO(bytes(data)), 99).sets == table.sets[:100]
