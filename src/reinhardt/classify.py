@@ -32,7 +32,6 @@ from .dimsets import (
     is_realizable,
     marked_set_rows,
     noncompact_set,
-    set_bit_length,
 )
 from .partitions import (
     MarkedPartition,
@@ -286,9 +285,7 @@ def classify_dimension(
             f"{top}, {top + 2} and {top + 2 * n} are achievable"
         )
     else:
-        top_bit = set_bit_length(n) - 1
-        compact_bits = table.sets[n].bits & ~(1 << top_bit)
-        if (compact_bits >> ((dim - n) // 2)) & 1:
+        if dim in table.sets[n]:  # below n^2 - 2, so not the top value
             status = STATUS_COMPACT_BAD
         elif dim in noncompact_set(table, n):
             status = STATUS_NONCOMPACT_GOOD

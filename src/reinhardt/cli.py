@@ -15,12 +15,20 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Sequence, TextIO
+from itertools import islice
+from typing import Any, Iterable, Sequence, TextIO
 
 from .classify import classify_dimension, make_witness, realizations
 from .dimsets import DimTable, MemoryLimitError, build_table
 from .sequences import growth_sequence, ratio_table
-from .storage import TableCorruptionError, UnsupportedFormatError, load_table, save_table
+from .storage import (
+    VERSION as TABLE_VERSION,
+    TableCorruptionError,
+    UnsupportedFormatError,
+    load_table,
+    save_table,
+    table_version,
+)
 from .verifiers import (
     STATUS_FAIL,
     verify_arms,
@@ -37,6 +45,7 @@ FORCE_BUILD_LIMIT = 4096
 INLINE_BUILD_LIMIT = 1024
 
 CACHE_ENV_VAR = "REINHARDT_CACHE"
+_CHUNK = 4096  # values per write in `set`
 
 
 class CliError(Exception):
@@ -70,13 +79,20 @@ def _load_or_build(
 ) -> DimTable:
     """The table for n = 0..n_max: read from the front of the cached table
     if that covers n_max, else built (refused above ``build_limit``; None
-    lifts the limit) and saved to the cache.  The save goes to a temporary
-    file beside the cache and replaces it only once complete, so a failed
-    save leaves any previous cache intact."""
+    lifts the limit) and saved to the cache.  A cache in an older format
+    is read in full once and rewritten in the current one; if that
+    rewrite fails, the query is still answered from what was read."""
     cache = None if no_cache else cache
     if cache and os.path.exists(cache):
         with open(cache, "rb") as fh:
-            table = load_table(fh, n_max)
+            upgrade = table_version(fh) != TABLE_VERSION
+            table = load_table(fh, None if upgrade else n_max)
+        if upgrade:
+            try:
+                _save_cache(table, cache)
+            except OSError as exc:
+                print(f"warning: cache not rewritten as v{TABLE_VERSION}: {exc}", file=sys.stderr)
+            table = DimTable(table.sets[: n_max + 1])
         if table.n_max >= n_max:
             return table
     if build_limit is not None and n_max > build_limit:
@@ -86,16 +102,22 @@ def _load_or_build(
         )
     table = build_table(n_max, memory_limit)
     if cache:
-        tmp = f"{cache}.{os.getpid()}.tmp"
-        fh = open(tmp, "wb")
-        try:
-            with fh:
-                save_table(table, fh)
-            os.replace(tmp, cache)
-        except BaseException:
-            os.remove(tmp)
-            raise
+        _save_cache(table, cache)
     return table
+
+
+def _save_cache(table: DimTable, cache: str) -> None:
+    """Save to a temporary file beside the cache and replace the cache only
+    once complete, so a failed save leaves any previous cache intact."""
+    tmp = f"{cache}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            save_table(table, fh)
+        os.replace(tmp, cache)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _open_out(path: str | None):
@@ -137,12 +159,24 @@ def cmd_set(args: argparse.Namespace) -> int:
     dimset = _load_or_build(
         n, _default_cache(args.cache), args.no_cache, args.memory_limit, limit
     ).sets[n]
-    values = list(dimset.values())
     if args.format == "csv":
-        _emit_csv(("n", "values"), [(n, " ".join(map(str, values)))], sys.stdout)
+        sys.stdout.write(f"n,values\n{n},")
+        _write_joined(dimset.values(), " ", sys.stdout)
+        sys.stdout.write("\n")
     else:
-        _emit_json([{"n": n, "values": values}], sys.stdout)
+        sys.stdout.write(f'{{"rows": [{{"n": {n}, "values": [')
+        _write_joined(dimset.values(), ", ", sys.stdout)
+        sys.stdout.write("]}]}\n")
     return 0
+
+
+def _write_joined(values: Iterable[int], sep: str, out: TextIO) -> None:
+    """Write ``sep.join(map(str, values))`` a chunk at a time, so a large
+    set is never held as one list or string."""
+    strings = map(str, values)
+    out.write(sep.join(islice(strings, _CHUNK)))
+    while chunk := sep.join(islice(strings, _CHUNK)):
+        out.write(sep + chunk)
 
 
 def _classification_record(result) -> dict[str, Any]:

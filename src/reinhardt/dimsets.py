@@ -12,18 +12,23 @@ of i.  Translating a set by (n-i)^2 in value space is a left shift by
 ((n-i)^2 - (n-i)) / 2 in index space: a value v = i + 2j maps to
 w = v + (n-i)^2 with index (w - n)/2 = j + ((n-i)^2 - (n-i))/2.
 
-Most of each set is a dense prefix, so the build ORs only the bits above
-it (see :func:`build_table`).  The prefix is measured from the built
-sets, never taken from the growth-sequence lemma, so the lemma's check
-stays independent of the build.  All sets are immutable once built and
-safe to share across threads.
+Most of each set is a dense prefix, so a :class:`DimSet` is held as
+``(low, tail)``: ``low`` is the length of its run of ones from index 0
+and ``tail`` the bits from there up.  The build works on those pairs
+alone, ORs only bits above the prefix and skips the parts that cannot
+reach above it (see :func:`build_table`), so its time and memory follow
+the tails, not the n^3 full width.  The prefix is measured from the
+built sets, never taken from the growth-sequence lemma, so the lemma's
+check stays independent of the build.  All sets are immutable once built
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from math import isqrt
 from typing import Iterator
 
 from .partitions import (
@@ -46,24 +51,55 @@ def set_bit_length(n: int) -> int:
     return (n * n - n) // 2 + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DimSet:
     """Bit-packed set of dimension values sharing the parity of ``n``.
 
     Bit j represents the value n + 2j; indices run from 0 (value n) to
-    (n^2 - n)/2 (value n^2).
+    (n^2 - n)/2 (value n^2).  The set is held as ``low``, the length of
+    its run of ones from index 0, and ``tail``, the bits from index
+    ``low`` up, so that bit 0 of ``tail`` is clear.  That form is unique,
+    so equal sets compare and hash equal, and a set costs the size of its
+    tail rather than of its full range.  ``DimSet(n, bits)`` takes the
+    plain bit pattern and normalises it; ``bits`` rebuilds the pattern.
     """
 
     n: int
-    bits: int
+    low: int
+    tail: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"base n must be non-negative, got {self.n}")
-        if self.bits < 0:
+    def __init__(self, n: int, bits: int) -> None:
+        if bits < 0:
             raise ValueError("bits must be a non-negative integer")
-        if self.bits >> self.length:
-            raise ValueError(f"bits exceed the representable range for n={self.n}")
+        low = (bits ^ (bits + 1)).bit_length() - 1
+        self._set(n, low, bits >> low)
+
+    @classmethod
+    def from_prefix_tail(cls, n: int, low: int, tail: int) -> "DimSet":
+        """The set whose indices below ``low`` are all present, with
+        ``tail`` holding the bits from index ``low`` up; the pair must be
+        in the canonical form described on the class."""
+        self = object.__new__(cls)
+        self._set(n, low, tail)
+        return self
+
+    def _set(self, n: int, low: int, tail: int) -> None:
+        if n < 0:
+            raise ValueError(f"base n must be non-negative, got {n}")
+        if low < 0 or tail < 0:
+            raise ValueError("low and tail must be non-negative")
+        if tail & 1:
+            raise ValueError("bit 0 of the tail must be clear")
+        if low + tail.bit_length() > set_bit_length(n):
+            raise ValueError(f"bits exceed the representable range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "tail", tail)
+
+    @property
+    def bits(self) -> int:
+        """The full bit pattern, computed on each access."""
+        return ((self.tail + 1) << self.low) - 1
 
     @property
     def length(self) -> int:
@@ -81,19 +117,23 @@ class DimSet:
     def __contains__(self, value: int) -> bool:
         if (value - self.n) % 2 or not self.n <= value <= self.n * self.n:
             return False
-        return bool((self.bits >> ((value - self.n) // 2)) & 1)
+        j = (value - self.n) // 2 - self.low
+        return j < 0 or bool((self.tail >> j) & 1)
 
     def __len__(self) -> int:
-        return self.bits.bit_count()
+        return self.low + self.tail.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return self.values()
 
     def values(self) -> Iterator[int]:
         """Stored values in ascending order."""
-        for j, bit in enumerate(reversed(bin(self.bits))):
+        n = self.n
+        yield from range(n, n + 2 * self.low, 2)
+        start = n + 2 * self.low
+        for j, bit in enumerate(reversed(bin(self.tail))):
             if bit == "1":
-                yield self.n + 2 * j
+                yield start + 2 * j
 
     def to_set(self) -> set[int]:
         return set(self.values())
@@ -120,32 +160,39 @@ def projected_bits(n_max: int) -> int:
 
 
 def _prefix_tail_sets(n_max: int) -> tuple[list[int], list[int]]:
-    """``low`` and ``tail`` with S(n) = ((tail[n] + 1) << low[n]) - 1.
+    """Canonical ``low`` and ``tail`` of S(0..n_max); see :func:`build_table`.
 
     Kept apart from :func:`build_table` so that its loops sit near the
     start of their code object: under tracemalloc, Python 3.11 finds each
     allocation's line by scanning the line table from the start.
     """
-    offs = [(d * d - d) // 2 for d in range(n_max + 1)]
-    low, tail, ones = [0], [1], [1]  # S(0) = {0}
+    offs = [(d * d - d) // 2 for d in range(n_max + 1)]  # off_d, also top(d)
+    low, tail = [1], [0]  # S(0) = {0}
     for n in range(1, n_max + 1):
-        reach = 0
-        for off, run in zip(offs[1 : n + 1], reversed(ones)):  # d = 1, 2, ...
-            if off > reach:
-                break
-            end = off + run
-            if end > reach:
-                reach = end
-        cut = bisect_right(offs, reach, 1, n + 1)  # the first d past the gap
+        reach, d = 0, 1
+        while d <= n and offs[d] <= reach:
+            i = n - d
+            if offs[d] + low[i] > reach:
+                reach = offs[d] + low[i]
+            if offs[d] + offs[i] < reach:  # f(d) < reach: jump past the middle
+                d = (n + isqrt(4 * reach - n * n + 2 * n - 1)) // 2
+            d += 1
+        cut = d  # the first part past the gap
+        mid = 4 * reach - n * n + 2 * n  # f(d) < reach iff (2d - n)^2 < mid
+        if mid > 0:  # skip the parts a..b-1, which add nothing above reach
+            half = isqrt(mid - 1)
+            a, b = min((n - half + 1) // 2, cut), (n + half) // 2 + 1
+        else:
+            a = b = cut
         acc = 0
-        for off, lo, t in zip(offs[1:cut], reversed(low), reversed(tail)):
-            s = off + lo - reach
-            acc |= t << s if s >= 0 else t >> -s
+        for d in chain(range(1, a), range(b, cut)):
+            s = offs[d] + low[n - d] - reach
+            acc |= tail[n - d] << s if s >= 0 else tail[n - d] >> -s
         for d in range(cut, n + 1):
             acc |= (((tail[n - d] + 1) << low[n - d]) - 1) << (offs[d] - reach)
-        low.append(reach)
-        tail.append(acc)
-        ones.append(reach + (acc ^ (acc + 1)).bit_length() - 1)
+        ones = (acc ^ (acc + 1)).bit_length() - 1
+        low.append(reach + ones)
+        tail.append(acc >> ones)
     return low, tail
 
 
@@ -153,12 +200,16 @@ def build_table(n_max: int, memory_limit: int | None = None) -> DimTable:
     """Build the square-sum sets for all n up to n_max.
 
     A part d shifts S(n-d) left by off_d = d(d-1)/2, so it fills the
-    indices [off_d, off_d + ones(n-d)), where ones(i) is the measured run
+    indices [off_d, off_d + low(n-d)), where low(i) is the measured run
     of ones from index 0 in S(i).  Taking d ascending up to the first gap
-    gives ``reach``: every index below it is in S(n).  Above it, parts
-    before the gap contribute only the bits above their own prefix, and
-    the rest contribute their small sets in full.  The result equals the
-    plain recurrence bit for bit.
+    gives ``reach``: every index below it is in S(n).  The highest index
+    part d can reach is f(d) = off_d + top(n-d), with top(i) = (i^2-i)/2
+    the index of i^2, which is always in S(i).  f is convex and symmetric
+    under d <-> n-d, so the parts with f(d) < reach, which add nothing
+    above it, form one middle range that both loops skip.  Above
+    ``reach``, the remaining parts before the gap contribute the tails of
+    their sets, and the parts past it their small sets in full; no other
+    set is expanded.  The result equals the plain recurrence bit for bit.
 
     ``memory_limit`` is a byte budget checked against the projected bit
     count before anything is allocated; exceeding it raises
@@ -175,9 +226,9 @@ def build_table(n_max: int, memory_limit: int | None = None) -> DimTable:
                 f" ({(need + 7) // 8} bytes), over the limit of {memory_limit} bytes"
             )
     low, tail = _prefix_tail_sets(n_max)
-    # largest first: materialising upward fragments the heap (higher peak RSS)
-    sets = [DimSet(n, ((tail[n] + 1) << low[n]) - 1) for n in range(n_max, -1, -1)]
-    return DimTable(tuple(reversed(sets)))
+    return DimTable(
+        tuple(DimSet.from_prefix_tail(n, low[n], tail[n]) for n in range(n_max + 1))
+    )
 
 
 def marked_set_rows(n_max: int) -> tuple[tuple[int, ...], ...]:

@@ -41,17 +41,12 @@ def growth_sequence(n_max: int) -> list[GrowthRow]:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     reach = [0]
     anchor: list[int | None] = [None]
+    k = 0
     for n in range(1, n_max + 1):
-        if n == 1:
-            k = 0
-        else:
-            prev = anchor[n - 1]
-            assert prev is not None
-            k = prev  # non-decreasing: the previous anchor always qualifies
-            for kappa in range(n - 1, prev, -1):
-                if reach[kappa] + kappa + 4 <= 2 * n:  # threshold(kappa) <= n
-                    k = kappa
-                    break
+        # reach(kappa) + kappa strictly increases (tested to n = 20000), so
+        # the kappa with threshold(kappa) <= n form a prefix: walk up to its end
+        while k + 1 < n and reach[k + 1] + k + 1 + 4 <= 2 * n:
+            k += 1
         anchor.append(k)
         reach.append((n - k) ** 2 + reach[k])
     return [

@@ -163,10 +163,7 @@ def verify_largest_part(
 def _splits_with_large_block(table: DimTable, n: int, value: int) -> bool:
     for i in range((n - 1) // 2 + 1):  # i < n/2
         d = n - i
-        rest = value - d * d
-        if rest < i or (rest - i) % 2:
-            continue
-        if (table.sets[i].bits >> ((rest - i) // 2)) & 1:
+        if value - d * d in table.sets[i]:
             return True
     return False
 

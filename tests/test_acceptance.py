@@ -172,7 +172,7 @@ def test_criterion_9_storage_round_trip(acceptance):
         loaded = load_table(io.BytesIO(buf.getvalue()))
         ok = ok and all(a.bits == b.bits for a, b in zip(loaded.sets, table.sets))
     blob = bytearray(buf.getvalue())
-    blob[20] ^= 0x04  # single bit inside record 0's data word
+    blob[20] ^= 0x04  # single bit inside record 0's tail-length field
     corrupted_detected = False
     try:
         load_table(io.BytesIO(bytes(blob)))

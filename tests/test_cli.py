@@ -1,9 +1,14 @@
+import hashlib
 import json
 
 import pytest
 
 import reinhardt.cli
+from reinhardt import build_table, load_table
 from reinhardt.cli import main
+from reinhardt.storage import table_version
+
+from old_formats import dump_v1, dump_v2
 
 
 def run(capsys, *argv):
@@ -167,6 +172,40 @@ class TestCache:
         assert code == 0 and "status,ball" in out.splitlines()
         assert calls == [str(cache)]
 
+    @pytest.mark.parametrize("dump", [dump_v1, dump_v2])
+    def test_old_cache_answers_and_is_rewritten_as_v3(self, capsys, tmp_path, dump):
+        cache = tmp_path / "old.rdim"
+        table = build_table(30)
+        cache.write_bytes(dump(table))
+        for argv in (
+            ("table", "--min-n", "5", "--max-n", "20"),
+            ("set", "--n", "25", "--format", "json"),
+        ):
+            expected = run(capsys, *argv, "--no-cache")[1]
+            code, out, _ = run(capsys, *argv, "--cache", str(cache))
+            assert code == 0 and out == expected
+            with open(cache, "rb") as fh:
+                assert table_version(fh) == 3
+                assert load_table(fh).sets == table.sets  # the whole table kept
+        assert [p.name for p in tmp_path.iterdir()] == ["old.rdim"]
+
+    def test_failed_rewrite_keeps_old_cache_and_answers(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "old.rdim"
+        cache.write_bytes(dump_v2(build_table(30)))
+        before = cache.read_bytes()
+        expected = run(capsys, "set", "--n", "12", "--no-cache")[1]
+
+        def failing_save(table, fh):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(reinhardt.cli, "save_table", failing_save)
+        code, out, err = run(capsys, "set", "--n", "12", "--cache", str(cache))
+        assert code == 0 and out == expected
+        assert "warning" in err and "disk full" in err
+        assert cache.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["old.rdim"]
+
     def test_env_var_default(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env.rdim"
         monkeypatch.setenv("REINHARDT_CACHE", str(cache))
@@ -184,6 +223,43 @@ class TestSet:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "set", "--n", "2", "--format", "json", "--no-cache")
         assert json.loads(out) == {"rows": [{"n": 2, "values": [2, 4]}]}
+
+    # stdout of the list-and-join implementation this streaming output replaced
+    @pytest.mark.parametrize(
+        "argv,size,sha256",
+        [
+            (
+                ("--n", "250"),
+                155281,
+                "547f88dbabcb187c9c6c3dcbadf0b8b2dc2196f40e6d935e02b24ba054486f0c",
+            ),
+            (
+                ("--n", "250", "--format", "json"),
+                182056,
+                "70b6afc1b8266fb9f05d4db74fc1e31917cae402141e47890a3a2962d3256683",
+            ),
+            (
+                ("--n", "803"),
+                2023995,
+                "3e4284e886e1b05f5c48a7d3fb9e65fef0e2f45576771a8f4bc0a1a1e16bf38d",
+            ),
+        ],
+        ids=["250-csv", "250-json", "803-csv"],
+    )
+    def test_large_set_goldens(self, capsys, argv, size, sha256):
+        code, out, _ = run(capsys, "set", *argv, "--no-cache")
+        assert code == 0 and len(out.encode()) == size
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunked_output_equals_one_join(self, capsys, monkeypatch, chunk):
+        values = [5, 7, 9, 11, 13, 17, 25]
+        monkeypatch.setattr(reinhardt.cli, "_CHUNK", chunk)
+        assert run(capsys, "set", "--n", "5", "--no-cache")[1] == (
+            "n,values\n5," + " ".join(map(str, values)) + "\n"
+        )
+        out = run(capsys, "set", "--n", "5", "--format", "json", "--no-cache")[1]
+        assert out == json.dumps({"rows": [{"n": 5, "values": values}]}) + "\n"
 
     def test_inline_threshold(self, capsys):
         code, _, err = run(capsys, "set", "--n", "2000", "--no-cache")

@@ -1,5 +1,6 @@
 
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -34,6 +35,40 @@ class TestDimSet:
         length = set_bit_length(n)
         s = DimSet(n, random.Random(n).getrandbits(length - 1) | 1 << (length - 1))
         assert list(s.values()) == [v for v in range(n, n * n + 1, 2) if v in s]
+
+    @pytest.mark.parametrize(
+        "n,bits,low,tail",
+        [
+            (0, 1, 1, 0),
+            (3, 0, 0, 0),
+            (3, 0b1011, 2, 0b10),
+            (4, 0b1001111, 4, 0b100),
+            (4, 0b10, 0, 0b10),
+        ],
+    )
+    def test_normalises_to_run_of_ones_and_tail(self, n, bits, low, tail):
+        s = DimSet(n, bits)
+        assert (s.low, s.tail, s.bits) == (low, tail, bits)
+        assert s == DimSet.from_prefix_tail(n, low, tail)
+        assert hash(s) == hash(DimSet.from_prefix_tail(n, low, tail))
+        assert len(s) == bits.bit_count()
+
+    @pytest.mark.parametrize("n", [2, 3, 299, 300])
+    def test_built_sets_agree_with_their_bits(self, table300, n):
+        s = table300.sets[n]
+        assert s.low > 1 and s.tail & 1 == 0
+        assert DimSet(n, s.bits) == s and len(s) == s.bits.bit_count()
+        scan = [v for v in range(n, n * n + 1, 2) if (s.bits >> (v - n) // 2) & 1]
+        assert list(s.values()) == scan
+        assert [v for v in range(n - 2, n * n + 3) if v in s] == scan
+
+    def test_prefix_tail_refusals(self):
+        with pytest.raises(ValueError, match="bit 0"):
+            DimSet.from_prefix_tail(4, 2, 0b11)  # not canonical: the run is 4 long
+        with pytest.raises(ValueError, match="range"):
+            DimSet.from_prefix_tail(4, 6, 0b10)  # 6 + 2 bits, over the 7 of n = 4
+        with pytest.raises(ValueError, match="must be non-negative"):
+            DimSet.from_prefix_tail(4, -1, 0)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -93,6 +128,14 @@ class TestBuild:
     def test_prefix_closed(self, table300, k):
         assert build_table(k).sets == table300.sets[: k + 1]
 
+    def test_equals_full_scan_build_to_1500(self):
+        low, tail = _full_scan_prefix_tail_sets(1500)
+        built = build_table(1500).sets
+        mismatched = [
+            n for n in range(1501) if DimSet(n, ((tail[n] + 1) << low[n]) - 1) != built[n]
+        ]
+        assert mismatched == []
+
 
 def _plain_recurrence(n_max: int) -> list[int]:
     """Oracle: S(n) as the OR of every shifted S(n-d) across its full width."""
@@ -103,6 +146,35 @@ def _plain_recurrence(n_max: int) -> list[int]:
             acc |= bits[n - d] << ((d * d - d) // 2)
         bits.append(acc)
     return bits
+
+
+def _full_scan_prefix_tail_sets(n_max: int) -> tuple[list[int], list[int]]:
+    """Oracle: the prefix/tail build that visits every part of every n.
+
+    S(n) = ((tail[n] + 1) << low[n]) - 1, where ``low[n]`` is the reach
+    (every index below it is set) and ``ones[n]`` the measured run of ones.
+    """
+    offs = [(d * d - d) // 2 for d in range(n_max + 1)]
+    low, tail, ones = [0], [1], [1]  # S(0) = {0}
+    for n in range(1, n_max + 1):
+        reach = 0
+        for off, run in zip(offs[1 : n + 1], reversed(ones)):  # d = 1, 2, ...
+            if off > reach:
+                break
+            end = off + run
+            if end > reach:
+                reach = end
+        cut = bisect_right(offs, reach, 1, n + 1)  # the first d past the gap
+        acc = 0
+        for off, lo, t in zip(offs[1:cut], reversed(low), reversed(tail)):
+            s = off + lo - reach
+            acc |= t << s if s >= 0 else t >> -s
+        for d in range(cut, n + 1):
+            acc |= (((tail[n - d] + 1) << low[n - d]) - 1) << (offs[d] - reach)
+        low.append(reach)
+        tail.append(acc)
+        ones.append(reach + (acc ^ (acc + 1)).bit_length() - 1)
+    return low, tail
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,13 @@ class TestGrowthSequence:
             kappa = next((k for k in range(n - 1, -1, -1) if rows[k].threshold <= n), 0)
             assert rows[n].anchor == kappa, n
 
+    def test_reach_plus_n_strictly_increases_to_20000(self):
+        # the forward anchor walk in growth_sequence is exact only because
+        # of this: the kappa with threshold(kappa) <= n form a prefix
+        rows = growth_sequence(20000)
+        keys = [r.reach + r.n for r in rows]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
     def test_parity_and_monotone_anchor(self):
         rows = growth_sequence(300)
         for row in rows:
