@@ -60,8 +60,12 @@ def _emit_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]], out: TextIO
     writer.writerows(rows)
 
 
+def _json_text(rows: Sequence[dict[str, Any]]) -> str:
+    return json.dumps({"rows": list(rows)}, ensure_ascii=False) + "\n"
+
+
 def _emit_json(rows: Sequence[dict[str, Any]], out: TextIO) -> None:
-    out.write(json.dumps({"rows": list(rows)}, ensure_ascii=False) + "\n")
+    out.write(_json_text(rows))
 
 
 def _default_cache(value: str | None) -> str | None:
@@ -87,13 +91,14 @@ def _load_or_build(
         with open(cache, "rb") as fh:
             upgrade = table_version(fh) != TABLE_VERSION
             table = load_table(fh, None if upgrade else n_max)
-        if upgrade:
-            try:
-                _save_cache(table, cache)
-            except OSError as exc:
-                print(f"warning: cache not rewritten as v{TABLE_VERSION}: {exc}", file=sys.stderr)
-            table = DimTable(table.sets[: n_max + 1])
         if table.n_max >= n_max:
+            if upgrade:  # a cache too short is replaced by the build below
+                try:
+                    _save_cache(table, cache)
+                except OSError as exc:
+                    warning = f"warning: cache not rewritten as v{TABLE_VERSION}: {exc}"
+                    print(warning, file=sys.stderr)
+                table = DimTable(table.sets[: n_max + 1])
             return table
     if build_limit is not None and n_max > build_limit:
         raise CliError(
@@ -160,13 +165,15 @@ def cmd_set(args: argparse.Namespace) -> int:
         n, _default_cache(args.cache), args.no_cache, args.memory_limit, limit
     ).sets[n]
     if args.format == "csv":
-        sys.stdout.write(f"n,values\n{n},")
-        _write_joined(dimset.values(), " ", sys.stdout)
-        sys.stdout.write("\n")
+        head, sep, tail = f"n,values\n{n},", " ", "\n"
     else:
-        sys.stdout.write(f'{{"rows": [{{"n": {n}, "values": [')
-        _write_joined(dimset.values(), ", ", sys.stdout)
-        sys.stdout.write("]}]}\n")
+        # the empty set's document, split at its one "[]"; json.dumps
+        # separates list items with ", "
+        head, tail = _json_text([{"n": n, "values": []}]).split("[]")
+        head, sep, tail = head + "[", ", ", "]" + tail
+    sys.stdout.write(head)
+    _write_joined(dimset.values(), sep, sys.stdout)
+    sys.stdout.write(tail)
     return 0
 
 

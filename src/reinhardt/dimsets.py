@@ -180,8 +180,9 @@ def _prefix_tail_sets(n_max: int) -> tuple[list[int], list[int]]:
         cut = d  # the first part past the gap
         mid = 4 * reach - n * n + 2 * n  # f(d) < reach iff (2d - n)^2 < mid
         if mid > 0:  # skip the parts a..b-1, which add nothing above reach
+            # a <= b <= cut: f(b-1) <= reach, so offs[b-1] <= reach
             half = isqrt(mid - 1)
-            a, b = min((n - half + 1) // 2, cut), (n + half) // 2 + 1
+            a, b = (n - half + 1) // 2, (n + half) // 2 + 1
         else:
             a = b = cut
         acc = 0

@@ -43,8 +43,13 @@ def growth_sequence(n_max: int) -> list[GrowthRow]:
     anchor: list[int | None] = [None]
     k = 0
     for n in range(1, n_max + 1):
-        # reach(kappa) + kappa strictly increases (tested to n = 20000), so
-        # the kappa with threshold(kappa) <= n form a prefix: walk up to its end
+        # The kappa with threshold(kappa) <= n form a prefix, so walking up
+        # from the previous anchor finds its end.  By induction on n:
+        # reach(kappa) + kappa is even (each row adds m^2 + m, m = n - k),
+        # so if reach is non-decreasing below n, reach(kappa) + kappa
+        # strictly increases there and the anchor moves up by at most 1
+        # (by 2 would need reach(k+2) < reach(k+1)); hence reach(n) >=
+        # reach(n-1), for every n.
         while k + 1 < n and reach[k + 1] + k + 1 + 4 <= 2 * n:
             k += 1
         anchor.append(k)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import reinhardt.cli
-from reinhardt import build_table, load_table
+from reinhardt import build_table, load_table, save_table
 from reinhardt.cli import main
 from reinhardt.storage import table_version
 
@@ -187,6 +187,28 @@ class TestCache:
             with open(cache, "rb") as fh:
                 assert table_version(fh) == 3
                 assert load_table(fh).sets == table.sets  # the whole table kept
+        assert [p.name for p in tmp_path.iterdir()] == ["old.rdim"]
+
+    @pytest.mark.parametrize("dump", [dump_v1, dump_v2])
+    def test_short_old_cache_is_saved_once_after_the_build(
+        self, capsys, tmp_path, monkeypatch, dump
+    ):
+        cache = tmp_path / "old.rdim"
+        cache.write_bytes(dump(build_table(10)))
+        expected = run(capsys, "set", "--n", "25", "--no-cache")[1]
+        saved = []
+
+        def counting_save(table, fh):
+            saved.append(table.n_max)
+            save_table(table, fh)
+
+        monkeypatch.setattr(reinhardt.cli, "save_table", counting_save)
+        code, out, err = run(capsys, "set", "--n", "25", "--cache", str(cache))
+        assert code == 0 and out == expected and err == ""
+        assert saved == [25]
+        with open(cache, "rb") as fh:
+            assert table_version(fh) == 3
+            assert load_table(fh).sets == build_table(25).sets
         assert [p.name for p in tmp_path.iterdir()] == ["old.rdim"]
 
     def test_failed_rewrite_keeps_old_cache_and_answers(self, capsys, tmp_path, monkeypatch):

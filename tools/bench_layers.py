@@ -1,11 +1,11 @@
 """Layer timings of one source tree, each measured in its own child process.
 
     python3 tools/bench_layers.py --src TREE --label NAME --out BENCH_x.json
-                                  [--sizes 500 1000 2000] [--repeats 3]
+                                  [--sizes 500 1000 2000]
 
 For the tree's ``src`` it records, untraced:
 
-* ``build_table(n)`` for each n in ``--sizes``: the best of ``--repeats``
+* ``build_table(n)`` for each n in ``--sizes``: the best of ``REPEATS``
   wall times in one child, and that child's peak RSS;
 * ``save_table`` of the n_max = 1000 table to memory (one child, which
   builds the table untimed) and ``load_table`` of that file (another
@@ -36,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 SAVE_LOAD_N = 1000
+REPEATS = 5  # timed runs per child; the best is kept
 
 _CHILD = r"""
 import io, json, resource, sys, time
@@ -75,10 +76,10 @@ print(json.dumps({**result, "module": reinhardt.__file__}))
 """
 
 
-def _child(src: Path, op: str, n: int, reps: int, path: str) -> dict:
+def _child(src: Path, op: str, n: int, path: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
     out = subprocess.run(
-        [sys.executable, "-c", _CHILD, op, str(n), str(reps), path],
+        [sys.executable, "-c", _CHILD, op, str(n), str(REPEATS), path],
         env=env, check=True, capture_output=True, text=True,
     ).stdout
     result = json.loads(out)
@@ -109,17 +110,17 @@ def _revision(tree: Path) -> str | None:
         return None
 
 
-def measure(tree: Path, sizes: list[int], reps: int) -> dict:
+def measure(tree: Path, sizes: list[int]) -> dict:
     src = tree / "src"
     files = sorted((src / "reinhardt").glob("*.py"))
     digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
-    run: dict = {"revision": _revision(tree), "src_sha256": digest[:12], "repeats": reps}
+    run: dict = {"revision": _revision(tree), "src_sha256": digest[:12], "repeats": REPEATS}
     run["src_lines"] = sum(len(p.read_text().splitlines()) for p in files)
-    run["build_table"] = {str(n): _child(src, "build", n, reps, "") for n in sizes}
+    run["build_table"] = {str(n): _child(src, "build", n, "") for n in sizes}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.rdim")
-        run["save_table"] = {str(SAVE_LOAD_N): _child(src, "save", SAVE_LOAD_N, reps, path)}
-        run["load_table"] = {str(SAVE_LOAD_N): _child(src, "load", SAVE_LOAD_N, reps, path)}
+        run["save_table"] = {str(SAVE_LOAD_N): _child(src, "save", SAVE_LOAD_N, path)}
+        run["load_table"] = {str(SAVE_LOAD_N): _child(src, "load", SAVE_LOAD_N, path)}
     times = {int(n): r["s"] for n, r in run["build_table"].items()}
     run["build_growth_exp"] = _growth_exponents(times)
     return run
@@ -142,7 +143,6 @@ def main() -> None:
     parser.add_argument("--label", required=True, help="name of this run in the output")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--sizes", type=int, nargs="+", default=[500, 1000, 2000])
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["about"] = (
@@ -155,7 +155,7 @@ def main() -> None:
         "cpu": _cpu_model(),
         "cpus": os.cpu_count(),
     }
-    doc.setdefault("runs", {})[args.label] = measure(args.src, sorted(args.sizes), args.repeats)
+    doc.setdefault("runs", {})[args.label] = measure(args.src, sorted(args.sizes))
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc["runs"][args.label]))
 
