@@ -15,7 +15,6 @@ from reinhardt import (
     compact_count,
     noncompact_count,
     noncompact_set,
-    projected_bits,
     ratio_table,
     square_sums_bruteforce,
 )
@@ -52,8 +51,9 @@ print("=" * 64)
 started = time.perf_counter()
 big = build_table(1001)
 elapsed = time.perf_counter() - started
+tail_bits = sum(s.tail.bit_length() for s in big.sets)
 print(f"  built every set up to n=1001 in {elapsed:.1f}s"
-      f" ({projected_bits(1001) / 8 / 2**20:.0f} MiB of set bits)")
+      f" ({tail_bits / 8 / 2**20:.1f} MiB of tails above the dense prefixes)")
 print("  n      c(n)   c/n^2     h(n)   h/n")
 for row in ratio_table(big, [20, 100, 400, 1000]):
     print(f"  {row.n:<5}{row.compact:>8}   {row.compact_ratio}"

@@ -22,14 +22,12 @@ from .classify import (
 from .dimsets import (
     DimSet,
     DimTable,
-    MemoryLimitError,
     build_table,
     compact_count,
     dimensions_bruteforce,
     is_realizable,
     noncompact_count,
     noncompact_set,
-    projected_bits,
     smooth_bounded_sets,
     square_sums_bruteforce,
     two_block_dimensions,
@@ -70,7 +68,6 @@ __all__ = [
     "DomainFamily",
     "GrowthRow",
     "MarkedPartition",
-    "MemoryLimitError",
     "Partition",
     "RatioRow",
     "Realization",
@@ -95,7 +92,6 @@ __all__ = [
     "noncompact_count",
     "noncompact_set",
     "partition_count",
-    "projected_bits",
     "ratio_table",
     "realizations",
     "save_table",

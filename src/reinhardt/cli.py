@@ -19,7 +19,7 @@ from itertools import islice
 from typing import Any, Iterable, Sequence, TextIO
 
 from .classify import classify_dimension, make_witness, realizations
-from .dimsets import DimTable, MemoryLimitError, build_table
+from .dimsets import DimTable, build_table
 from .sequences import growth_sequence, ratio_table
 from .storage import (
     VERSION as TABLE_VERSION,
@@ -40,9 +40,8 @@ from .verifiers import (
     verify_two_block_closed_form,
 )
 
-DEFAULT_MEMORY_LIMIT = 2 * 1024**3
-FORCE_BUILD_LIMIT = 4096
-INLINE_BUILD_LIMIT = 1024
+#: Largest table built inline without --force; a covering cache serves any n.
+BUILD_LIMIT = 4096
 
 CACHE_ENV_VAR = "REINHARDT_CACHE"
 _CHUNK = 4096  # values per write in `set`
@@ -74,19 +73,12 @@ def _default_cache(value: str | None) -> str | None:
     return os.environ.get(CACHE_ENV_VAR) or None
 
 
-def _load_or_build(
-    n_max: int,
-    cache: str | None,
-    no_cache: bool,
-    memory_limit: int,
-    build_limit: int | None,
-) -> DimTable:
+def _load_or_build(n_max: int, cache: str | None, force: bool = False) -> DimTable:
     """The table for n = 0..n_max: read from the front of the cached table
-    if that covers n_max, else built (refused above ``build_limit``; None
-    lifts the limit) and saved to the cache.  A cache in an older format
-    is read in full once and rewritten in the current one; if that
+    if that covers n_max, else built (refused above :data:`BUILD_LIMIT`
+    unless ``force``) and saved to the cache, if any.  A cache in an older
+    format is read in full once and rewritten in the current one; if that
     rewrite fails, the query is still answered from what was read."""
-    cache = None if no_cache else cache
     if cache and os.path.exists(cache):
         with open(cache, "rb") as fh:
             upgrade = table_version(fh) != TABLE_VERSION
@@ -100,12 +92,13 @@ def _load_or_build(
                     print(warning, file=sys.stderr)
                 table = DimTable(table.sets[: n_max + 1])
             return table
-    if build_limit is not None and n_max > build_limit:
+    if n_max > BUILD_LIMIT and not force:
         raise CliError(
-            f"no cached table covers n={n_max}; inline builds stop at n={build_limit}"
-            " (use --force with an adequate --memory-limit, or a cache built by `table`)"
+            f"no cached table covers n={n_max}; inline builds stop at n={BUILD_LIMIT}"
+            f" (pass --force to `table` or `set`, or set ${CACHE_ENV_VAR} to a cache"
+            f" written by `table --max-n {n_max} --force --cache PATH`)"
         )
-    table = build_table(n_max, memory_limit)
+    table = build_table(n_max)
     if cache:
         _save_cache(table, cache)
     return table
@@ -134,10 +127,8 @@ def _open_out(path: str | None):
 def cmd_table(args: argparse.Namespace) -> int:
     if not 2 <= args.min_n <= args.max_n:
         raise CliError(f"need 2 <= min_n <= max_n, got ({args.min_n}, {args.max_n})")
-    limit = None if args.force else FORCE_BUILD_LIMIT
-    table = _load_or_build(
-        args.max_n, _default_cache(args.cache), args.no_cache, args.memory_limit, limit
-    )
+    cache = None if args.no_cache else _default_cache(args.cache)
+    table = _load_or_build(args.max_n, cache, args.force)
     records = [
         (r.n, r.compact, r.compact_ratio, r.noncompact, r.noncompact_ratio)
         for r in ratio_table(table, list(range(args.min_n, args.max_n + 1)))
@@ -160,10 +151,8 @@ def cmd_set(args: argparse.Namespace) -> int:
     n = args.n
     if n < 0:
         raise CliError(f"n must be non-negative, got {n}")
-    limit = None if args.force else INLINE_BUILD_LIMIT
-    dimset = _load_or_build(
-        n, _default_cache(args.cache), args.no_cache, args.memory_limit, limit
-    ).sets[n]
+    cache = None if args.no_cache else _default_cache(args.cache)
+    dimset = _load_or_build(n, cache, args.force).sets[n]
     if args.format == "csv":
         head, sep, tail = f"n,values\n{n},", " ", "\n"
     else:
@@ -211,9 +200,7 @@ def _classification_record(result) -> dict[str, Any]:
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise CliError(f"classification needs n >= 2, got {args.n}")
-    if args.n + 1 > FORCE_BUILD_LIMIT:
-        raise CliError(f"classification tables stop at n={FORCE_BUILD_LIMIT - 1}")
-    table = _load_or_build(args.n + 1, _default_cache(None), False, DEFAULT_MEMORY_LIMIT, None)
+    table = _load_or_build(args.n + 1, _default_cache(None))
     result = classify_dimension(table, args.n, args.dim)
     if args.format == "json":
         _emit_json([_classification_record(result)], sys.stdout)
@@ -336,24 +323,25 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def add_cache(p: argparse.ArgumentParser) -> None:
+        cache_help = f"table cache path (default ${CACHE_ENV_VAR})"
+        p.add_argument("--cache", default=None, help=cache_help)
+        p.add_argument("--no-cache", action="store_true")
+        force_help = f"build past n={BUILD_LIMIT} when no cache covers n"
+        p.add_argument("--force", action="store_true", help=force_help)
+
     p = sub.add_parser("table", help="counts c(n), h(n) and their growth ratios")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--min-n", type=int, default=2, dest="min_n")
     add_format(p)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--cache", default=None, help=f"table cache path (default ${CACHE_ENV_VAR})")
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--memory-limit", type=int, default=DEFAULT_MEMORY_LIMIT, dest="memory_limit")
-    p.add_argument("--force", action="store_true", help="allow very large builds")
+    add_cache(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("set", help="print one achievable-dimension set")
     p.add_argument("--n", type=int, required=True)
     add_format(p)
-    p.add_argument("--cache", default=None)
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--memory-limit", type=int, default=DEFAULT_MEMORY_LIMIT, dest="memory_limit")
-    p.add_argument("--force", action="store_true")
+    add_cache(p)
     p.set_defaults(func=cmd_set)
 
     p = sub.add_parser("classify", help="classify a queried (n, dim)")
@@ -399,7 +387,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (
         CliError,
-        MemoryLimitError,
         TableCorruptionError,
         UnsupportedFormatError,
         ValueError,

@@ -42,10 +42,6 @@ from .partitions import (
 MARKED_ORACLE_MAX_N = 80
 
 
-class MemoryLimitError(Exception):
-    """Raised before allocation when a build would exceed its memory budget."""
-
-
 def set_bit_length(n: int) -> int:
     """Number of representable indices for base n: (n^2 - n)/2 + 1."""
     return (n * n - n) // 2 + 1
@@ -154,11 +150,6 @@ class DimTable:
         return len(self.sets) - 1
 
 
-def projected_bits(n_max: int) -> int:
-    """Total stored bits for a full table to n_max."""
-    return sum(set_bit_length(k) for k in range(n_max + 1))
-
-
 def _prefix_tail_sets(n_max: int) -> tuple[list[int], list[int]]:
     """Canonical ``low`` and ``tail`` of S(0..n_max); see :func:`build_table`.
 
@@ -197,7 +188,7 @@ def _prefix_tail_sets(n_max: int) -> tuple[list[int], list[int]]:
     return low, tail
 
 
-def build_table(n_max: int, memory_limit: int | None = None) -> DimTable:
+def build_table(n_max: int) -> DimTable:
     """Build the square-sum sets for all n up to n_max.
 
     A part d shifts S(n-d) left by off_d = d(d-1)/2, so it fills the
@@ -211,21 +202,10 @@ def build_table(n_max: int, memory_limit: int | None = None) -> DimTable:
     ``reach``, the remaining parts before the gap contribute the tails of
     their sets, and the parts past it their small sets in full; no other
     set is expanded.  The result equals the plain recurrence bit for bit.
-
-    ``memory_limit`` is a byte budget checked against the projected bit
-    count before anything is allocated; exceeding it raises
-    :class:`MemoryLimitError` naming the projected requirement.
     n_max = 0 returns the trivial table containing only {0}.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    if memory_limit is not None:
-        need = projected_bits(n_max)
-        if need > memory_limit * 8:
-            raise MemoryLimitError(
-                f"building to n_max={n_max} needs {need} bits"
-                f" ({(need + 7) // 8} bytes), over the limit of {memory_limit} bytes"
-            )
     low, tail = _prefix_tail_sets(n_max)
     return DimTable(
         tuple(DimSet.from_prefix_tail(n, low[n], tail[n]) for n in range(n_max + 1))

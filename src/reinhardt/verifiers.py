@@ -140,11 +140,7 @@ def verify_largest_part(
     table = _ensure_table(table, n_hi)
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):
-        bits = table.sets[n].bits
-        for j in range(bits.bit_length()):
-            if not (bits >> j) & 1:
-                continue
-            value = n + 2 * j
+        for value in table.sets[n].values():
             if 4 * value <= 3 * n * n:
                 continue
             if not _splits_with_large_block(table, n, value):
@@ -245,6 +241,8 @@ def verify_dp_oracle(n_lo: int, n_hi: int, table: DimTable | None = None) -> Che
     started = time.perf_counter()
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
+    if n_hi > ORACLE_MAX_N:
+        raise ValueError(f"brute suite is limited to n <= {ORACLE_MAX_N}, got {n_hi}")
     table = _ensure_table(table, n_hi)
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):

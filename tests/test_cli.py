@@ -56,13 +56,6 @@ class TestTable:
         assert code == 0 and out == ""
         assert target.read_text().startswith("n,c,c/n^2,h,h/n\n")
 
-    def test_memory_refusal(self, capsys):
-        code, _, err = run(
-            capsys, "table", "--max-n", "200", "--memory-limit", "10", "--no-cache"
-        )
-        assert code == 1
-        assert "error:" in err
-
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "table", "--max-n", "4", "--min-n", "1", "--no-cache")
         assert code == 1 and "min_n" in err
@@ -70,6 +63,35 @@ class TestTable:
     def test_force_guard(self, capsys):
         code, _, err = run(capsys, "table", "--max-n", "5000", "--no-cache")
         assert code == 1 and "--force" in err
+
+
+class TestBuildLimit:
+    def test_one_limit_for_every_command(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("REINHARDT_CACHE", raising=False)
+        expected = run(capsys, "classify", "--n", "15", "--dim", "101")
+        assert expected[0] == 0
+        monkeypatch.setattr(reinhardt.cli, "BUILD_LIMIT", 10)
+        refusals = [
+            run(capsys, "table", "--max-n", "11", "--no-cache"),
+            run(capsys, "set", "--n", "11", "--no-cache"),
+            run(capsys, "classify", "--n", "10", "--dim", "30"),  # needs the table to 11
+        ]
+        assert {(code, out) for code, out, _ in refusals} == {(1, "")}
+        (err,) = {err for _, _, err in refusals}  # one shared text
+        assert "inline builds stop at n=10" in err and "--force" in err
+        for argv in (("table", "--max-n", "11"), ("set", "--n", "11")):
+            code, out, _ = run(capsys, *argv, "--force", "--no-cache")
+            assert code == 0 and out
+        # a cache that covers n + 1 serves classify at any n, with no build
+        cache = tmp_path / "table.rdim"
+        assert run(capsys, "table", "--max-n", "20", "--force", "--cache", str(cache))[0] == 0
+        monkeypatch.setenv("REINHARDT_CACHE", str(cache))
+
+        def no_build(n_max):
+            raise AssertionError(f"built to n={n_max}")
+
+        monkeypatch.setattr(reinhardt.cli, "build_table", no_build)
+        assert run(capsys, "classify", "--n", "15", "--dim", "101") == expected
 
 
 class TestCache:
@@ -284,7 +306,7 @@ class TestSet:
         assert out == json.dumps({"rows": [{"n": 5, "values": values}]}) + "\n"
 
     def test_inline_threshold(self, capsys):
-        code, _, err = run(capsys, "set", "--n", "2000", "--no-cache")
+        code, _, err = run(capsys, "set", "--n", "4097", "--no-cache")
         assert code == 1 and "inline builds stop" in err
 
 

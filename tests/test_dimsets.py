@@ -7,14 +7,12 @@ import pytest
 from reinhardt import (
     DegenerateInputWarning,
     DimSet,
-    MemoryLimitError,
     build_table,
     compact_count,
     dimensions_bruteforce,
     is_realizable,
     noncompact_count,
     noncompact_set,
-    projected_bits,
     smooth_bounded_sets,
     square_sums_bruteforce,
     two_block_dimensions,
@@ -105,10 +103,6 @@ class TestBuild:
             compact_count(t, 2)
         with pytest.raises(ValueError, match="2 <= n <= -1"):
             noncompact_count(t, 2)
-
-    def test_memory_refusal_names_requirement(self):
-        with pytest.raises(MemoryLimitError, match=str(projected_bits(100))):
-            build_table(100, memory_limit=10)
 
     def test_deterministic(self):
         a = build_table(30)

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import reinhardt.verifiers
 from reinhardt import (
     verify_arms,
     verify_bounds,
@@ -81,6 +82,15 @@ class TestArmsSuite:
 class TestDpOracleSuite:
     def test_passes(self, table64):
         assert verify_dp_oracle(1, 30, table64).status == "pass"
+
+    def test_refuses_beyond_limit_before_any_work(self, monkeypatch):
+        def fail(n):
+            raise AssertionError(f"called with n={n}")
+
+        monkeypatch.setattr(reinhardt.verifiers, "square_sums_bruteforce", fail)
+        monkeypatch.setattr(reinhardt.verifiers, "build_table", fail)
+        with pytest.raises(ValueError, match="n <= 120, got 121"):
+            verify_dp_oracle(1, 121)
 
 
 class TestTwoBlockSuite:
