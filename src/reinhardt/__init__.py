@@ -9,101 +9,72 @@ the structural families, emits symbolic witness domains, and
 machine-checks the finite-range claims behind the asymptotics.
 """
 
-from .classify import (
-    Classification,
-    DomainFamily,
-    Realization,
-    WitnessDomain,
-    classify_dimension,
-    make_witness,
-    n_squared_families,
-    realizations,
-)
-from .dimsets import (
-    DimSet,
-    DimTable,
-    build_table,
-    compact_count,
-    dimensions_bruteforce,
-    is_realizable,
-    noncompact_count,
-    noncompact_set,
-    smooth_bounded_sets,
-    square_sums_bruteforce,
-    two_block_dimensions,
-)
-from .partitions import (
-    DegenerateInputWarning,
-    MarkedPartition,
-    Partition,
-    arm_count,
-    dimension_value,
-    distinct_arm_values,
-    enumerate_partitions,
-    enumerate_partitions_with_length,
-    partition_count,
-    sum_of_squares,
-)
-from .sequences import GrowthRow, RatioRow, format_ratio, growth_sequence, ratio_table
-from .storage import TableCorruptionError, UnsupportedFormatError, load_table, save_table
-from .verifiers import (
-    CheckReport,
-    verify_arms,
-    verify_bounds,
-    verify_dp_oracle,
-    verify_growth_sequence,
-    verify_largest_part,
-    verify_noncompact_growth,
-    verify_two_block_closed_form,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "CheckReport",
-    "DegenerateInputWarning",
-    "DimSet",
-    "DimTable",
-    "DomainFamily",
-    "GrowthRow",
-    "MarkedPartition",
-    "Partition",
-    "RatioRow",
-    "Realization",
-    "TableCorruptionError",
-    "UnsupportedFormatError",
-    "WitnessDomain",
-    "arm_count",
-    "build_table",
-    "classify_dimension",
-    "compact_count",
-    "dimension_value",
-    "dimensions_bruteforce",
-    "distinct_arm_values",
-    "enumerate_partitions",
-    "enumerate_partitions_with_length",
-    "format_ratio",
-    "growth_sequence",
-    "is_realizable",
-    "load_table",
-    "make_witness",
-    "n_squared_families",
-    "noncompact_count",
-    "noncompact_set",
-    "partition_count",
-    "ratio_table",
-    "realizations",
-    "save_table",
-    "smooth_bounded_sets",
-    "square_sums_bruteforce",
-    "sum_of_squares",
-    "two_block_dimensions",
-    "verify_arms",
-    "verify_bounds",
-    "verify_dp_oracle",
-    "verify_growth_sequence",
-    "verify_largest_part",
-    "verify_noncompact_growth",
-    "verify_two_block_closed_form",
-]
+# every public name, in the order of __all__, and the submodule that defines it
+_EXPORTS = {
+    "Classification": "classify",
+    "CheckReport": "verifiers",
+    "DegenerateInputWarning": "partitions",
+    "DimSet": "dimsets",
+    "DimTable": "dimsets",
+    "DomainFamily": "classify",
+    "GrowthRow": "sequences",
+    "MarkedPartition": "partitions",
+    "Partition": "partitions",
+    "RatioRow": "sequences",
+    "Realization": "classify",
+    "TableCorruptionError": "storage",
+    "UnsupportedFormatError": "storage",
+    "WitnessDomain": "classify",
+    "arm_count": "partitions",
+    "build_table": "dimsets",
+    "classify_dimension": "classify",
+    "compact_count": "dimsets",
+    "dimension_value": "partitions",
+    "dimensions_bruteforce": "dimsets",
+    "distinct_arm_values": "partitions",
+    "enumerate_partitions": "partitions",
+    "enumerate_partitions_with_length": "partitions",
+    "format_ratio": "sequences",
+    "growth_sequence": "sequences",
+    "is_realizable": "dimsets",
+    "load_table": "storage",
+    "make_witness": "classify",
+    "n_squared_families": "classify",
+    "noncompact_count": "dimsets",
+    "noncompact_set": "dimsets",
+    "partition_count": "partitions",
+    "ratio_table": "sequences",
+    "realizations": "classify",
+    "save_table": "storage",
+    "smooth_bounded_sets": "dimsets",
+    "square_sums_bruteforce": "dimsets",
+    "sum_of_squares": "partitions",
+    "two_block_dimensions": "dimsets",
+    "verify_arms": "verifiers",
+    "verify_bounds": "verifiers",
+    "verify_dp_oracle": "verifiers",
+    "verify_growth_sequence": "verifiers",
+    "verify_largest_part": "verifiers",
+    "verify_noncompact_growth": "verifiers",
+    "verify_two_block_closed_form": "verifiers",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` on first use (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -23,8 +23,8 @@ concurrent callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dimsets import (
     MARKED_ORACLE_MAX_N,
@@ -56,8 +56,7 @@ def _sup(k: int) -> str:
     return str(k).translate(_SUPERSCRIPTS)
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """A marked partition whose dimension value equals the queried one."""
 
     marked: MarkedPartition
@@ -68,8 +67,7 @@ class Realization:
         return f"{self.marked} (blocks={self.length}, marked={self.mark_count})"
 
 
-@dataclass(frozen=True)
-class DomainFamily:
+class DomainFamily(NamedTuple):
     """A family of domains, up to algebraic coordinate changes."""
 
     tag: str
@@ -77,8 +75,7 @@ class DomainFamily:
     parameters: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     n: int
     dim: int
     status: str
@@ -87,8 +84,7 @@ class Classification:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class WitnessDomain:
+class WitnessDomain(NamedTuple):
     """Symbolic defining inequality of a domain realizing a dimension.
 
     ``blocks`` pairs each block size with its exponent parameter s (the

@@ -12,15 +12,14 @@ object with a ``rows`` array.  The environment variable
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import islice
 from typing import Any, Iterable, Sequence, TextIO
 
-from .classify import classify_dimension, make_witness, realizations
+# Each command imports the rest of the package when it runs, so a process
+# loads only what its command uses.
 from .dimsets import DimTable, build_table
-from .sequences import growth_sequence, ratio_table
 from .storage import (
     VERSION as TABLE_VERSION,
     TableCorruptionError,
@@ -28,16 +27,6 @@ from .storage import (
     load_table,
     save_table,
     table_version,
-)
-from .verifiers import (
-    STATUS_FAIL,
-    verify_arms,
-    verify_bounds,
-    verify_dp_oracle,
-    verify_growth_sequence,
-    verify_largest_part,
-    verify_noncompact_growth,
-    verify_two_block_closed_form,
 )
 
 #: Largest table built inline without --force; a covering cache serves any n.
@@ -60,6 +49,8 @@ def _emit_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]], out: TextIO
 
 
 def _json_text(rows: Sequence[dict[str, Any]]) -> str:
+    import json
+
     return json.dumps({"rows": list(rows)}, ensure_ascii=False) + "\n"
 
 
@@ -125,6 +116,8 @@ def _open_out(path: str | None):
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .sequences import ratio_table
+
     if not 2 <= args.min_n <= args.max_n:
         raise CliError(f"need 2 <= min_n <= max_n, got ({args.min_n}, {args.max_n})")
     cache = None if args.no_cache else _default_cache(args.cache)
@@ -168,11 +161,13 @@ def cmd_set(args: argparse.Namespace) -> int:
 
 def _write_joined(values: Iterable[int], sep: str, out: TextIO) -> None:
     """Write ``sep.join(map(str, values))`` a chunk at a time, so a large
-    set is never held as one list or string."""
-    strings = map(str, values)
-    out.write(sep.join(islice(strings, _CHUNK)))
-    while chunk := sep.join(islice(strings, _CHUNK)):
-        out.write(sep + chunk)
+    set is never held as one list or string; one ``%`` per chunk formats
+    it faster than a ``str`` call per value."""
+    values = iter(values)
+    lead = ""
+    while chunk := tuple(islice(values, _CHUNK)):
+        out.write(lead + sep.join(["%d"] * len(chunk)) % chunk)
+        lead = sep
 
 
 def _classification_record(result) -> dict[str, Any]:
@@ -198,6 +193,8 @@ def _classification_record(result) -> dict[str, Any]:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .classify import classify_dimension
+
     if args.n < 2:
         raise CliError(f"classification needs n >= 2, got {args.n}")
     table = _load_or_build(args.n + 1, _default_cache(None))
@@ -221,6 +218,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    from .classify import make_witness, realizations
+
     if args.n < 2:
         raise CliError(f"witnesses need n >= 2, got {args.n}")
     candidates = realizations(args.n, args.dim, mode="smooth_bounded")
@@ -243,19 +242,31 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
+# suite -> the function in `verifiers` and its arguments before max_n
 _VERIFY_SUITES = {
-    "bounds": lambda max_n: verify_bounds(2, max_n),
-    "lemma-largest": lambda max_n: verify_largest_part(7, max_n),
-    "numh": lambda max_n: verify_noncompact_growth(2, max_n),
-    "arms": lambda max_n: verify_arms(1, max_n),
-    "brute": lambda max_n: verify_dp_oracle(1, max_n),
-    "prop7": lambda max_n: verify_two_block_closed_form(2, max_n),
-    "sequences": lambda max_n: verify_growth_sequence(max_n),
+    "bounds": ("verify_bounds", 2),
+    "lemma-largest": ("verify_largest_part", 7),
+    "numh": ("verify_noncompact_growth", 2),
+    "arms": ("verify_arms", 1),
+    "brute": ("verify_dp_oracle", 1),
+    "prop7": ("verify_two_block_closed_form", 2),
+    "sequences": ("verify_growth_sequence",),
 }
+# suites limited only by the table they build: how far past max_n it goes
+_VERIFY_TABLE_PAST = {"sequences": 0, "numh": 1}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = _VERIFY_SUITES[args.suite](args.max_n)
+    from . import verifiers
+
+    past = _VERIFY_TABLE_PAST.get(args.suite)
+    if past is not None and args.max_n + past > BUILD_LIMIT:
+        raise CliError(
+            f"suite {args.suite} builds the table to n={args.max_n + past};"
+            f" inline builds stop at n={BUILD_LIMIT}"
+        )
+    name, *lead = _VERIFY_SUITES[args.suite]
+    report = getattr(verifiers, name)(*lead, args.max_n)
     if args.format == "json":
         _emit_json(
             [
@@ -283,10 +294,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for n, value, detail in report.counterexamples:
             rows.append(("counterexample", f"n={n} value={value}: {detail}"))
         _emit_csv(("field", "value"), rows, sys.stdout)
-    return 1 if report.status == STATUS_FAIL else 0
+    return 1 if report.status == verifiers.STATUS_FAIL else 0
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
+    from .sequences import growth_sequence
+
     if args.max_n < 1:
         raise CliError(f"max_n must be positive, got {args.max_n}")
     rows = growth_sequence(args.max_n)

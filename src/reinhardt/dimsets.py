@@ -26,17 +26,11 @@ and safe to share across threads.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
 from typing import Iterator
 
-from .partitions import (
-    ORACLE_MAX_N,
-    DegenerateInputWarning,
-    _fixed_length_tuples,
-    iter_partition_tuples,
-)
+from ._frozen import Frozen
 
 #: Largest n accepted by the marked-value oracle (all mark submultisets).
 MARKED_ORACLE_MAX_N = 80
@@ -47,8 +41,7 @@ def set_bit_length(n: int) -> int:
     return (n * n - n) // 2 + 1
 
 
-@dataclass(frozen=True, init=False)
-class DimSet:
+class DimSet(Frozen):
     """Bit-packed set of dimension values sharing the parity of ``n``.
 
     Bit j represents the value n + 2j; indices run from 0 (value n) to
@@ -60,6 +53,7 @@ class DimSet:
     plain bit pattern and normalises it; ``bits`` rebuilds the pattern.
     """
 
+    __slots__ = ("n", "low", "tail")
     n: int
     low: int
     tail: int
@@ -135,15 +129,18 @@ class DimSet:
         return set(self.values())
 
 
-@dataclass(frozen=True)
-class DimTable:
+class DimTable(Frozen):
     """The square-sum sets for n = 0..n_max; ``sets[n]`` has base n.
 
     The counts are functions of the set sizes: see :func:`compact_count`
     and :func:`noncompact_count`.
     """
 
+    __slots__ = ("sets",)
     sets: tuple[DimSet, ...]
+
+    def __init__(self, sets: tuple[DimSet, ...]) -> None:
+        object.__setattr__(self, "sets", sets)
 
     @property
     def n_max(self) -> int:
@@ -240,15 +237,17 @@ def square_sums_bruteforce(n: int) -> DimSet:
     """Oracle: the set of squared-part sums via full partition enumeration.
 
     Must agree bit-for-bit with the recurrence-built set; refuses n above
-    :data:`ORACLE_MAX_N`.
+    :data:`~reinhardt.partitions.ORACLE_MAX_N`.
     """
+    from .partitions import ORACLE_MAX_N, iter_square_sums
+
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if n > ORACLE_MAX_N:
         raise ValueError(f"enumeration oracle is limited to n <= {ORACLE_MAX_N}, got {n}")
     bits = 0
-    for parts in iter_partition_tuples(n):
-        bits |= 1 << ((sum(p * p for p in parts) - n) // 2)
+    for total in iter_square_sums(n):
+        bits |= 1 << ((total - n) // 2)
     return DimSet(n, bits)
 
 
@@ -292,6 +291,8 @@ def dimensions_bruteforce(n: int, length: int, marks: int) -> set[int]:
     every sub-multiset of ``marks`` of its parts.  Out-of-range
     (length, marks) yields an empty set with a degenerate-input notice.
     """
+    from .partitions import DegenerateInputWarning, _fixed_length_tuples
+
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > MARKED_ORACLE_MAX_N:

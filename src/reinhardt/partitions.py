@@ -10,8 +10,9 @@ enumeration streams are independent per caller.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+from ._frozen import Frozen
 
 #: Largest n accepted by the enumeration-backed oracles.  This is a
 #: runtime guard (p(n) grows super-polynomially), not a semantic limit.
@@ -22,25 +23,29 @@ class DegenerateInputWarning(UserWarning):
     """Notice for degenerate query ranges that legitimately yield nothing."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A partition: positive parts in non-increasing order.
 
     The empty partition (of 0) is allowed so that recurrences over all
-    smaller partitions need no special base case.
+    smaller partitions need no special base case.  ``n``, the sum of the
+    parts, is derived, so only ``parts`` takes part in equality.
     """
 
+    __slots__ = ("parts", "n")
     parts: tuple[int, ...]
-    n: int = field(init=False, compare=False)
+    n: int
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = tuple(parts)
         if any(p < 1 for p in parts):
             raise ValueError(f"parts must be positive integers, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be non-increasing, got {parts}")
+        object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "n", sum(parts))
+
+    def _key(self) -> tuple[int, ...]:
+        return self.parts
 
     @property
     def length(self) -> int:
@@ -53,8 +58,7 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class MarkedPartition:
+class MarkedPartition(Frozen):
     """A partition with a sub-multiset of its parts marked.
 
     Marks are stored per distinct part value as (value, count) pairs in
@@ -63,25 +67,27 @@ class MarkedPartition:
     partitions never double-counts.
     """
 
+    __slots__ = ("partition", "marks")
     partition: Partition
-    marks: tuple[tuple[int, int], ...] = ()
+    marks: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        marks = tuple((v, c) for v, c in self.marks if c != 0)
+    def __init__(self, partition: Partition, marks: Iterable[tuple[int, int]] = ()) -> None:
+        marks = tuple((v, c) for v, c in marks if c != 0)
         marks = tuple(sorted(marks, key=lambda vc: -vc[0]))
-        object.__setattr__(self, "marks", marks)
         seen = set()
         for value, count in marks:
             if value in seen:
                 raise ValueError(f"duplicate mark entry for part value {value}")
             seen.add(value)
-            mult = self.partition.multiplicity(value)
+            mult = partition.multiplicity(value)
             if mult == 0:
-                raise ValueError(f"marked value {value} is not a part of {self.partition}")
+                raise ValueError(f"marked value {value} is not a part of {partition}")
             if not 0 < count <= mult:
                 raise ValueError(
                     f"mark count {count} for value {value} exceeds multiplicity {mult}"
                 )
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "marks", marks)
 
     @classmethod
     def from_values(cls, partition: Partition, values: Iterable[int]) -> "MarkedPartition":
@@ -162,6 +168,46 @@ def iter_partition_tuples(n: int, max_part: int | None = None) -> Iterator[tuple
         a.extend([a[j]] * q)
         if r:
             a.append(r)
+
+
+def iter_square_sums(n: int, max_part: int | None = None) -> Iterator[int]:
+    """Yield ``sum(p * p for p in parts)`` for each ``parts`` that
+    :func:`iter_partition_tuples` yields for the same arguments, in the
+    same order, without building the tuples.
+
+    The walk keeps the parts above 1 in a list and the 1s as a count, and
+    updates the square sum by what each step removes and adds.
+    """
+    if n < 0:
+        raise ValueError(f"cannot partition a negative integer ({n})")
+    if n == 0:
+        yield 0
+        return
+    cap = n if max_part is None else min(max_part, n)
+    if cap < 1:
+        return
+    # start from a virtual predecessor, one part cap + 1 and n - cap - 1
+    # ones, which the first step turns into the first partition
+    big, ones = [cap + 1], n - cap - 1
+    total = (cap + 1) ** 2 + ones
+    while big:
+        # lower the last part above 1 by one and refill it and the 1s after
+        # it greedily with parts of the new size
+        y = big.pop()
+        x, rest = y - 1, y + ones
+        total -= y * y + ones
+        if x == 1:
+            ones = rest
+        else:
+            q, ones = divmod(rest, x)
+            big.extend([x] * q)
+            total += q * x * x
+            if ones > 1:
+                big.append(ones)
+                total += ones * ones
+                ones = 0
+        total += ones
+        yield total
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -260,4 +306,5 @@ def distinct_arm_values(n: int) -> set[int]:
         raise ValueError(f"n must be positive, got {n}")
     if n > ORACLE_MAX_N:
         raise ValueError(f"enumeration oracle is limited to n <= {ORACLE_MAX_N}, got {n}")
-    return {sum(p * (p - 1) // 2 for p in parts) for parts in iter_partition_tuples(n)}
+    # a partition's arm total is (square sum - n) / 2
+    return {(total - n) // 2 for total in iter_square_sums(n)}

@@ -18,15 +18,16 @@ anchor never depends on floating-point ties.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dimsets import DimTable, compact_count, noncompact_count
 from .partitions import DegenerateInputWarning
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class GrowthRow:
+
+class GrowthRow(NamedTuple):
     """One row of the inductive sequences; ``anchor`` is None only at n=0."""
 
     n: int
@@ -37,6 +38,8 @@ class GrowthRow:
 
 def growth_sequence(n_max: int) -> list[GrowthRow]:
     """Rows of (reach, threshold, anchor) for n = 0..n_max."""
+    from fractions import Fraction
+
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     reach = [0]
@@ -74,8 +77,7 @@ def format_ratio(numerator: int, denominator: int) -> str:
     return f"{scaled // 10**4}.{scaled % 10**4:04d}"
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     n: int
     compact: int
     compact_ratio: str  # compact / n^2 at 4 decimals

@@ -12,7 +12,7 @@ elapsed time), and every recorded counterexample re-fails on its own.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dimsets import (
     DimTable,
@@ -22,7 +22,12 @@ from .dimsets import (
     square_sums_bruteforce,
     two_block_dimensions,
 )
-from .partitions import ORACLE_MAX_N, distinct_arm_values, iter_partition_tuples
+from .partitions import (
+    ORACLE_MAX_N,
+    distinct_arm_values,
+    iter_partition_tuples,
+    iter_square_sums,
+)
 from .sequences import growth_sequence
 
 #: Full-enumeration suites refuse ranges beyond these; the limits are
@@ -37,8 +42,7 @@ STATUS_REPORT_ONLY = "report-only"
 Counterexample = tuple[int, int, str]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     suite: str
     n_lo: int
     n_hi: int
@@ -145,13 +149,11 @@ def verify_largest_part(
                 continue
             if not _splits_with_large_block(table, n, value):
                 ces.append((n, value, "no realizing split with a block above n/2"))
-        best = 0
-        best_parts: tuple[int, ...] = ()
-        for parts in iter_partition_tuples(n, n // 2):
-            s = sum(p * p for p in parts)
-            if s > best:
-                best, best_parts = s, parts
+        best = max(iter_square_sums(n, n // 2))
         if 4 * best > 3 * n * n:
+            best_parts = max(
+                iter_partition_tuples(n, n // 2), key=lambda t: sum(p * p for p in t)
+            )
             ces.append((n, best, f"capped-part maximum exceeds 3n^2/4 via {best_parts}"))
     return _finish("lemma-largest", n_lo, n_hi, ces, started)
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import reinhardt.cli
+import reinhardt.verifiers
 from reinhardt import build_table, load_table, save_table
 from reinhardt.cli import main
 from reinhardt.storage import table_version
@@ -92,6 +93,21 @@ class TestBuildLimit:
 
         monkeypatch.setattr(reinhardt.cli, "build_table", no_build)
         assert run(capsys, "classify", "--n", "15", "--dim", "101") == expected
+
+    def test_verify_suites_that_build_obey_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(reinhardt.cli, "BUILD_LIMIT", 10)
+        # sequences builds the table to max_n, numh to max_n + 1
+        for suite, max_n in (("sequences", "10"), ("numh", "9")):
+            assert run(capsys, "verify", "--suite", suite, "--max-n", max_n)[0] == 0
+
+        def no_build(n_max):
+            raise AssertionError(f"built to n={n_max}")
+
+        monkeypatch.setattr(reinhardt.verifiers, "build_table", no_build)
+        for suite, max_n in (("sequences", "11"), ("numh", "10")):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+            assert (code, out) == (1, "")
+            assert "builds the table to n=11; inline builds stop at n=10" in err
 
 
 class TestCache:

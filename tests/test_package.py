@@ -1,0 +1,54 @@
+"""The package imports lazily, and a CLI command loads only what it runs."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import reinhardt
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    listed = dir(reinhardt)
+    for name in reinhardt.__all__:
+        assert name in listed
+        value = getattr(reinhardt, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    namespace = {}
+    exec("from reinhardt import *", namespace)
+    assert set(reinhardt.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        reinhardt.no_such_name
+
+
+# Run in a fresh interpreter: prints the modules that `import reinhardt.cli`
+# and then one `set` command load on top of what the interpreter started with.
+_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+import reinhardt.cli
+after_import = set(sys.modules) - before
+with redirect_stdout(io.StringIO()):
+    code = reinhardt.cli.main(["set", "--n", "30", "--no-cache"])
+print(json.dumps([sorted(after_import), sorted(set(sys.modules) - before), code]))
+"""
+
+
+def test_cli_imports_only_what_a_command_runs():
+    src = os.path.dirname(os.path.dirname(reinhardt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    after_import, after_set, code = json.loads(out)
+    assert code == 0
+    unused = {"dataclasses", "inspect", "fractions", "reinhardt.classify", "reinhardt.verifiers"}
+    assert not unused & set(after_import)
+    assert not {"reinhardt.partitions", "reinhardt.sequences"} & set(after_import)
+    assert not unused & set(after_set)

@@ -16,7 +16,7 @@ from reinhardt import (
     square_sums_bruteforce,
     sum_of_squares,
 )
-from reinhardt.partitions import iter_partition_tuples
+from reinhardt.partitions import iter_partition_tuples, iter_square_sums
 
 
 def parts_list(n):
@@ -56,6 +56,16 @@ class TestEnumeration:
                 capped = list(iter_partition_tuples(n, cap))
                 full = [t for t in iter_partition_tuples(n) if max(t) <= cap]
                 assert capped == full
+
+    @pytest.mark.parametrize("n", range(0, 41))
+    def test_square_sum_walk_matches_tuples(self, n):
+        for cap in (None, *range(-1, n + 2)):
+            walked = list(iter_square_sums(n, cap))
+            assert walked == [sum(p * p for p in t) for t in iter_partition_tuples(n, cap)]
+
+    def test_square_sum_walk_rejects_negative_n(self):
+        with pytest.raises(ValueError):
+            list(iter_square_sums(-1))
 
 
 class TestFixedLength:

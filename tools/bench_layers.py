@@ -11,6 +11,12 @@ For the tree's ``src`` it records, untraced:
   builds the table untimed) and ``load_table`` of that file (another
   child, which only imports and loads), each with bytes and peak RSS;
 * the build's growth exponent from n = 1000 to each larger size;
+* start-up: for ``python -c pass``, ``python -c "import reinhardt.cli"``
+  and one small argv per CLI subcommand (``STARTUP_ARGV``), the best of
+  ``REPEATS`` child wall times, and the number of ``reinhardt.*`` and of
+  standard-library modules the child imports (from one more run under
+  ``-X importtime``).  These children get the environment perfbench/run.py
+  gives its children, so they write and reuse ``.pyc`` files;
 * ``wc -l src/reinhardt/*.py``, the git revision of the tree and a
   digest of those files (the revision alone misses uncommitted edits).
 
@@ -33,10 +39,20 @@ import platform
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SAVE_LOAD_N = 1000
 REPEATS = 5  # timed runs per child; the best is kept
+#: one small argv per subcommand, so start-up dominates each child
+STARTUP_ARGV = {
+    "table": ("table", "--max-n", "20", "--no-cache"),
+    "set": ("set", "--n", "30", "--no-cache"),
+    "classify": ("classify", "--n", "10", "--dim", "50"),
+    "witness": ("witness", "--n", "4", "--dim", "12"),
+    "sequence": ("sequence", "--max-n", "20"),
+    "verify": ("verify", "--suite", "brute", "--max-n", "10"),
+}
 
 _CHILD = r"""
 import io, json, resource, sys, time
@@ -90,6 +106,36 @@ def _child(src: Path, op: str, n: int, path: str) -> dict:
     return result
 
 
+def _startup(src: Path, argv: tuple[str, ...]) -> dict:
+    """Best-of-REPEATS wall time of ``python ARGV`` and the modules it imports."""
+    env = {  # as perfbench/run.py's CHILD_ENV: bytecode caching stays on
+        "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+        "PYTHONPATH": str(src),
+        "PYTHONHASHSEED": "0",
+        "PYTHONIOENCODING": "utf-8",
+    }
+    with tempfile.TemporaryDirectory() as cwd:
+        # untimed, and it writes any .pyc file still missing
+        traced = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv],
+            cwd=cwd, env=env, check=True, capture_output=True, text=True,
+        ).stderr
+        best = float("inf")
+        for _ in range(REPEATS):
+            started = time.perf_counter()
+            subprocess.run(
+                [sys.executable, *argv], cwd=cwd, env=env, check=True, capture_output=True
+            )
+            best = min(best, time.perf_counter() - started)
+    # a header, then lines "import time: self | cumulative | <indent>name"
+    names = [line.rsplit("|", 1)[1].strip() for line in traced.splitlines() if "|" in line][1:]
+    return {
+        "s": round(best, 4),
+        "reinhardt_modules": sum(name.split(".")[0] == "reinhardt" for name in names),
+        "stdlib_modules": sum(name.split(".")[0] in sys.stdlib_module_names for name in names),
+    }
+
+
 def _growth_exponents(builds: dict[int, float]) -> dict[str, float]:
     """log(t_m / t_1000) / log(m / 1000) for each measured size m above 1000."""
     base = builds.get(1000)
@@ -123,6 +169,9 @@ def measure(tree: Path, sizes: list[int]) -> dict:
         run["load_table"] = {str(SAVE_LOAD_N): _child(src, "load", SAVE_LOAD_N, path)}
     times = {int(n): r["s"] for n, r in run["build_table"].items()}
     run["build_growth_exp"] = _growth_exponents(times)
+    probes = {"pass": ("-c", "pass"), "import reinhardt.cli": ("-c", "import reinhardt.cli")}
+    probes.update((cmd, ("-m", "reinhardt.cli", *a)) for cmd, a in STARTUP_ARGV.items())
+    run["startup"] = {name: _startup(src, argv) for name, argv in probes.items()}
     return run
 
 
@@ -147,7 +196,8 @@ def main() -> None:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["about"] = (
         "tools/bench_layers.py: per source tree, untraced best-of-repeats wall"
-        " time (s) and the measuring child's peak RSS (maxrss_mib)"
+        " time (s) and the measuring child's peak RSS (maxrss_mib); startup:"
+        " whole-child wall time and the modules the child imports"
     )
     doc["host"] = {
         "python": platform.python_version(),
