@@ -16,7 +16,7 @@ print("n    reach  2*threshold  anchor")
 for n in (0, 1, 4, 18, 50, 200, 500):
     r = rows[n]
     anchor = "-" if r.anchor is None else r.anchor
-    print(f"{n:<5}{r.reach:<7}{int(2 * r.threshold):<13}{anchor}")
+    print(f"{n:<5}{r.reach:<7}{2 * r.threshold:<13}{anchor}")
 
 print()
 print("frozen landmark: anchor(18) =", rows[18].anchor)

@@ -307,7 +307,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         _emit_csv(
             ("n", "f", "2g", "k"),
             [
-                (r.n, r.reach, int(2 * r.threshold), "" if r.anchor is None else r.anchor)
+                (r.n, r.reach, 2 * r.threshold, "" if r.anchor is None else r.anchor)
                 for r in rows
             ],
             sys.stdout,
@@ -315,7 +315,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     else:
         _emit_json(
             [
-                {"n": r.n, "f": r.reach, "2g": int(2 * r.threshold), "k": r.anchor}
+                {"n": r.n, "f": r.reach, "2g": 2 * r.threshold, "k": r.anchor}
                 for r in rows
             ],
             sys.stdout,

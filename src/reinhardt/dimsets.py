@@ -14,19 +14,18 @@ w = v + (n-i)^2 with index (w - n)/2 = j + ((n-i)^2 - (n-i))/2.
 
 Most of each set is a dense prefix, so a :class:`DimSet` is held as
 ``(low, tail)``: ``low`` is the length of its run of ones from index 0
-and ``tail`` the bits from there up.  The build works on those pairs
-alone, ORs only bits above the prefix and skips the parts that cannot
-reach above it (see :func:`build_table`), so its time and memory follow
-the tails, not the n^3 full width.  The prefix is measured from the
-built sets, never taken from the growth-sequence lemma, so the lemma's
-check stays independent of the build.  All sets are immutable once built
-and safe to share across threads.
+and ``tail`` the bits from there up.  Above that prefix the build ORs only
+the small sets S(j) under each largest part n - j (see
+:func:`build_table`), so its time and memory follow the tails, not the
+n^3 full width.  The prefix is measured from the built sets, never taken
+from the growth-sequence lemma, so the lemma's check stays independent
+of the build.  All sets are immutable once built and safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import chain
 from math import isqrt
 from typing import Iterator
 
@@ -165,20 +164,14 @@ def _prefix_tail_sets(n_max: int) -> tuple[list[int], list[int]]:
             if offs[d] + offs[i] < reach:  # f(d) < reach: jump past the middle
                 d = (n + isqrt(4 * reach - n * n + 2 * n - 1)) // 2
             d += 1
-        cut = d  # the first part past the gap
-        mid = 4 * reach - n * n + 2 * n  # f(d) < reach iff (2d - n)^2 < mid
-        if mid > 0:  # skip the parts a..b-1, which add nothing above reach
-            # a <= b <= cut: f(b-1) <= reach, so offs[b-1] <= reach
-            half = isqrt(mid - 1)
-            a, b = (n - half + 1) // 2, (n + half) // 2 + 1
-        else:
-            a = b = cut
+        big = 2 * (n + 2 * reach) > n * (n + 1)  # parts all below n/2 give <= n(n-1)/2
         acc = 0
-        for d in chain(range(1, a), range(b, cut)):
-            s = offs[d] + low[n - d] - reach
-            acc |= tail[n - d] << s if s >= 0 else tail[n - d] >> -s
-        for d in range(cut, n + 1):
-            acc |= (((tail[n - d] + 1) << low[n - d]) - 1) << (offs[d] - reach)
+        for j in range(n):  # largest part n - j, the rest any partition of j
+            if big and (2 * j > n or offs[n - j] + offs[j] < reach):
+                break
+            s = offs[n - j] - reach
+            full = ((tail[j] + 1) << low[j]) - 1
+            acc |= full << s if s >= 0 else full >> -s
         ones = (acc ^ (acc + 1)).bit_length() - 1
         low.append(reach + ones)
         tail.append(acc >> ones)
@@ -194,11 +187,18 @@ def build_table(n_max: int) -> DimTable:
     gives ``reach``: every index below it is in S(n).  The highest index
     part d can reach is f(d) = off_d + top(n-d), with top(i) = (i^2-i)/2
     the index of i^2, which is always in S(i).  f is convex and symmetric
-    under d <-> n-d, so the parts with f(d) < reach, which add nothing
-    above it, form one middle range that both loops skip.  Above
-    ``reach``, the remaining parts before the gap contribute the tails of
-    their sets, and the parts past it their small sets in full; no other
-    set is expanded.  The result equals the plain recurrence bit for bit.
+    under d <-> n-d, so the parts with f(d) < reach form one middle range,
+    which the scan jumps over.
+
+    Above ``reach`` each set is built from its largest part d = n - j,
+    which puts S(j) at off_d.  A partition whose parts are all below n/2
+    has a square sum of at most n(n-1)/2.  So once the value of ``reach``
+    exceeds n(n+1)/2, every index above it has a largest part of at least
+    n/2, and j runs up from 0 while 2j <= n and f(n-j) >= reach (f falls
+    as j rises to n/2).  Below that bound (25 values of n, all at most
+    31) j takes every value below n, which is the plain recurrence.  Only
+    the small sets S(j) are expanded, and the result equals the plain
+    recurrence bit for bit.
     n_max = 0 returns the trivial table containing only {0}.
     """
     if n_max < 0:

@@ -9,22 +9,15 @@ defined inductively:
     reach(n) = (n - anchor(n))^2 + reach(anchor(n)),
     threshold(n) = (reach(n) + n + 4) / 2,
     anchor(n) = the largest kappa < n with threshold(kappa) <= n.
-
-``threshold`` is kept exact (a half-integer; it happens to be integral
-because reach(n) has the parity of n) so the supremum defining the
-anchor never depends on floating-point ties.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .dimsets import DimTable, compact_count, noncompact_count
 from .partitions import DegenerateInputWarning
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class GrowthRow(NamedTuple):
@@ -32,14 +25,12 @@ class GrowthRow(NamedTuple):
 
     n: int
     reach: int
-    threshold: Fraction
+    threshold: int
     anchor: int | None
 
 
 def growth_sequence(n_max: int) -> list[GrowthRow]:
     """Rows of (reach, threshold, anchor) for n = 0..n_max."""
-    from fractions import Fraction
-
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     reach = [0]
@@ -57,10 +48,8 @@ def growth_sequence(n_max: int) -> list[GrowthRow]:
             k += 1
         anchor.append(k)
         reach.append((n - k) ** 2 + reach[k])
-    return [
-        GrowthRow(n, reach[n], Fraction(reach[n] + n + 4, 2), anchor[n])
-        for n in range(n_max + 1)
-    ]
+    # reach(n) has the parity of n (each row adds m^2 + m), so the halving is exact
+    return [GrowthRow(n, reach[n], (reach[n] + n + 4) // 2, anchor[n]) for n in range(n_max + 1)]
 
 
 def format_ratio(numerator: int, denominator: int) -> str:

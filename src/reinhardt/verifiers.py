@@ -249,7 +249,7 @@ def verify_dp_oracle(n_lo: int, n_hi: int, table: DimTable | None = None) -> Che
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):
         oracle = square_sums_bruteforce(n)
-        if oracle.bits != table.sets[n].bits:
+        if oracle != table.sets[n]:
             diff = oracle.bits ^ table.sets[n].bits
             value = n + 2 * (diff.bit_length() - 1)
             ces.append((n, value, "recurrence and enumeration sets differ at this value"))
@@ -299,11 +299,9 @@ def verify_growth_sequence(n_max: int, table: DimTable | None = None) -> CheckRe
         if n >= 4 and row.reach < 2 * n:
             ces.append((n, row.reach, "reach below 2n"))
         span = (row.reach - n) // 2
-        bits = table.sets[n].bits
-        mask = (1 << (span + 1)) - 1
-        if bits & mask != mask:
-            missing = n + 2 * ((~bits & mask).bit_length() - 1)
-            ces.append((n, missing, "guaranteed interval value missing from the set"))
+        low = table.sets[n].low  # indices 0..span must lie in the run of ones
+        if low <= span:
+            ces.append((n, n + 2 * low, "guaranteed interval value missing from the set"))
         if 2 <= n <= table.n_max:
             if compact_count(table, n) < span:
                 ces.append((n, span, "compact count below (reach - n)/2"))

@@ -18,7 +18,7 @@ from reinhardt import (
     two_block_dimensions,
 )
 from reinhardt.dimsets import marked_set_rows, set_bit_length
-from reinhardt.partitions import iter_partition_tuples
+from reinhardt.partitions import iter_partition_tuples, iter_square_sums
 
 
 class TestDimSet:
@@ -129,6 +129,12 @@ class TestBuild:
             n for n in range(1501) if DimSet(n, ((tail[n] + 1) << low[n]) - 1) != built[n]
         ]
         assert mismatched == []
+
+    @pytest.mark.parametrize("n", range(2, 51))
+    def test_parts_below_half_stay_below_the_early_stop(self, n):
+        # the build's largest-part stop: parts all below n/2 sum to at most
+        # n(n-1)/2 (n = 2 has no such partition)
+        assert max(iter_square_sums(n, (n - 1) // 2), default=0) <= n * (n - 1) // 2
 
 
 def _plain_recurrence(n_max: int) -> list[int]:

@@ -26,8 +26,9 @@ def test_unknown_name_raises_attribute_error():
         reinhardt.no_such_name
 
 
-# Run in a fresh interpreter: prints the modules that `import reinhardt.cli`
-# and then one `set` command load on top of what the interpreter started with.
+# Run in a fresh interpreter: prints the modules that `import reinhardt.cli`,
+# then one `set` command and then one `sequence` command load on top of what
+# the interpreter started with.
 _PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -36,7 +37,11 @@ import reinhardt.cli
 after_import = set(sys.modules) - before
 with redirect_stdout(io.StringIO()):
     code = reinhardt.cli.main(["set", "--n", "30", "--no-cache"])
-print(json.dumps([sorted(after_import), sorted(set(sys.modules) - before), code]))
+after_set = set(sys.modules) - before
+with redirect_stdout(io.StringIO()):
+    code |= reinhardt.cli.main(["sequence", "--max-n", "20"])
+after_sequence = set(sys.modules) - before
+print(json.dumps([sorted(after_import), sorted(after_set), sorted(after_sequence), code]))
 """
 
 
@@ -46,9 +51,10 @@ def test_cli_imports_only_what_a_command_runs():
     out = subprocess.run(
         [sys.executable, "-c", _PROBE], env=env, check=True, capture_output=True, text=True
     ).stdout
-    after_import, after_set, code = json.loads(out)
+    after_import, after_set, after_sequence, code = json.loads(out)
     assert code == 0
     unused = {"dataclasses", "inspect", "fractions", "reinhardt.classify", "reinhardt.verifiers"}
     assert not unused & set(after_import)
     assert not {"reinhardt.partitions", "reinhardt.sequences"} & set(after_import)
     assert not unused & set(after_set)
+    assert not {"fractions", "decimal"} & set(after_sequence)

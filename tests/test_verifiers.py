@@ -10,7 +10,15 @@ from reinhardt import (
     verify_noncompact_growth,
     verify_two_block_closed_form,
 )
+from reinhardt.dimsets import DimSet, DimTable
 from reinhardt.partitions import iter_partition_tuples
+
+
+@pytest.fixture(scope="module")
+def bad64(table64):
+    """The 64-table with the value 60 (index 10) removed from S(40)."""
+    s = table64.sets[40]
+    return DimTable(table64.sets[:40] + (DimSet(40, s.bits & ~(1 << 10)),) + table64.sets[41:])
 
 
 class TestBoundsSuite:
@@ -76,10 +84,20 @@ class TestArmsSuite:
         assert report.status == "pass"
         assert "plus one" in report.notes
 
+    def test_fails_on_a_wrong_table(self, bad64):
+        report = verify_arms(1, 64, table=bad64)
+        assert report.status == "fail"
+        assert [n for n, _, _ in report.counterexamples] == [40]
+
 
 class TestDpOracleSuite:
     def test_passes(self, table64):
         assert verify_dp_oracle(1, 30, table64).status == "pass"
+
+    def test_fails_on_a_wrong_table(self, bad64):
+        report = verify_dp_oracle(1, 64, table=bad64)
+        assert report.status == "fail"
+        assert [ce[:2] for ce in report.counterexamples] == [(40, 60)]
 
     def test_refuses_beyond_limit_before_any_work(self, monkeypatch):
         def fail(n):
@@ -100,6 +118,11 @@ class TestGrowthSequenceSuite:
     def test_passes(self, table64):
         report = verify_growth_sequence(64, table64)
         assert report.status == "pass"
+
+    def test_fails_on_a_wrong_table(self, bad64):
+        report = verify_growth_sequence(64, table=bad64)
+        assert report.status == "fail"
+        assert [ce[:2] for ce in report.counterexamples] == [(40, 60)]
 
 
 class TestReportShape:
