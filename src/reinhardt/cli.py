@@ -14,19 +14,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Iterable, Sequence, TextIO
 
 # Each command imports the rest of the package when it runs, so a process
 # loads only what its command uses.
 from .dimsets import DimTable, build_table
 from .storage import (
-    VERSION as TABLE_VERSION,
+    OldFormatError,
     TableCorruptionError,
     UnsupportedFormatError,
     load_table,
     save_table,
-    table_version,
 )
 
 #: Largest table built inline without --force; a covering cache serves any n.
@@ -68,21 +67,16 @@ def _load_or_build(n_max: int, cache: str | None, force: bool = False) -> DimTab
     """The table for n = 0..n_max: read from the front of the cached table
     if that covers n_max, else built (refused above :data:`BUILD_LIMIT`
     unless ``force``) and saved to the cache, if any.  A cache in an older
-    format is read in full once and rewritten in the current one; if that
-    rewrite fails, the query is still answered from what was read."""
+    format is rebuilt the same way, with one warning on stderr."""
     if cache and os.path.exists(cache):
-        with open(cache, "rb") as fh:
-            upgrade = table_version(fh) != TABLE_VERSION
-            table = load_table(fh, None if upgrade else n_max)
-        if table.n_max >= n_max:
-            if upgrade:  # a cache too short is replaced by the build below
-                try:
-                    _save_cache(table, cache)
-                except OSError as exc:
-                    warning = f"warning: cache not rewritten as v{TABLE_VERSION}: {exc}"
-                    print(warning, file=sys.stderr)
-                table = DimTable(table.sets[: n_max + 1])
-            return table
+        try:
+            with open(cache, "rb") as fh:
+                table = load_table(fh, n_max)
+        except OldFormatError as exc:
+            print(f"warning: cache {cache}: {exc}; rebuilding it", file=sys.stderr)
+        else:
+            if table.n_max >= n_max:
+                return table
     if n_max > BUILD_LIMIT and not force:
         raise CliError(
             f"no cached table covers n={n_max}; inline builds stop at n={BUILD_LIMIT}"
@@ -154,7 +148,9 @@ def cmd_set(args: argparse.Namespace) -> int:
         head, tail = _json_text([{"n": n, "values": []}]).split("[]")
         head, sep, tail = head + "[", ", ", "]" + tail
     sys.stdout.write(head)
-    _write_joined(dimset.values(), sep, sys.stdout)
+    # the dense prefix straight from its range; only the tail is walked bit by bit
+    prefix = range(n, n + 2 * dimset.low, 2)
+    _write_joined(chain(prefix, dimset.tail_values()), sep, sys.stdout)
     sys.stdout.write(tail)
     return 0
 

@@ -14,18 +14,21 @@ w = v + (n-i)^2 with index (w - n)/2 = j + ((n-i)^2 - (n-i))/2.
 
 Most of each set is a dense prefix, so a :class:`DimSet` is held as
 ``(low, tail)``: ``low`` is the length of its run of ones from index 0
-and ``tail`` the bits from there up.  Above that prefix the build ORs only
-the small sets S(j) under each largest part n - j (see
-:func:`build_table`), so its time and memory follow the tails, not the
-n^3 full width.  The prefix is measured from the built sets, never taken
-from the growth-sequence lemma, so the lemma's check stays independent
-of the build.  All sets are immutable once built and safe to share
-across threads.
+and ``tail`` the bits from there up.  Above that prefix a step of the
+build ORs only the small sets S(j) under each largest part n - j (see
+:func:`build_table`), so S(n) follows from ``low[0..n-1]`` and a few
+small sets.  A :class:`DimTable` therefore holds two numbers per n, the
+low and the set size, plus the small sets in full, and rebuilds any
+other set with one step when it is asked for.  The prefix is measured
+from the built sets, never taken from the growth-sequence lemma, so the
+lemma's check stays independent of the build.  Tables and sets are
+immutable once built and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from math import isqrt
 from typing import Iterator
 
@@ -117,9 +120,12 @@ class DimSet(Frozen):
 
     def values(self) -> Iterator[int]:
         """Stored values in ascending order."""
-        n = self.n
-        yield from range(n, n + 2 * self.low, 2)
-        start = n + 2 * self.low
+        yield from range(self.n, self.n + 2 * self.low, 2)
+        yield from self.tail_values()
+
+    def tail_values(self) -> Iterator[int]:
+        """The values above the dense prefix, in ascending order."""
+        start = self.n + 2 * self.low
         for j, bit in enumerate(reversed(bin(self.tail))):
             if bit == "1":
                 yield start + 2 * j
@@ -129,53 +135,112 @@ class DimSet(Frozen):
 
 
 class DimTable(Frozen):
-    """The square-sum sets for n = 0..n_max; ``sets[n]`` has base n.
+    """The square-sum sets for n = 0..n_max, held as two numbers per n.
 
-    The counts are functions of the set sizes: see :func:`compact_count`
-    and :func:`noncompact_count`.
+    ``low[n]`` is the run of ones from index 0 in S(n) and ``count[n]``
+    its size; :func:`compact_count` and :func:`noncompact_count` read the
+    counts.  The sets S(0..K), K = :func:`full_set_limit` (n_max), are
+    rebuilt in full when the table is made, and ``sets[n]`` above K is
+    rebuilt from them and from ``low[0..n-1]`` with one step of the
+    build on each access.  A rebuilt set whose low or size differs from
+    the stored pair raises :class:`ValueError` naming its n.
     """
 
-    __slots__ = ("sets",)
-    sets: tuple[DimSet, ...]
+    __slots__ = ("low", "count", "sets")
+    low: tuple[int, ...]
+    count: tuple[int, ...]
+    sets: SetSequence
 
-    def __init__(self, sets: tuple[DimSet, ...]) -> None:
-        object.__setattr__(self, "sets", sets)
+    def __init__(self, low, count) -> None:
+        low, count = tuple(low), tuple(count)
+        if not low or len(low) != len(count):
+            raise ValueError("a table needs one low and one count per n, from n = 0")
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "sets", SetSequence(low, count))
+
+    def _key(self) -> tuple:
+        return self.low, self.count
 
     @property
     def n_max(self) -> int:
-        return len(self.sets) - 1
+        return len(self.low) - 1
 
 
-def _prefix_tail_sets(n_max: int) -> tuple[list[int], list[int]]:
-    """Canonical ``low`` and ``tail`` of S(0..n_max); see :func:`build_table`.
+class SetSequence(Sequence):
+    """``table.sets``: S(n) for n = 0..n_max, each rebuilt on access
+    (see :class:`DimTable`); slices give tuples of sets."""
 
-    Kept apart from :func:`build_table` so that its loops sit near the
-    start of their code object: under tracemalloc, Python 3.11 finds each
-    allocation's line by scanning the line table from the start.
+    def __init__(self, low: tuple[int, ...], count: tuple[int, ...]) -> None:
+        self._low, self._count = low, count
+        self._offs = _offsets(len(low) - 1)
+        self._full = [1]  # S(0) = {0}
+        self._check(0, 1, 0)
+        for n in range(1, min(full_set_limit(len(low) - 1), len(low) - 1) + 1):
+            lo, tail = _step(n, low, self._full, self._offs)
+            self._check(n, lo, tail)
+            self._full.append(((tail + 1) << lo) - 1)
+
+    def _check(self, n: int, lo: int, tail: int) -> None:
+        size = lo + tail.bit_count()
+        if (lo, size) != (self._low[n], self._count[n]):
+            raise ValueError(
+                f"S({n}) rebuilds with low {lo} and {size} values, but the table"
+                f" stores low {self._low[n]} and count {self._count[n]}"
+            )
+
+    def __len__(self) -> int:
+        return len(self._low)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[n] for n in range(len(self))[index])
+        n = range(len(self))[index]
+        if n < len(self._full):
+            lo = self._low[n]
+            return DimSet.from_prefix_tail(n, lo, self._full[n] >> lo)
+        lo, tail = _step(n, self._low, self._full, self._offs)
+        self._check(n, lo, tail)
+        return DimSet.from_prefix_tail(n, lo, tail)
+
+    def __repr__(self) -> str:
+        return f"SetSequence(n_max={len(self) - 1})"
+
+
+def full_set_limit(n_max: int) -> int:
+    """K = 2 isqrt(n_max) + 32: a table keeps S(0..K) in full.  A step
+    at n reads S(j) for j <= J(n): every j < n for n <= 31, and above
+    that J(n) <= 2 isqrt(n) + 3 (checked to 4096; J(1000) = 57)."""
+    return 2 * isqrt(n_max) + 32
+
+
+def _offsets(n_max: int) -> list[int]:
+    return [(d * d - d) // 2 for d in range(n_max + 1)]  # off_d, also top(d)
+
+
+def _step(n: int, low, full, offs: list[int]) -> tuple[int, int]:
+    """Canonical ``(low, tail)`` of S(n) from ``low[0..n-1]`` and the full
+    sets ``full[j]`` = S(j), j <= J(n); see :func:`build_table`.  Its
+    loops sit near the start of its code object: under tracemalloc,
+    Python 3.11 finds an allocation's line by scanning from the start.
     """
-    offs = [(d * d - d) // 2 for d in range(n_max + 1)]  # off_d, also top(d)
-    low, tail = [1], [0]  # S(0) = {0}
-    for n in range(1, n_max + 1):
-        reach, d = 0, 1
-        while d <= n and offs[d] <= reach:
-            i = n - d
-            if offs[d] + low[i] > reach:
-                reach = offs[d] + low[i]
-            if offs[d] + offs[i] < reach:  # f(d) < reach: jump past the middle
-                d = (n + isqrt(4 * reach - n * n + 2 * n - 1)) // 2
-            d += 1
-        big = 2 * (n + 2 * reach) > n * (n + 1)  # parts all below n/2 give <= n(n-1)/2
-        acc = 0
-        for j in range(n):  # largest part n - j, the rest any partition of j
-            if big and (2 * j > n or offs[n - j] + offs[j] < reach):
-                break
-            s = offs[n - j] - reach
-            full = ((tail[j] + 1) << low[j]) - 1
-            acc |= full << s if s >= 0 else full >> -s
-        ones = (acc ^ (acc + 1)).bit_length() - 1
-        low.append(reach + ones)
-        tail.append(acc >> ones)
-    return low, tail
+    reach, d = 0, 1
+    while d <= n and offs[d] <= reach:
+        i = n - d
+        if offs[d] + low[i] > reach:
+            reach = offs[d] + low[i]
+        if offs[d] + offs[i] < reach:  # f(d) < reach: jump past the middle
+            d = (n + isqrt(4 * reach - n * n + 2 * n - 1)) // 2
+        d += 1
+    big = 2 * (n + 2 * reach) > n * (n + 1)  # parts all below n/2 give <= n(n-1)/2
+    acc = 0
+    for j in range(n):  # largest part n - j, the rest any partition of j
+        if big and (2 * j > n or offs[n - j] + offs[j] < reach):
+            break
+        s = offs[n - j] - reach
+        acc |= full[j] << s if s >= 0 else full[j] >> -s
+    ones = (acc ^ (acc + 1)).bit_length() - 1
+    return reach + ones, acc >> ones
 
 
 def build_table(n_max: int) -> DimTable:
@@ -196,17 +261,24 @@ def build_table(n_max: int) -> DimTable:
     exceeds n(n+1)/2, every index above it has a largest part of at least
     n/2, and j runs up from 0 while 2j <= n and f(n-j) >= reach (f falls
     as j rises to n/2).  Below that bound (25 values of n, all at most
-    31) j takes every value below n, which is the plain recurrence.  Only
-    the small sets S(j) are expanded, and the result equals the plain
-    recurrence bit for bit.
-    n_max = 0 returns the trivial table containing only {0}.
+    31) j takes every value below n, which is the plain recurrence.  The
+    result equals the plain recurrence bit for bit.
+
+    So a step reads only ``low[0..n-1]`` and S(0..J(n)) (see
+    :func:`full_set_limit`), and the build holds O(n) ints besides the
+    set being built.  n_max = 0 gives the trivial table of only {0}.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    low, tail = _prefix_tail_sets(n_max)
-    return DimTable(
-        tuple(DimSet.from_prefix_tail(n, low[n], tail[n]) for n in range(n_max + 1))
-    )
+    offs, keep = _offsets(n_max), full_set_limit(n_max)
+    low, count, full = [1], [1], [1]  # S(0) = {0}
+    for n in range(1, n_max + 1):
+        lo, tail = _step(n, low, full, offs)
+        low.append(lo)
+        count.append(lo + tail.bit_count())
+        if n <= keep:
+            full.append(((tail + 1) << lo) - 1)
+    return DimTable(low, count)
 
 
 def marked_set_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
@@ -260,7 +332,7 @@ def _check_count_range(table: DimTable, n: int, need_successor: bool) -> None:
 def compact_count(table: DimTable, n: int) -> int:
     """c(n): number of compact dimensions (set size minus the top value)."""
     _check_count_range(table, n, need_successor=False)
-    return len(table.sets[n]) - 1
+    return table.count[n] - 1
 
 
 def noncompact_count(table: DimTable, n: int) -> int:
@@ -379,23 +451,26 @@ def is_realizable(table: DimTable, n: int, dim: int) -> bool:
 
     Marked parts form a partition of some a and unmarked parts one of
     n - a, so dim is achievable iff dim - 2a splits as u + v with u a
-    square sum for a and v one for n - a, for some a.
+    square sum for a and v one for n - a, for some a.  In index space
+    that asks for t = (dim - n)/2 - a as a sum of an index of S(a) and
+    one of S(n - a), which is symmetric in the two sets; so each pair
+    {a, n - a} is tested for both budgets, and each S(a) is expanded at
+    most once, and only when a budget is within reach of the pair's tops.
     """
     if not 2 <= n <= table.n_max:
         raise ValueError(f"n={n} outside table range 2..{table.n_max}")
     if (dim - n) % 2 or dim < n or dim > n * n + 2 * n:
         return False
-    for a in range(n + 1):
-        t = (dim - 2 * a - n) // 2  # combined index budget for the two sets
-        if t < 0:
-            continue
-        sa = table.sets[a].bits
-        sb = table.sets[n - a].bits
-        if sa.bit_length() - 1 + sb.bit_length() - 1 < t:
-            continue
-        window = min(t, sb.bit_length() - 1)
-        # need bit i of sa and bit t-i of sb for some i: reverse one window
-        rev = int(format(sb & ((1 << (window + 1)) - 1), f"0{window + 1}b")[::-1], 2)
-        if (sa >> (t - window)) & rev:
-            return True
+    half = (dim - n) // 2
+    for a in range(n // 2 + 1):
+        b = n - a
+        top = (a * a - a) // 2 + (b * b - b) // 2  # the indices of a^2 + b^2
+        budgets = [t for t in {half - a, half - b} if 0 <= t <= top]
+        if budgets:
+            sa, sb = table.sets[a].bits, table.sets[b].bits
+            for t in budgets:  # bit i of sa and bit t-i of sb: reverse one window
+                window = min(t, sb.bit_length() - 1)
+                rev = int(format(sb & ((1 << (window + 1)) - 1), f"0{window + 1}b")[::-1], 2)
+                if (sa >> (t - window)) & rev:
+                    return True
     return False

@@ -144,10 +144,11 @@ def verify_largest_part(
     table = _ensure_table(table, n_hi)
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):
+        rests = table.sets[: (n - 1) // 2 + 1]  # S(i), i < n/2, beside a block n - i
         for value in table.sets[n].values():
             if 4 * value <= 3 * n * n:
                 continue
-            if not _splits_with_large_block(table, n, value):
+            if not any(value - (n - i) ** 2 in rest for i, rest in enumerate(rests)):
                 ces.append((n, value, "no realizing split with a block above n/2"))
         best = max(iter_square_sums(n, n // 2))
         if 4 * best > 3 * n * n:
@@ -156,14 +157,6 @@ def verify_largest_part(
             )
             ces.append((n, best, f"capped-part maximum exceeds 3n^2/4 via {best_parts}"))
     return _finish("lemma-largest", n_lo, n_hi, ces, started)
-
-
-def _splits_with_large_block(table: DimTable, n: int, value: int) -> bool:
-    for i in range((n - 1) // 2 + 1):  # i < n/2
-        d = n - i
-        if value - d * d in table.sets[i]:
-            return True
-    return False
 
 
 def verify_noncompact_growth(
@@ -187,8 +180,8 @@ def verify_noncompact_growth(
         if k is None:
             skipped += 1
             continue
-        increment = len(table.sets[n + 1]) - len(table.sets[n])
-        reference = len(table.sets[k])
+        increment = table.count[n + 1] - table.count[n]
+        reference = table.count[k]
         if increment < reference:
             observations.append(
                 (n, increment, f"increment {increment} below set size {reference} at k={k}")
@@ -228,7 +221,7 @@ def verify_arms(n_lo: int, n_hi: int, table: DimTable | None = None) -> CheckRep
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):
         distinct = len(distinct_arm_values(n))
-        expected = len(table.sets[n])
+        expected = table.count[n]
         if distinct != expected:
             ces.append((n, distinct, f"distinct arm totals != set size {expected}"))
     notes = (
@@ -299,7 +292,7 @@ def verify_growth_sequence(n_max: int, table: DimTable | None = None) -> CheckRe
         if n >= 4 and row.reach < 2 * n:
             ces.append((n, row.reach, "reach below 2n"))
         span = (row.reach - n) // 2
-        low = table.sets[n].low  # indices 0..span must lie in the run of ones
+        low = table.low[n]  # indices 0..span must lie in the run of ones
         if low <= span:
             ces.append((n, n + 2 * low, "guaranteed interval value missing from the set"))
         if 2 <= n <= table.n_max:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -7,9 +11,6 @@ import reinhardt.cli
 import reinhardt.verifiers
 from reinhardt import build_table, load_table, save_table
 from reinhardt.cli import main
-from reinhardt.storage import table_version
-
-from old_formats import dump_v1, dump_v2
 
 
 def run(capsys, *argv):
@@ -64,6 +65,29 @@ class TestTable:
     def test_force_guard(self, capsys):
         code, _, err = run(capsys, "table", "--max-n", "5000", "--no-cache")
         assert code == 1 and "--force" in err
+
+    def test_uncached_table_at_4096_runs_in_small_memory(self):
+        # The table holds two ints per n and S(0..160); the tails took 108 MiB.
+        # The child reports its own VmHWM: its ru_maxrss would include the
+        # memory of this process, which it starts as a copy of.
+        probe = (
+            "import io\n"
+            "from contextlib import redirect_stdout\n"
+            "import reinhardt.cli\n"
+            "with redirect_stdout(io.StringIO()) as out:\n"
+            "    code = reinhardt.cli.main(['table', '--max-n', '4096', '--no-cache'])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    hwm = next(l.split()[1] for l in fh if l.startswith('VmHWM:'))\n"
+            "print(code, out.getvalue().count('\\n'), int(hwm))\n"
+        )
+        src = os.path.dirname(os.path.dirname(reinhardt.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+        ).stdout
+        code, lines, hwm_kib = map(int, out.split())
+        assert (code, lines) == (0, 4096)  # the header and n = 2..4096
+        assert hwm_kib / 1024 < 32
 
 
 class TestBuildLimit:
@@ -210,30 +234,15 @@ class TestCache:
         assert code == 0 and "status,ball" in out.splitlines()
         assert calls == [str(cache)]
 
-    @pytest.mark.parametrize("dump", [dump_v1, dump_v2])
-    def test_old_cache_answers_and_is_rewritten_as_v3(self, capsys, tmp_path, dump):
-        cache = tmp_path / "old.rdim"
-        table = build_table(30)
-        cache.write_bytes(dump(table))
-        for argv in (
-            ("table", "--min-n", "5", "--max-n", "20"),
-            ("set", "--n", "25", "--format", "json"),
-        ):
-            expected = run(capsys, *argv, "--no-cache")[1]
-            code, out, _ = run(capsys, *argv, "--cache", str(cache))
-            assert code == 0 and out == expected
-            with open(cache, "rb") as fh:
-                assert table_version(fh) == 3
-                assert load_table(fh).sets == table.sets  # the whole table kept
-        assert [p.name for p in tmp_path.iterdir()] == ["old.rdim"]
-
-    @pytest.mark.parametrize("dump", [dump_v1, dump_v2])
-    def test_short_old_cache_is_saved_once_after_the_build(
-        self, capsys, tmp_path, monkeypatch, dump
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_old_format_cache_is_rebuilt_with_one_warning(
+        self, capsys, tmp_path, monkeypatch, version
     ):
         cache = tmp_path / "old.rdim"
-        cache.write_bytes(dump(build_table(10)))
-        expected = run(capsys, "set", "--n", "25", "--no-cache")[1]
+        # an older header over a body this version never reads
+        cache.write_bytes(b"RDIM" + struct.pack("<HI", version, 30) + b"\x01" * 64)
+        argv = ("set", "--n", "25", "--format", "json")
+        expected = run(capsys, *argv, "--no-cache")[1]
         saved = []
 
         def counting_save(table, fh):
@@ -241,30 +250,29 @@ class TestCache:
             save_table(table, fh)
 
         monkeypatch.setattr(reinhardt.cli, "save_table", counting_save)
-        code, out, err = run(capsys, "set", "--n", "25", "--cache", str(cache))
-        assert code == 0 and out == expected and err == ""
-        assert saved == [25]
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert code == 0 and out == expected and saved == [25]
+        (line,) = err.splitlines()
+        assert line.startswith("warning:") and f"version {version};" in line
         with open(cache, "rb") as fh:
-            assert table_version(fh) == 3
-            assert load_table(fh).sets == build_table(25).sets
+            assert load_table(fh) == build_table(25)
         assert [p.name for p in tmp_path.iterdir()] == ["old.rdim"]
+        assert run(capsys, *argv, "--cache", str(cache)) == (0, expected, "")
+        assert saved == [25]  # the v4 cache answers with no build
 
-    def test_failed_rewrite_keeps_old_cache_and_answers(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "old.rdim"
-        cache.write_bytes(dump_v2(build_table(30)))
-        before = cache.read_bytes()
-        expected = run(capsys, "set", "--n", "12", "--no-cache")[1]
-
-        def failing_save(table, fh):
-            fh.write(b"partial")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(reinhardt.cli, "save_table", failing_save)
-        code, out, err = run(capsys, "set", "--n", "12", "--cache", str(cache))
-        assert code == 0 and out == expected
-        assert "warning" in err and "disk full" in err
-        assert cache.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["old.rdim"]
+    @pytest.mark.parametrize(
+        "blob",
+        [b"RDIM" + struct.pack("<HI", 5, 30) + b"\x01" * 64, b"not a table at all\n"],
+        ids=["version-5", "not-rdim"],
+    )
+    def test_newer_or_foreign_file_is_never_overwritten(self, capsys, tmp_path, blob):
+        cache = tmp_path / "other.rdim"
+        cache.write_bytes(blob)
+        for argv in (("table", "--max-n", "10"), ("set", "--n", "12")):
+            code, out, err = run(capsys, *argv, "--cache", str(cache))
+            assert (code, out) == (1, "") and err.startswith("error:")
+        assert cache.read_bytes() == blob
+        assert [p.name for p in tmp_path.iterdir()] == ["other.rdim"]
 
     def test_env_var_default(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env.rdim"

@@ -1,12 +1,14 @@
 
 import random
 from bisect import bisect_right
+from math import isqrt
 
 import pytest
 
 from reinhardt import (
     DegenerateInputWarning,
     DimSet,
+    DimTable,
     build_table,
     compact_count,
     dimensions_bruteforce,
@@ -17,7 +19,7 @@ from reinhardt import (
     square_sums_bruteforce,
     two_block_dimensions,
 )
-from reinhardt.dimsets import marked_set_rows, set_bit_length
+from reinhardt.dimsets import _step, full_set_limit, marked_set_rows, set_bit_length
 from reinhardt.partitions import iter_partition_tuples, iter_square_sums
 
 
@@ -120,7 +122,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("k", [0, 1, 7, 64, 299])
     def test_prefix_closed(self, table300, k):
-        assert build_table(k).sets == table300.sets[: k + 1]
+        assert tuple(build_table(k).sets) == table300.sets[: k + 1]
 
     def test_equals_full_scan_build_to_1500(self):
         low, tail = _full_scan_prefix_tail_sets(1500)
@@ -129,6 +131,33 @@ class TestBuild:
             n for n in range(1501) if DimSet(n, ((tail[n] + 1) << low[n]) - 1) != built[n]
         ]
         assert mismatched == []
+
+    def test_steps_read_only_the_sets_a_table_keeps(self):
+        # J(n) <= 2 isqrt(n) + 3 for 31 < n <= 4096: a step given only
+        # S(0..2 isqrt(n) + 3) rebuilds S(n), so S(0..K) covers every step
+        table = build_table(4096)
+        full = [s.bits for s in table.sets[: full_set_limit(4096) + 1]]
+        offs = [(d * d - d) // 2 for d in range(4097)]
+        wrong = []
+        for n in range(32, 4097):
+            low, tail = _step(n, table.low, full[: 2 * isqrt(n) + 4], offs)
+            if (low, low + tail.bit_count()) != (table.low[n], table.count[n]):
+                wrong.append(n)
+        assert wrong == []
+        assert full_set_limit(4096) == 160 >= 2 * isqrt(4096) + 3
+
+    def test_a_table_rebuilds_its_sets_and_checks_them(self, table300):
+        assert DimTable(table300.low, table300.count) == table300
+        assert len(table300.sets) == 301 and table300.sets[-1] == table300.sets[300]
+        with pytest.raises(IndexError):
+            table300.sets[301]
+        for n in (20, 200):  # a set kept in full, then one rebuilt on access
+            count = list(table300.count)
+            count[n] += 1
+            with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds with low"):
+                DimTable(table300.low, count).sets[n]
+        with pytest.raises(ValueError, match="one low and one count"):
+            DimTable((1, 1), (1,))
 
     @pytest.mark.parametrize("n", range(2, 51))
     def test_parts_below_half_stay_below_the_early_stop(self, n):

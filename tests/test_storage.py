@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reinhardt import (
-    DimTable,
     TableCorruptionError,
     UnsupportedFormatError,
     build_table,
     load_table,
     save_table,
 )
-from reinhardt.dimsets import set_bit_length
+from reinhardt.dimsets import full_set_limit
+from reinhardt.storage import OldFormatError
 
-from old_formats import dump_v1, dump_v2
+HEADER, RECORD = 10, 20  # bytes: magic, version and n_max; low, count and CRC
 
 
 def _dump(table) -> bytes:
@@ -27,37 +27,34 @@ def _dump(table) -> bytes:
     return data
 
 
-def _words(n: int) -> int:
-    return (set_bit_length(n) + 63) // 64
+def _record_start(n: int) -> int:
+    """Offset of record n's ``low`` field."""
+    return HEADER + RECORD * n
 
 
-def _v2_record_start(n: int) -> int:
-    """Offset of record n's bit-length field in a v2 file."""
-    return 10 + sum(12 + 8 * _words(k) for k in range(n))
+def _record_end(n: int) -> int:
+    """Offset just past record n's CRC."""
+    return HEADER + RECORD * (n + 1)
 
 
-def _tail_words(dimset) -> int:
-    return (dimset.tail.bit_length() + 63) // 64
+def _chain(data: bytes, n: int) -> int:
+    """CRC-32 of the header and of the low and count fields of records 0..n."""
+    crc = zlib.crc32(data[:HEADER])
+    for k in range(n + 1):
+        crc = zlib.crc32(data[_record_start(k) : _record_start(k) + 16], crc)
+    return crc
 
 
-def _record_ends(table) -> list[int]:
-    """Offset just past each record's CRC in the table's v3 file."""
-    ends, pos = [], 10
-    for dimset in table.sets:
-        pos += 20 + 8 * _tail_words(dimset)
-        ends.append(pos)
-    return ends
+def _reseal(data: bytearray) -> None:
+    """Recompute the CRC that closes each record, in place."""
+    for n in range((len(data) - HEADER) // RECORD):
+        data[_record_end(n) - 4 : _record_end(n)] = struct.pack("<I", _chain(data, n))
 
 
-def _record_starts(table) -> list[int]:
-    """Offset of each record's ``low`` field in the table's v3 file."""
-    return [10] + _record_ends(table)[:-1]
-
-
-def _reseal(data: bytearray, ends: list[int]) -> None:
-    """Recompute the CRC that closes each record ending at ``ends``, in place."""
-    for end in ends:
-        data[end - 4 : end] = struct.pack("<I", zlib.crc32(data[: end - 4]))
+def _put(data: bytearray, n: int, field: int, value: int) -> None:
+    """Overwrite record n's ``low`` (field 0) or ``count`` (field 8)."""
+    start = _record_start(n) + field
+    data[start : start + 8] = struct.pack("<Q", value)
 
 
 class TestRoundTrip:
@@ -65,7 +62,7 @@ class TestRoundTrip:
     def test_identity(self, n_max):
         table = build_table(n_max)
         loaded = load_table(io.BytesIO(_dump(table)))
-        assert loaded.n_max == table.n_max
+        assert loaded == table and loaded.n_max == table.n_max
         assert all(a.bits == b.bits for a, b in zip(loaded.sets, table.sets))
 
     def test_byte_identical_saves(self):
@@ -85,43 +82,39 @@ class TestRoundTrip:
         assert [noncompact_count(loaded, n) for n in ns] == [
             noncompact_count(big_table, n) for n in ns
         ]
+        assert loaded.sets[1001] == big_table.sets[1001]
 
     def test_trivial_table_layout(self):
         data = _dump(build_table(0))
-        # magic, version, n_max, one record (low 1, empty tail, CRC-32)
+        # magic, version, n_max, one record (low 1, count 1, CRC-32)
         assert data[:4] == b"RDIM"
         version, n_max = struct.unpack("<HI", data[4:10])
-        assert (version, n_max) == (3, 0)
-        low, tail_bits = struct.unpack("<QQ", data[10:26])
-        assert (low, tail_bits) == (1, 0)
+        assert (version, n_max) == (4, 0)
+        low, count = struct.unpack("<QQ", data[10:26])
+        assert (low, count) == (1, 1)
         (crc,) = struct.unpack("<I", data[26:30])
         assert crc == zlib.crc32(data[:26])
         assert len(data) == 30
 
     def test_each_crc_covers_every_byte_before_it(self):
-        table = build_table(40)
-        data = _dump(table)
-        ends = _record_ends(table)
-        assert ends[-1] == len(data)
-        assert any(_tail_words(s) > 1 for s in table.sets)  # multi-word tails too
-        for end in ends:
+        # every byte but the earlier CRCs, each of which is checked in turn
+        data = _dump(build_table(40))
+        assert len(data) == _record_end(40)
+        for n in range(41):
+            end = _record_end(n)
             (crc,) = struct.unpack("<I", data[end - 4 : end])
-            assert crc == zlib.crc32(data[: end - 4])
+            assert crc == _chain(data, n)
 
-    def test_records_hold_canonical_low_and_tail(self):
+    def test_records_hold_low_and_count(self):
         table = build_table(40)
         data = _dump(table)
-        for dimset, start in zip(table.sets, _record_starts(table)):
-            low, tail_bits = struct.unpack_from("<QQ", data, start)
-            words = data[start + 16 : start + 16 + 8 * _tail_words(dimset)]
-            tail = int.from_bytes(words, "little")
-            assert (low, tail_bits) == (dimset.low, tail.bit_length())
-            assert tail & 1 == 0 and ((tail + 1) << low) - 1 == dimset.bits
+        for n, dimset in enumerate(table.sets):
+            low, count = struct.unpack_from("<QQ", data, _record_start(n))
+            assert (low, count) == (dimset.low, len(dimset)) == (table.low[n], table.count[n])
 
-    def test_file_is_tail_sized(self, big_table):
-        # the full sets take 21 MB at n_max = 1000 (the v2 size)
-        table = DimTable(big_table.sets[:1001])
-        assert len(_dump(table)) < 3 * 10**6
+    def test_file_is_twenty_bytes_a_record(self, big_table):
+        table = load_table(io.BytesIO(_dump(big_table)), 1000)
+        assert len(_dump(table)) == 20030  # the tails took 2 743 974 bytes
 
 
 class TestValidation:
@@ -135,46 +128,18 @@ class TestValidation:
         with pytest.raises(UnsupportedFormatError, match="version"):
             load_table(io.BytesIO(bytes(data)))
 
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5, 0xFFFF])
+    def test_only_older_versions_are_old_format_errors(self, version):
+        data = bytearray(_dump(build_table(2)))
+        data[4:6] = struct.pack("<H", version)
+        with pytest.raises(UnsupportedFormatError, match=f"version {version};") as err:
+            load_table(io.BytesIO(bytes(data)))
+        assert isinstance(err.value, OldFormatError) == (version < 4)
+
     def test_single_bit_corruption_detected(self):
-        table = build_table(4)
-        data = bytearray(_dump(table))
-        data[_record_starts(table)[4] + 16] ^= 0x01  # first tail word of record 4
-        with pytest.raises(TableCorruptionError, match="checksum"):
-            load_table(io.BytesIO(bytes(data)))
-
-    def test_padding_corruption_names_record(self):
-        table = build_table(4)
-        data = bytearray(_dump(table))
-        # record 3's tail has 2 bits in one word; its highest word bit is padding
-        data[_record_starts(table)[3] + 23] ^= 0x80
-        with pytest.raises(TableCorruptionError, match="record 3"):
-            load_table(io.BytesIO(bytes(data)))
-
-    def test_padding_checked_behind_valid_crcs(self):
-        table = build_table(4)
-        data = bytearray(_dump(table))
-        data[_record_starts(table)[3] + 23] ^= 0x80
-        _reseal(data, _record_ends(table))
-        with pytest.raises(TableCorruptionError, match="record 3 has nonzero padding"):
-            load_table(io.BytesIO(bytes(data)))
-
-    @pytest.mark.parametrize(
-        "field,value,message",
-        [
-            (0, 3, "declares low 3"),  # low + tail length over the 4 bits
-            (8, 1, "nonzero padding"),  # tail 0b10 read as 1 bit
-            (16, 0b11, "canonical"),  # bit 0 set: the run of ones is longer
-            (16, 0, "canonical"),  # tail shorter than its declared 2 bits
-        ],
-    )
-    def test_inconsistent_record_behind_valid_crcs(self, field, value, message):
-        # record 3 is S(3) = {3, 5, 9}: low 2, tail 0b10 (2 bits, one word)
-        table = build_table(4)
-        data = bytearray(_dump(table))
-        start = _record_starts(table)[3]
-        data[start + field : start + field + 8] = struct.pack("<Q", value)
-        _reseal(data, _record_ends(table))
-        with pytest.raises(TableCorruptionError, match=f"record 3 .*{message}"):
+        data = bytearray(_dump(build_table(4)))
+        data[_record_start(4) + 8] ^= 0x01  # record 4's count
+        with pytest.raises(TableCorruptionError, match="record 4 checksum"):
             load_table(io.BytesIO(bytes(data)))
 
     def test_bit_length_mismatch_names_record(self):
@@ -183,11 +148,39 @@ class TestValidation:
         with pytest.raises(TableCorruptionError, match="record 0"):
             load_table(io.BytesIO(bytes(data)))
 
-    def test_oversized_tail_length_refused_before_reading(self):
+    @pytest.mark.parametrize(
+        "field,value",
+        [(0, 0), (0, 4), (8, 1), (8, 5)],
+        ids=["low-0", "low-over-count", "count-under-low", "count-over-range"],
+    )
+    def test_out_of_range_record_behind_valid_crcs(self, field, value):
+        # record 3 is S(3) = {3, 5, 9}: low 2, count 3, of the 4 indices of n = 3
         data = bytearray(_dump(build_table(4)))
-        data[25] ^= 0x80  # record 0's tail length becomes about 2^63
-        with pytest.raises(TableCorruptionError, match="record 0 declares low 1"):
+        _put(data, 3, field, value)
+        _reseal(data)
+        with pytest.raises(TableCorruptionError, match="record 3 declares") as err:
             load_table(io.BytesIO(bytes(data)))
+        assert err.value.record_index == 3
+
+    @pytest.mark.parametrize("field", [0, 8], ids=["low", "count"])
+    @pytest.mark.parametrize("n", [30, 90])
+    def test_recurrence_mismatch_detected_when_the_set_is_rebuilt(self, field, n):
+        # n_max = 100 keeps S(0..52) in full, so S(30) is rebuilt at load
+        # and S(90) only when it is asked for
+        table = build_table(100)
+        assert full_set_limit(100) == 52
+        data = bytearray(_dump(table))
+        stored = struct.unpack_from("<Q", data, _record_start(n) + field)[0]
+        _put(data, n, field, stored - 1)
+        _reseal(data)
+        if n <= 52:
+            with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds"):
+                load_table(io.BytesIO(bytes(data)))
+            return
+        loaded = load_table(io.BytesIO(bytes(data)))
+        assert loaded.sets[n - 1] == table.sets[n - 1]
+        with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds with low {table.low[n]}"):
+            loaded.sets[n]
 
     def test_truncation_names_first_incomplete_record(self):
         data = _dump(build_table(4))
@@ -202,6 +195,15 @@ class TestValidation:
         with pytest.raises(TableCorruptionError, match="trailing"):
             load_table(io.BytesIO(data))
 
+    def test_swapped_records_detected(self):
+        table = build_table(20)
+        data = bytearray(_dump(table))
+        seven, eight = slice(_record_start(7), _record_end(7)), slice(_record_end(7), _record_end(8))
+        data[seven], data[eight] = data[eight], data[seven]
+        with pytest.raises(TableCorruptionError, match="record 7 checksum"):
+            load_table(io.BytesIO(bytes(data)))
+        assert load_table(io.BytesIO(bytes(data)), 6) == load_table(io.BytesIO(_dump(table)), 6)
+
 
 class TestPrefixRead:
     @pytest.fixture(scope="class")
@@ -211,17 +213,17 @@ class TestPrefixRead:
     @pytest.mark.parametrize("k", [0, 1, 7, 64, 300])
     def test_prefix_equals_built_sets(self, table300, k):
         loaded = load_table(io.BytesIO(_dump(table300)), k)
-        assert loaded.sets == table300.sets[: k + 1]
+        assert tuple(loaded.sets) == table300.sets[: k + 1]
 
     @pytest.mark.parametrize("k", [0, 1, 7, 64, 299])
     def test_read_stops_at_end_of_record(self, table300, k):
         source = io.BytesIO(_dump(table300))
         load_table(source, k)
-        assert source.tell() == _record_ends(table300)[k]
+        assert source.tell() == 10 + 20 * (k + 1)
 
     def test_request_beyond_file_returns_whole_table(self):
         table = build_table(6)
-        assert load_table(io.BytesIO(_dump(table)), 40).sets == table.sets
+        assert load_table(io.BytesIO(_dump(table)), 40) == table
 
     def test_full_read_checks_trailing_bytes(self):
         data = _dump(build_table(6)) + b"\x00"
@@ -235,109 +237,20 @@ class TestPrefixRead:
             load_table(io.BytesIO(_dump(build_table(2))), -1)
 
 
-class TestVersion1:
-    def test_trivial_table_layout(self):
-        data = dump_v1(build_table(0))
-        # magic, version, n_max, one record (length 1, one word = 1), checksum 1
-        assert data[:4] == b"RDIM"
-        version, n_max = struct.unpack("<HI", data[4:10])
-        assert (version, n_max) == (1, 0)
-        (bit_length,) = struct.unpack("<Q", data[10:18])
-        assert bit_length == 1
-        (word,) = struct.unpack("<Q", data[18:26])
-        assert word == 1
-        (checksum,) = struct.unpack("<Q", data[26:34])
-        assert checksum == 1
-        assert len(data) == 34
-
-    @pytest.mark.parametrize("n_max", [0, 1, 4, 100])
-    def test_loads_same_table(self, n_max):
-        table = build_table(n_max)
-        assert load_table(io.BytesIO(dump_v1(table))).sets == table.sets
-
-    def test_prefix_request_reads_whole_file(self):
-        table = build_table(20)
-        source = io.BytesIO(dump_v1(table))
-        assert load_table(source, 7).sets == table.sets[:8]
-        assert source.tell() == len(source.getvalue())
-
-    @pytest.mark.parametrize("n_max", [None, 3])
-    def test_footer_flip_raises_checksum(self, n_max):
-        data = bytearray(dump_v1(build_table(20)))
-        data[-3] ^= 0x10
-        with pytest.raises(TableCorruptionError, match="checksum"):
-            load_table(io.BytesIO(bytes(data)), n_max)
-
-
-class TestVersion2:
-    def test_trivial_table_layout(self):
-        data = dump_v2(build_table(0))
-        # magic, version, n_max, one record (length 1, one word = 1, CRC-32)
-        assert data[:4] == b"RDIM"
-        version, n_max = struct.unpack("<HI", data[4:10])
-        assert (version, n_max) == (2, 0)
-        (bit_length,) = struct.unpack("<Q", data[10:18])
-        assert bit_length == 1
-        (word,) = struct.unpack("<Q", data[18:26])
-        assert word == 1
-        (crc,) = struct.unpack("<I", data[26:30])
-        assert crc == zlib.crc32(data[:26])
-        assert len(data) == 30
-
-    @pytest.mark.parametrize("n_max", [0, 1, 4, 100])
-    def test_loads_same_table(self, n_max):
-        table = build_table(n_max)
-        assert load_table(io.BytesIO(dump_v2(table))).sets == table.sets
-
-    @pytest.mark.parametrize("k", [0, 7, 19])
-    def test_prefix_read_stops_at_end_of_record(self, k):
-        table = build_table(20)
-        source = io.BytesIO(dump_v2(table))
-        assert load_table(source, k).sets == table.sets[: k + 1]
-        assert source.tell() == _v2_record_start(k + 1)
-
-    def test_word_flip_raises_checksum(self):
-        data = bytearray(dump_v2(build_table(4)))
-        data[_v2_record_start(4) + 8] ^= 0x01  # first data word of record 4
-        with pytest.raises(TableCorruptionError, match="record 4 checksum"):
-            load_table(io.BytesIO(bytes(data)))
-
-    def test_padding_and_bit_length_checked_behind_valid_crcs(self):
-        table = build_table(4)
-        ends = [_v2_record_start(k + 1) for k in range(5)]
-        data = bytearray(dump_v2(table))
-        data[_v2_record_start(3) + 15] ^= 0x80  # record 3 has 4 bits in one word
-        _reseal(data, ends)
-        with pytest.raises(TableCorruptionError, match="record 3 has nonzero padding"):
-            load_table(io.BytesIO(bytes(data)))
-        data = bytearray(dump_v2(table))
-        data[_v2_record_start(2)] ^= 0x01
-        _reseal(data, ends)
-        with pytest.raises(TableCorruptionError, match="record 2 declares bit length 3"):
-            load_table(io.BytesIO(bytes(data)))
-
-
 FUZZ_N_MAX = 12
 _FUZZ_TABLE = build_table(FUZZ_N_MAX)
 _FUZZ_DATA = _dump(_FUZZ_TABLE)
-_FUZZ_ENDS = _record_ends(_FUZZ_TABLE)
 # starts of the magic, version and n_max fields, then of every record's
-# low and tail-length fields, each tail word and its CRC
+# low, count and CRC
 _FIELD_STARTS = sorted(
     {0, 4, 6}
-    | {start + field for start in _record_starts(_FUZZ_TABLE) for field in (0, 8)}
-    | {end - 4 for end in _FUZZ_ENDS}
-    | {
-        start + 16 + 8 * w
-        for start, dimset in zip(_record_starts(_FUZZ_TABLE), _FUZZ_TABLE.sets)
-        for w in range(_tail_words(dimset))
-    }
+    | {_record_start(n) + field for n in range(FUZZ_N_MAX + 1) for field in (0, 8, 16)}
 )
 
 
 @st.composite
 def _corruptions(draw):
-    """One word flipped, or two words swapped, in the fuzz table's v3 bytes;
+    """One word flipped, or two words swapped, in the fuzz table's v4 bytes;
     returns the bytes and the lowest offset touched."""
     data = bytearray(_FUZZ_DATA)
     width = draw(st.sampled_from([1, 4, 8]))
@@ -358,8 +271,8 @@ def _corruptions(draw):
 
 def _sets_or_none(data: bytes, n_max: int | None):
     try:
-        return load_table(io.BytesIO(data), n_max).sets
-    except (TableCorruptionError, UnsupportedFormatError):
+        return tuple(load_table(io.BytesIO(data), n_max).sets)
+    except ValueError:  # corruption, an unknown format, or a set that rebuilds wrong
         return None
 
 
@@ -368,25 +281,46 @@ class TestCorruptionFuzz:
     @given(_corruptions())
     def test_single_corruption_detected_or_harmless(self, case):
         data, first_touched = case
-        assert _sets_or_none(data, None) in (None, _FUZZ_TABLE.sets)
-        for k, end in enumerate(_FUZZ_ENDS):
+        assert _sets_or_none(data, None) in (None, tuple(_FUZZ_TABLE.sets))
+        for k in range(FUZZ_N_MAX + 1):
             expected = _FUZZ_TABLE.sets[: k + 1]
             got = _sets_or_none(data, k)
-            if first_touched >= end:
+            if first_touched >= _record_end(k):
                 assert got == expected  # the read never reached the change
             else:
                 assert got in (None, expected)
 
     def test_swapped_words_in_last_record_detected(self):
-        # the v1 word sum cannot see this: both words stay in the file
         table = build_table(100)
         data = bytearray(_dump(table))
-        start = _record_starts(table)[100] + 16
-        nwords = _tail_words(table.sets[100])
-        words = [data[start + 8 * w : start + 8 * w + 8] for w in range(nwords)]
-        other = next(w for w in range(1, len(words)) if words[w] != words[0])
-        data[start : start + 8] = words[other]
-        data[start + 8 * other : start + 8 * other + 8] = words[0]
+        start = _record_start(100)
+        low, count = data[start : start + 8], data[start + 8 : start + 16]
+        assert low != count
+        data[start : start + 16] = count + low
         with pytest.raises(TableCorruptionError, match="record 100 checksum"):
             load_table(io.BytesIO(bytes(data)))
-        assert load_table(io.BytesIO(bytes(data)), 99).sets == table.sets[:100]
+        assert tuple(load_table(io.BytesIO(bytes(data)), 99).sets) == table.sets[:100]
+
+    @pytest.mark.parametrize("n_max,records", [(100, range(101)), (1000, (0, 1, 500, 999, 1000))])
+    def test_every_single_byte_corruption_names_its_record(self, big_table, n_max, records):
+        # every byte of the header and of the given records, two flips each;
+        # each record's CRC is checked before the next record is read
+        data = _dump(load_table(io.BytesIO(_dump(big_table)), n_max))
+        positions = [*range(HEADER), *(p for n in records for p in range(_record_start(n), _record_end(n)))]
+        missed = []
+        for pos in positions:
+            for flip in (0x01, 0xFF):
+                corrupted = bytearray(data)
+                corrupted[pos] ^= flip
+                n = max(0, (pos - HEADER) // RECORD)  # the header is under record 0's CRC
+                try:
+                    load_table(io.BytesIO(bytes(corrupted)))
+                except TableCorruptionError as exc:
+                    if exc.record_index != n:
+                        missed.append((pos, flip))
+                except UnsupportedFormatError:
+                    if pos >= 6:  # only the magic and the version name no record
+                        missed.append((pos, flip))
+                else:
+                    missed.append((pos, flip))
+        assert missed == []

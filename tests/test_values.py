@@ -44,9 +44,9 @@ CASES = {
     ),
     "DimTable": (
         lambda: build_table(3),
-        lambda: DimTable(tuple(DimSet(s.n, s.bits) for s in build_table(3).sets)),
+        lambda: DimTable([1, 1, 2, 2], [1, 1, 2, 3]),
         lambda: build_table(4),
-        ("sets",),
+        ("low", "count", "sets"),
     ),
     "Partition": (
         lambda: Partition((3, 1)),
@@ -149,5 +149,5 @@ def test_partition_n_is_left_out_of_comparison():
 
 
 def test_values_of_different_types_differ():
-    assert DimSet(0, 1) != DimTable((DimSet(0, 1),))
+    assert DimSet(0, 1) != DimTable((1,), (1,))
     assert Partition((1,)) != MarkedPartition(Partition((1,)))

@@ -7,9 +7,12 @@ For the tree's ``src`` it records, untraced:
 
 * ``build_table(n)`` for each n in ``--sizes``: the best of ``REPEATS``
   wall times in one child, and that child's peak RSS;
-* ``save_table`` of the n_max = 1000 table to memory (one child, which
-  builds the table untimed) and ``load_table`` of that file (another
-  child, which only imports and loads), each with bytes and peak RSS;
+* ``save_table`` of the n_max = 1000 and 4096 tables to memory (one
+  child each, which builds the table untimed) and ``load_table`` of that
+  file (another child, which only imports and loads), each with bytes
+  and peak RSS;
+* one set on demand, ``load_table(fh, n).sets[n]`` from the n_max = 4096
+  file, at each n in ``ON_DEMAND_N`` (a child each; bytes read, peak RSS);
 * the build's growth exponent from n = 1000 to each larger size;
 * start-up: for ``python -c pass``, ``python -c "import reinhardt.cli"``
   and one small argv per CLI subcommand (``STARTUP_ARGV``), the best of
@@ -21,11 +24,15 @@ For the tree's ``src`` it records, untraced:
   digest of those files (the revision alone misses uncommitted edits).
 
 Every child starts from a fresh interpreter with ``PYTHONPATH`` set to
-the tree's ``src``, so its peak RSS covers one measurement.  The result
+the tree's ``src``, so its peak RSS covers one measurement.  It reads
+that peak as its own ``VmHWM`` where Linux gives one: its ``ru_maxrss``
+also counts the memory of this process, which it starts as a copy of,
+so it never read below about 18.6 MiB.  The result
 is stored under ``runs[NAME]`` in the ``--out`` JSON file; runs already
 there under other names are kept, so measuring two trees into one file
 compares them.  Mind the sizes: a tree that expands every set, as the
-sources before format v3 do, needs about 1.4 GB at n = 4096.
+sources before format v3 do, needs about 1.4 GB at n = 4096, and one
+that holds every tail (format v3) about 0.5 GB at n = 8192.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ import tempfile
 import time
 from pathlib import Path
 
-SAVE_LOAD_N = 1000
+SAVE_LOAD_N = (1000, 4096)  # the last file also serves ON_DEMAND_N
+ON_DEMAND_N = (803, 4096)
 REPEATS = 5  # timed runs per child; the best is kept
 #: one small argv per subcommand, so start-up dominates each child
 STARTUP_ARGV = {
@@ -76,7 +84,7 @@ elif op == "save":
         best = min(best, time.perf_counter() - started)
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
-else:
+elif op == "load":
     with open(path, "rb") as fh:
         for _ in range(reps):
             fh.seek(0)
@@ -86,7 +94,21 @@ else:
             size = fh.tell()
             assert table.n_max == n
             del table
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+else:  # one set on demand from the front of a larger file
+    with open(path, "rb") as fh:
+        for _ in range(reps):
+            fh.seek(0)
+            started = time.perf_counter()
+            dimset = load_table(fh, n).sets[n]
+            best = min(best, time.perf_counter() - started)
+            size = fh.tell()
+            assert dimset.n == n
+            del dimset
+try:  # this process's own high-water mark; ru_maxrss would count the parent
+    with open("/proc/self/status") as fh:  # it was started as a copy of
+        rss = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
 result = {"s": round(best, 4), "bytes": size, "maxrss_mib": round(rss / 1024, 1)}
 print(json.dumps({**result, "module": reinhardt.__file__}))
 """
@@ -163,10 +185,13 @@ def measure(tree: Path, sizes: list[int]) -> dict:
     run: dict = {"revision": _revision(tree), "src_sha256": digest[:12], "repeats": REPEATS}
     run["src_lines"] = sum(len(p.read_text().splitlines()) for p in files)
     run["build_table"] = {str(n): _child(src, "build", n, "") for n in sizes}
+    run["save_table"], run["load_table"] = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.rdim")
-        run["save_table"] = {str(SAVE_LOAD_N): _child(src, "save", SAVE_LOAD_N, path)}
-        run["load_table"] = {str(SAVE_LOAD_N): _child(src, "load", SAVE_LOAD_N, path)}
+        for n in SAVE_LOAD_N:
+            run["save_table"][str(n)] = _child(src, "save", n, path)
+            run["load_table"][str(n)] = _child(src, "load", n, path)
+        run["set_on_demand"] = {str(n): _child(src, "set", n, path) for n in ON_DEMAND_N}
     times = {int(n): r["s"] for n, r in run["build_table"].items()}
     run["build_growth_exp"] = _growth_exponents(times)
     probes = {"pass": ("-c", "pass"), "import reinhardt.cli": ("-c", "import reinhardt.cli")}
