@@ -11,11 +11,11 @@ object with a ``rows`` array.  The environment variable
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import chain, islice
-from typing import Any, Iterable, Sequence, TextIO
+from types import SimpleNamespace
+from typing import Any, Iterable, NoReturn, Sequence, TextIO
 
 # Each command imports the rest of the package when it runs, so a process
 # loads only what its command uses.
@@ -109,7 +109,7 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8"), True
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     from .sequences import ratio_table
 
     if not 2 <= args.min_n <= args.max_n:
@@ -134,7 +134,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_set(args: argparse.Namespace) -> int:
+def cmd_set(args: SimpleNamespace) -> int:
     n = args.n
     if n < 0:
         raise CliError(f"n must be non-negative, got {n}")
@@ -188,7 +188,7 @@ def _classification_record(result) -> dict[str, Any]:
     }
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: SimpleNamespace) -> int:
     from .classify import classify_dimension
 
     if args.n < 2:
@@ -213,7 +213,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
+def cmd_witness(args: SimpleNamespace) -> int:
     from .classify import make_witness, realizations
 
     if args.n < 2:
@@ -252,7 +252,7 @@ _VERIFY_SUITES = {
 _VERIFY_TABLE_PAST = {"sequences": 0, "numh": 1}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from . import verifiers
 
     past = _VERIFY_TABLE_PAST.get(args.suite)
@@ -293,7 +293,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if report.status == verifiers.STATUS_FAIL else 0
 
 
-def cmd_sequence(args: argparse.Namespace) -> int:
+def cmd_sequence(args: SimpleNamespace) -> int:
     from .sequences import growth_sequence
 
     if args.max_n < 1:
@@ -319,81 +319,189 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reinhardt",
-        description=(
-            "Achievable automorphism-group dimensions of hyperbolic Reinhardt"
-            " domains: tables, classification, witnesses, verification."
+_FORMAT = ("--format", str, "csv", ("csv", "json"), "output format")
+_CACHE = (
+    ("--cache", str, None, None, f"table cache path (default ${CACHE_ENV_VAR})"),
+    ("--no-cache", bool, False, None, "neither read nor write a table cache"),
+    ("--force", bool, False, None, f"build past n={BUILD_LIMIT} when no cache covers n"),
+)
+_REQUIRED = object()  # the default of an option that must be given
+
+#: command -> (help, options); an option is (flag, type, default or
+#: _REQUIRED, choices or None, help), and type ``bool`` takes no value
+_COMMANDS = {
+    "table": (
+        "counts c(n), h(n) and their growth ratios",
+        (
+            ("--max-n", int, _REQUIRED, None, "last row"),
+            ("--min-n", int, 2, None, "first row"),
+            _FORMAT,
+            ("--out", str, None, None, "output path (default stdout)"),
+            *_CACHE,
         ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    def add_cache(p: argparse.ArgumentParser) -> None:
-        cache_help = f"table cache path (default ${CACHE_ENV_VAR})"
-        p.add_argument("--cache", default=None, help=cache_help)
-        p.add_argument("--no-cache", action="store_true")
-        force_help = f"build past n={BUILD_LIMIT} when no cache covers n"
-        p.add_argument("--force", action="store_true", help=force_help)
-
-    p = sub.add_parser("table", help="counts c(n), h(n) and their growth ratios")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--min-n", type=int, default=2, dest="min_n")
-    add_format(p)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    add_cache(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("set", help="print one achievable-dimension set")
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    add_cache(p)
-    p.set_defaults(func=cmd_set)
-
-    p = sub.add_parser("classify", help="classify a queried (n, dim)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("witness", help="symbolic domain realizing (n, dim)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--index", type=int, default=0)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("verify", help="run a finite verification suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=sorted(_VERIFY_SUITES),
-        help=(
-            "bounds: value bounds and parity; lemma-largest: large values need a"
-            " big block; numh: noncompact growth (report-only); arms: Young-diagram"
-            " arm totals; brute: recurrence vs enumeration; prop7: two-block closed"
-            " form vs enumeration; sequences: growth-sequence invariants"
+    ),
+    "set": (
+        "print one achievable-dimension set",
+        (("--n", int, _REQUIRED, None, "complex dimension"), _FORMAT, *_CACHE),
+    ),
+    "classify": (
+        "classify a queried (n, dim)",
+        (
+            ("--n", int, _REQUIRED, None, "complex dimension"),
+            ("--dim", int, _REQUIRED, None, "automorphism-group dimension"),
+            _FORMAT,
         ),
+    ),
+    "witness": (
+        "symbolic domain realizing (n, dim)",
+        (
+            ("--n", int, _REQUIRED, None, "complex dimension"),
+            ("--dim", int, _REQUIRED, None, "automorphism-group dimension"),
+            ("--index", int, 0, None, "which candidate realization"),
+        ),
+    ),
+    "verify": (
+        "run a finite verification suite",
+        (
+            (
+                "--suite",
+                str,
+                _REQUIRED,
+                tuple(sorted(_VERIFY_SUITES)),
+                "bounds: value bounds and parity; lemma-largest: large values need a"
+                " big block; numh: noncompact growth (report-only); arms: Young-diagram"
+                " arm totals; brute: recurrence vs enumeration; prop7: two-block closed"
+                " form vs enumeration; sequences: growth-sequence invariants",
+            ),
+            ("--max-n", int, _REQUIRED, None, "last n checked"),
+            _FORMAT,
+        ),
+    ),
+    "sequence": (
+        "rows of the inductive growth sequences",
+        (("--max-n", int, _REQUIRED, None, "last row"), _FORMAT),
+    ),
+}
+_DESCRIPTION = (
+    "Achievable automorphism-group dimensions of hyperbolic Reinhardt"
+    " domains: tables, classification, witnesses, verification."
+)
+
+
+def _spelled(flag: str, kind: type, choices: tuple[str, ...] | None) -> str:
+    """The option as usage shows it: ``--max-n MAX_N``, ``--format {csv,json}``."""
+    if kind is bool:
+        return flag
+    if choices:
+        return f"{flag} {{{','.join(choices)}}}"
+    return f"{flag} {flag[2:].upper().replace('-', '_')}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: reinhardt [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = ["usage: reinhardt", command, "[-h]"]
+    for flag, kind, default, choices, _ in _COMMANDS[command][1]:
+        word = _spelled(flag, kind, choices)
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(command: str | None) -> str:
+    import textwrap
+
+    if command is None:
+        lines = [_usage(None), "", _DESCRIPTION, "", "commands:"]
+        for name, (summary, _) in _COMMANDS.items():
+            lines += [f"  {name:<10}{summary}", "    " + _usage(name)[len("usage: ") :]]
+        lines += ["", "Run `reinhardt COMMAND --help` for a command's options."]
+        return "\n".join(lines)
+    lines = [_usage(command), "", _COMMANDS[command][0], "", "options:"]
+    lines.append("  -h, --help\n      show this help message and exit")
+    for flag, kind, default, choices, text in _COMMANDS[command][1]:
+        if default is _REQUIRED:
+            text += " (required)"
+        elif default not in (None, False):
+            text += f" (default {default})"
+        lines.append("  " + _spelled(flag, kind, choices))
+        lines += textwrap.wrap(text, 76, initial_indent=" " * 6, subsequent_indent=" " * 6)
+    return "\n".join(lines)
+
+
+def _usage_error(command: str | None, message: str) -> NoReturn:
+    print(_usage(command), file=sys.stderr)
+    print(f"reinhardt: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_option(word: str) -> bool:
+    """Whether ``word`` names an option: "-" and negative numbers are values."""
+    return word[:1] == "-" and word != "-" and not word[1:].isdigit()
+
+
+def _parse(argv: Sequence[str]) -> tuple[str, SimpleNamespace]:
+    """The command named by ``argv`` and its options.  Options are spelled
+    in full, as ``--opt value`` or ``--opt=value``; the last of a repeated
+    option wins.  ``-h``/``--help`` prints help and exits 0; a usage error
+    exits 2."""
+    if argv and argv[0] in ("-h", "--help"):
+        print(_help(None))
+        raise SystemExit(0)
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    options = {spec[0]: spec for spec in _COMMANDS[command][1]}
+    given: dict[str, Any] = {}
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if token in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(0)
+        flag, eq, value = token.partition("=")
+        spec = options.get(flag) if token.startswith("--") else None
+        if spec is None:
+            _usage_error(command, f"unrecognized arguments: {token}")
+        _, kind, _, choices, _ = spec
+        if kind is bool:
+            if eq:
+                _usage_error(command, f"argument {flag}: ignored explicit argument {value!r}")
+            given[flag] = True
+            continue
+        if not eq:
+            if i == len(rest) or _is_option(rest[i]):
+                _usage_error(command, f"argument {flag}: expected one argument")
+            value = rest[i]
+            i += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(command, f"argument {flag}: invalid int value: {value!r}")
+        if choices and value not in choices:
+            listed = ", ".join(map(repr, choices))
+            _usage_error(
+                command, f"argument {flag}: invalid choice: {value!r} (choose from {listed})"
+            )
+        given[flag] = value
+    missing = [f for f, spec in options.items() if spec[2] is _REQUIRED and f not in given]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    # each option as an attribute: --max-n is max_n
+    return command, SimpleNamespace(
+        **{flag[2:].replace("-", "_"): given.get(flag, spec[2]) for flag, spec in options.items()}
     )
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sequence", help="rows of the inductive growth sequences")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    add_format(p)
-    p.set_defaults(func=cmd_sequence)
-
-    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    command, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a wrapped cmd_* is the one that runs
+        return globals()[f"cmd_{command}"](args)
     except (
         CliError,
         TableCorruptionError,

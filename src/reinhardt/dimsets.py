@@ -470,7 +470,18 @@ def is_realizable(table: DimTable, n: int, dim: int) -> bool:
             sa, sb = table.sets[a].bits, table.sets[b].bits
             for t in budgets:  # bit i of sa and bit t-i of sb: reverse one window
                 window = min(t, sb.bit_length() - 1)
-                rev = int(format(sb & ((1 << (window + 1)) - 1), f"0{window + 1}b")[::-1], 2)
+                rev = _reverse_bits(sb & ((1 << (window + 1)) - 1), window + 1)
                 if (sa >> (t - window)) & rev:
                     return True
     return False
+
+
+#: each byte with its bits in reverse order
+_REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _reverse_bits(x: int, width: int) -> int:
+    """``x`` (below ``2**width``) with its ``width`` low bits in reverse
+    order: its bytes reversed in order and each byte through :data:`_REV8`."""
+    size = (width + 7) // 8
+    return int.from_bytes(x.to_bytes(size, "big").translate(_REV8), "little") >> (8 * size - width)

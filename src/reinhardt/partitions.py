@@ -170,18 +170,20 @@ def iter_partition_tuples(n: int, max_part: int | None = None) -> Iterator[tuple
             a.append(r)
 
 
-def iter_square_sums(n: int, max_part: int | None = None) -> Iterator[int]:
-    """Yield ``sum(p * p for p in parts)`` for each ``parts`` that
+def _walk(n: int, max_part: int | None = None) -> Iterator[tuple[int, list[int], int]]:
+    """Yield ``(square sum, big, ones)`` for each ``parts`` that
     :func:`iter_partition_tuples` yields for the same arguments, in the
-    same order, without building the tuples.
+    same order, without building the tuples: ``parts`` is
+    ``tuple(big) + (1,) * ones``.
 
-    The walk keeps the parts above 1 in a list and the 1s as a count, and
-    updates the square sum by what each step removes and adds.
+    ``big`` is the walk's live list of the parts above 1, changed by the
+    next step, so a caller that keeps it must copy it.  The square sum is
+    updated by what each step removes and adds.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative integer ({n})")
     if n == 0:
-        yield 0
+        yield 0, [], 0
         return
     cap = n if max_part is None else min(max_part, n)
     if cap < 1:
@@ -207,6 +209,14 @@ def iter_square_sums(n: int, max_part: int | None = None) -> Iterator[int]:
                 total += ones * ones
                 ones = 0
         total += ones
+        yield total, big, ones
+
+
+def iter_square_sums(n: int, max_part: int | None = None) -> Iterator[int]:
+    """Yield ``sum(p * p for p in parts)`` for each ``parts`` that
+    :func:`iter_partition_tuples` yields for the same arguments, in the
+    same order: the first field of :func:`_walk`."""
+    for total, _, _ in _walk(n, max_part):
         yield total
 
 

@@ -22,12 +22,7 @@ from .dimsets import (
     square_sums_bruteforce,
     two_block_dimensions,
 )
-from .partitions import (
-    ORACLE_MAX_N,
-    distinct_arm_values,
-    iter_partition_tuples,
-    iter_square_sums,
-)
+from .partitions import ORACLE_MAX_N, _walk, distinct_arm_values, iter_partition_tuples
 from .sequences import growth_sequence
 
 #: Full-enumeration suites refuse ranges beyond these; the limits are
@@ -83,7 +78,11 @@ def verify_bounds(n_lo: int, n_hi: int) -> CheckReport:
     For every partition and mark count the achievable values form a run
     between the q smallest and q largest marked parts, and every bound
     checked here is one-sided, so checking the two extremes per class is
-    an exhaustive check of the whole class.
+    an exhaustive check of the whole class.  Parts are positive, so both
+    extremes grow with q: the lower bound holds for every q if it holds
+    at q = 0 (the square sum), and the upper bounds if they hold at q = k
+    (the square sum plus 2n).  Only a partition that fails there is built
+    and checked class by class, which names every failing class.
     """
     started = time.perf_counter()
     if not 2 <= n_lo <= n_hi:
@@ -92,35 +91,51 @@ def verify_bounds(n_lo: int, n_hi: int) -> CheckReport:
         raise ValueError(f"bounds suite is limited to n <= {BOUNDS_MAX_N}, got {n_hi}")
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):
-        nn = n * n
-        for parts in iter_partition_tuples(n):
-            k = len(parts)
-            base = sum(p * p for p in parts)
-            if (base - n) % 2:
-                ces.append((n, base, f"parity violated by partition {parts}"))
-            cap = (n - k + 1) ** 2 + k - 1
-            # prefix sums over descending parts give the q-mark extremes
-            largest = 0
-            smallest = 0
-            for q in range(k + 1):
-                if q:
-                    largest += parts[q - 1]
-                    smallest += parts[k - q]
-                lo_val = base + 2 * smallest
-                hi_val = base + 2 * largest
-                if lo_val < n:
-                    ces.append((n, lo_val, f"below n via {parts} with {q} marks"))
-                if k >= 2 and hi_val > nn + 2:
-                    ces.append((n, hi_val, f"exceeds n^2+2 via {parts} with {q} marks"))
-                if q == 0 and hi_val > cap:
-                    ces.append((n, hi_val, f"unmarked value exceeds (n-k+1)^2+k-1 via {parts}"))
-                if hi_val > cap + 2 * n:
-                    ces.append(
-                        (n, hi_val, f"exceeds (n-k+1)^2+k-1+2n via {parts} with {q} marks")
-                    )
-                if n >= 4 and k >= 3 and hi_val >= nn:
-                    ces.append((n, hi_val, f"reaches n^2 with {k} >= 3 blocks via {parts}"))
+        # the upper bounds on base + 2n, the value with every part marked
+        above_top = n * n + 2 - 2 * n  # base + 2n > n^2 + 2
+        at_top = n * n - 2 * n  # base + 2n >= n^2
+        for base, big, ones in _walk(n):
+            k = len(big) + ones
+            if (
+                (base - n) % 2
+                or base < n
+                or base > (n - k + 1) ** 2 + k - 1
+                or (k >= 2 and base > above_top)
+                or (n >= 4 and k >= 3 and base >= at_top)
+            ):
+                _bounds_failures(n, tuple(big) + (1,) * ones, base, ces)
     return _finish("bounds", n_lo, n_hi, ces, started)
+
+
+def _bounds_failures(
+    n: int, parts: tuple[int, ...], base: int, ces: list[Counterexample]
+) -> None:
+    """Append every bound that one partition of n with square sum ``base``
+    breaks, for each mark count q = 0..k."""
+    nn = n * n
+    k = len(parts)
+    if (base - n) % 2:
+        ces.append((n, base, f"parity violated by partition {parts}"))
+    cap = (n - k + 1) ** 2 + k - 1
+    # prefix sums over descending parts give the q-mark extremes
+    largest = 0
+    smallest = 0
+    for q in range(k + 1):
+        if q:
+            largest += parts[q - 1]
+            smallest += parts[k - q]
+        lo_val = base + 2 * smallest
+        hi_val = base + 2 * largest
+        if lo_val < n:
+            ces.append((n, lo_val, f"below n via {parts} with {q} marks"))
+        if k >= 2 and hi_val > nn + 2:
+            ces.append((n, hi_val, f"exceeds n^2+2 via {parts} with {q} marks"))
+        if q == 0 and hi_val > cap:
+            ces.append((n, hi_val, f"unmarked value exceeds (n-k+1)^2+k-1 via {parts}"))
+        if hi_val > cap + 2 * n:
+            ces.append((n, hi_val, f"exceeds (n-k+1)^2+k-1+2n via {parts} with {q} marks"))
+        if n >= 4 and k >= 3 and hi_val >= nn:
+            ces.append((n, hi_val, f"reaches n^2 with {k} >= 3 blocks via {parts}"))
 
 
 def verify_largest_part(
@@ -150,13 +165,25 @@ def verify_largest_part(
                 continue
             if not any(value - (n - i) ** 2 in rest for i, rest in enumerate(rests)):
                 ces.append((n, value, "no realizing split with a block above n/2"))
-        best = max(iter_square_sums(n, n // 2))
+        best = _max_square_sum(n, n // 2)
         if 4 * best > 3 * n * n:
             best_parts = max(
                 iter_partition_tuples(n, n // 2), key=lambda t: sum(p * p for p in t)
             )
             ces.append((n, best, f"capped-part maximum exceeds 3n^2/4 via {best_parts}"))
     return _finish("lemma-largest", n_lo, n_hi, ces, started)
+
+
+def _max_square_sum(n: int, cap: int) -> int:
+    """The largest square sum over the partitions of n with every part at
+    most ``cap`` (cap >= 1): an unbounded-knapsack maximum, O(n * cap)."""
+    top = list(range(n + 1))  # parts of 1 alone
+    for p in range(2, min(cap, n) + 1):
+        pp = p * p
+        for m in range(p, n + 1):
+            if top[m - p] + pp > top[m]:
+                top[m] = top[m - p] + pp
+    return top[n]
 
 
 def verify_noncompact_growth(

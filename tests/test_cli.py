@@ -493,3 +493,87 @@ class TestSequence:
         code, out, _ = run(capsys, "sequence", "--max-n", "2", "--format", "json")
         doc = json.loads(out)
         assert doc["rows"][0] == {"n": 0, "f": 0, "2g": 4, "k": None}
+
+
+class TestArgv:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["tabel", "--max-n", "5"],  # unknown command
+            ["table", "--max-n", "5", "--bogus"],  # unknown option
+            ["table", "--max", "5"],  # options are spelled in full
+            ["set", "--n", "5", "stray"],
+            ["classify", "--n", "5"],  # missing required option
+            ["table", "--max-n"],  # missing value
+            ["table", "--max-n", "--no-cache"],
+            ["set", "--n", "five"],  # bad int
+            ["set", "--n=5.0"],
+            ["verify", "--suite", "bogus", "--max-n", "5"],  # bad choice
+            ["sequence", "--max-n", "5", "--format", "xml"],
+            ["set", "--n", "5", "--no-cache=yes"],  # a flag takes no value
+        ],
+    )
+    def test_usage_error_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage:")
+        assert "reinhardt: error: " in captured.err
+
+    @pytest.mark.parametrize(
+        "spaced,joined",
+        [
+            (["set", "--n", "12", "--no-cache"], ["set", "--n=12", "--no-cache"]),
+            (
+                ["table", "--max-n", "5", "--min-n", "4", "--format", "json", "--no-cache"],
+                ["table", "--max-n=5", "--min-n=4", "--format=json", "--no-cache"],
+            ),
+            (
+                ["verify", "--suite", "bounds", "--max-n", "12"],
+                ["verify", "--suite=bounds", "--max-n=12"],
+            ),
+            # the last of a repeated option wins
+            (["witness", "--n", "4", "--dim", "12", "--index", "1"],
+             ["witness", "--n=4", "--dim", "12", "--index", "9", "--index=1"]),
+        ],
+    )
+    def test_equals_form_gives_the_same_output(self, capsys, spaced, joined):
+        first = run(capsys, *spaced)
+        assert first[0] == 0 and first[1]
+        assert run(capsys, *joined) == first
+
+    def test_dash_and_negative_number_are_values(self, capsys):
+        code, out, err = run(capsys, "set", "--n", "-3", "--no-cache")
+        assert (code, out) == (1, "") and "non-negative" in err
+        dash = run(capsys, "table", "--max-n", "5", "--out", "-", "--no-cache")
+        assert dash == run(capsys, "table", "--max-n", "5", "--no-cache")
+
+    def test_help_lists_every_command_option_and_suite(self, capsys):
+        for argv in (["--help"], ["-h"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            for command, (_, options) in reinhardt.cli._COMMANDS.items():
+                assert command in captured.out
+                for flag, *_ in options:
+                    assert flag in captured.out
+            for suite in reinhardt.cli._VERIFY_SUITES:
+                assert suite in captured.out
+
+    @pytest.mark.parametrize("command", list(reinhardt.cli._COMMANDS))
+    def test_command_help_lists_its_options(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: reinhardt {command} ")
+        for flag, *_ in reinhardt.cli._COMMANDS[command][1]:
+            assert f"\n  {flag}" in out
+        if command == "verify":
+            for suite in reinhardt.cli._VERIFY_SUITES:
+                assert suite in out

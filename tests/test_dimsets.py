@@ -19,7 +19,13 @@ from reinhardt import (
     square_sums_bruteforce,
     two_block_dimensions,
 )
-from reinhardt.dimsets import _step, full_set_limit, marked_set_rows, set_bit_length
+from reinhardt.dimsets import (
+    _reverse_bits,
+    _step,
+    full_set_limit,
+    marked_set_rows,
+    set_bit_length,
+)
 from reinhardt.partitions import iter_partition_tuples, iter_square_sums
 
 
@@ -374,3 +380,10 @@ class TestRealizableMembership:
                     achievable.add(base + 2 * s)
         for dim in range(n - 3, n * n + 2 * n + 3):
             assert is_realizable(table64, n, dim) == (dim in achievable)
+
+    def test_window_reversal_equals_string_reversal(self):
+        rng = random.Random(2048)
+        for width in range(1, 2049):
+            for x in (0, 1, (1 << width) - 1, rng.getrandbits(width), rng.getrandbits(width)):
+                expected = int(format(x, f"0{width}b")[::-1], 2)
+                assert _reverse_bits(x, width) == expected, (x, width)

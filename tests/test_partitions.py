@@ -16,7 +16,7 @@ from reinhardt import (
     square_sums_bruteforce,
     sum_of_squares,
 )
-from reinhardt.partitions import iter_partition_tuples, iter_square_sums
+from reinhardt.partitions import _walk, iter_partition_tuples, iter_square_sums
 
 
 def parts_list(n):
@@ -60,8 +60,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(0, 41))
     def test_square_sum_walk_matches_tuples(self, n):
         for cap in (None, *range(-1, n + 2)):
-            walked = list(iter_square_sums(n, cap))
-            assert walked == [sum(p * p for p in t) for t in iter_partition_tuples(n, cap)]
+            tuples = list(iter_partition_tuples(n, cap))
+            sums = [sum(p * p for p in t) for t in tuples]
+            assert list(iter_square_sums(n, cap)) == sums
+            # the walk's state is the partition itself
+            walked = [(total, tuple(big) + (1,) * ones) for total, big, ones in _walk(n, cap)]
+            assert walked == list(zip(sums, tuples))
 
     def test_square_sum_walk_rejects_negative_n(self):
         with pytest.raises(ValueError):

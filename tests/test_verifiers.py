@@ -11,7 +11,8 @@ from reinhardt import (
     verify_two_block_closed_form,
 )
 from reinhardt.dimsets import DimSet
-from reinhardt.partitions import iter_partition_tuples
+from reinhardt.partitions import iter_partition_tuples, iter_square_sums
+from reinhardt.verifiers import _max_square_sum
 
 
 class _WrongTable:
@@ -57,6 +58,72 @@ class TestBoundsSuite:
         assert max(dimensions_bruteforce(5, 2, 2)) == 27
 
 
+def _per_class_bounds(n, states):
+    """The bounds suite's check of every partition class by class, as it
+    ran before it checked only each partition's extremes: the oracle for
+    the failure path.  ``states`` holds (square sum, parts) pairs."""
+    ces = []
+    nn = n * n
+    for base, parts in states:
+        k = len(parts)
+        if (base - n) % 2:
+            ces.append((n, base, f"parity violated by partition {parts}"))
+        cap = (n - k + 1) ** 2 + k - 1
+        largest = 0
+        smallest = 0
+        for q in range(k + 1):
+            if q:
+                largest += parts[q - 1]
+                smallest += parts[k - q]
+            lo_val = base + 2 * smallest
+            hi_val = base + 2 * largest
+            if lo_val < n:
+                ces.append((n, lo_val, f"below n via {parts} with {q} marks"))
+            if k >= 2 and hi_val > nn + 2:
+                ces.append((n, hi_val, f"exceeds n^2+2 via {parts} with {q} marks"))
+            if q == 0 and hi_val > cap:
+                ces.append((n, hi_val, f"unmarked value exceeds (n-k+1)^2+k-1 via {parts}"))
+            if hi_val > cap + 2 * n:
+                ces.append(
+                    (n, hi_val, f"exceeds (n-k+1)^2+k-1+2n via {parts} with {q} marks")
+                )
+            if n >= 4 and k >= 3 and hi_val >= nn:
+                ces.append((n, hi_val, f"reaches n^2 with {k} >= 3 blocks via {parts}"))
+    return ces
+
+
+class TestBoundsFailurePath:
+    @pytest.mark.parametrize(
+        "n,index,delta",
+        [
+            (9, 5, 1),  # odd: parity, and the run above it
+            (9, 0, 4),  # (9,) above n^2 + 2 once marked, and above its cap
+            (12, 40, -60),  # below n
+            (14, 100, 2 * 14 * 14),  # every upper bound
+            (3, 2, 2),  # (1, 1, 1) at n = 3, below the n^2 bound's range
+        ],
+    )
+    def test_names_what_the_per_class_check_names(self, monkeypatch, n, index, delta):
+        walk = reinhardt.verifiers._walk
+        seen = {}
+
+        def walk_with_a_corrupt_state(m, max_part=None):
+            states = seen.setdefault(m, [])
+            for i, (total, big, ones) in enumerate(walk(m, max_part)):
+                states.append((total, tuple(big) + (1,) * ones))
+                yield total, big, ones
+                if (m, i) == (n, index):  # the same partition again, its sum off
+                    states.append((total + delta, states[-1][1]))
+                    yield total + delta, big, ones
+
+        monkeypatch.setattr(reinhardt.verifiers, "_walk", walk_with_a_corrupt_state)
+        report = verify_bounds(2, 14)
+        expected = [ce for m in range(2, 15) for ce in _per_class_bounds(m, seen[m])]
+        assert expected and report.status == "fail"
+        assert list(report.counterexamples) == expected
+        assert {m for m, _, _ in expected} == {n}
+
+
 class TestLargestPartSuite:
     def test_passes_7_to_40(self, table64):
         report = verify_largest_part(7, 40, table64)
@@ -65,6 +132,11 @@ class TestLargestPartSuite:
     def test_hypothesis_range_enforced(self):
         with pytest.raises(ValueError, match="n >= 7"):
             verify_largest_part(6, 10)
+
+    @pytest.mark.parametrize("n", range(0, 41))
+    def test_capped_maximum_equals_the_walk(self, n):
+        for cap in range(1, n + 2):
+            assert _max_square_sum(n, cap) == max(iter_square_sums(n, cap)), cap
 
     def test_capped_maximum_n7(self):
         best = max(

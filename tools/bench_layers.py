@@ -1,7 +1,7 @@
 """Layer timings of one source tree, each measured in its own child process.
 
     python3 tools/bench_layers.py --src TREE --label NAME --out BENCH_x.json
-                                  [--sizes 500 1000 2000]
+                                  [--sizes 500 1000 2000] [--revision REV]
 
 For the tree's ``src`` it records, untraced:
 
@@ -14,14 +14,18 @@ For the tree's ``src`` it records, untraced:
 * one set on demand, ``load_table(fh, n).sets[n]`` from the n_max = 4096
   file, at each n in ``ON_DEMAND_N`` (a child each; bytes read, peak RSS);
 * the build's growth exponent from n = 1000 to each larger size;
+* each verify suite in ``SUITES`` at its range, the best of ``REPEATS``
+  in-process runs in one child each, and that child's peak RSS;
 * start-up: for ``python -c pass``, ``python -c "import reinhardt.cli"``
   and one small argv per CLI subcommand (``STARTUP_ARGV``), the best of
   ``REPEATS`` child wall times, and the number of ``reinhardt.*`` and of
   standard-library modules the child imports (from one more run under
   ``-X importtime``).  These children get the environment perfbench/run.py
   gives its children, so they write and reuse ``.pyc`` files;
-* ``wc -l src/reinhardt/*.py``, the git revision of the tree and a
-  digest of those files (the revision alone misses uncommitted edits).
+* ``wc -l src/reinhardt/*.py``, the git revision of the tree (or
+  ``--revision`` for a tree without ``.git``, such as a ``git archive``
+  copy) and a digest of those files (the revision alone misses
+  uncommitted edits).
 
 Every child starts from a fresh interpreter with ``PYTHONPATH`` set to
 the tree's ``src``, so its peak RSS covers one measurement.  It reads
@@ -52,6 +56,14 @@ from pathlib import Path
 SAVE_LOAD_N = (1000, 4096)  # the last file also serves ON_DEMAND_N
 ON_DEMAND_N = (803, 4096)
 REPEATS = 5  # timed runs per child; the best is kept
+#: (suite function, n_lo, n_hi): the enumeration-heavy suites at the range
+#: perfbench's small-n-queries runs them and at their largest range
+SUITES = (
+    ("verify_bounds", 2, 30),
+    ("verify_bounds", 2, 40),
+    ("verify_largest_part", 7, 40),
+    ("verify_largest_part", 7, 60),
+)
 #: one small argv per subcommand, so start-up dominates each child
 STARTUP_ARGV = {
     "table": ("table", "--max-n", "20", "--no-cache"),
@@ -94,6 +106,13 @@ elif op == "load":
             size = fh.tell()
             assert table.n_max == n
             del table
+elif op.startswith("verify_"):  # a suite over n = int(path)..n
+    suite = getattr(reinhardt, op)
+    for _ in range(reps):
+        started = time.perf_counter()
+        report = suite(int(path), n)
+        best = min(best, time.perf_counter() - started)
+        assert report.status == "pass", report
 else:  # one set on demand from the front of a larger file
     with open(path, "rb") as fh:
         for _ in range(reps):
@@ -168,21 +187,28 @@ def _growth_exponents(builds: dict[int, float]) -> dict[str, float]:
     }
 
 
-def _revision(tree: Path) -> str | None:
+def _revision(tree: Path, given: str | None) -> str | None:
+    """The tree's git revision, or ``given`` for a tree without ``.git``."""
+    if not (tree / ".git").exists():
+        return given
     try:
         return subprocess.run(
             ["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
             check=True, capture_output=True, text=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
-        return None
+        return given
 
 
-def measure(tree: Path, sizes: list[int]) -> dict:
+def measure(tree: Path, sizes: list[int], revision: str | None = None) -> dict:
     src = tree / "src"
     files = sorted((src / "reinhardt").glob("*.py"))
     digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
-    run: dict = {"revision": _revision(tree), "src_sha256": digest[:12], "repeats": REPEATS}
+    run: dict = {
+        "revision": _revision(tree, revision),
+        "src_sha256": digest[:12],
+        "repeats": REPEATS,
+    }
     run["src_lines"] = sum(len(p.read_text().splitlines()) for p in files)
     run["build_table"] = {str(n): _child(src, "build", n, "") for n in sizes}
     run["save_table"], run["load_table"] = {}, {}
@@ -194,6 +220,9 @@ def measure(tree: Path, sizes: list[int]) -> dict:
         run["set_on_demand"] = {str(n): _child(src, "set", n, path) for n in ON_DEMAND_N}
     times = {int(n): r["s"] for n, r in run["build_table"].items()}
     run["build_growth_exp"] = _growth_exponents(times)
+    run["suites"] = {
+        f"{name}({lo}, {hi})": _child(src, name, hi, str(lo)) for name, lo, hi in SUITES
+    }
     probes = {"pass": ("-c", "pass"), "import reinhardt.cli": ("-c", "import reinhardt.cli")}
     probes.update((cmd, ("-m", "reinhardt.cli", *a)) for cmd, a in STARTUP_ARGV.items())
     run["startup"] = {name: _startup(src, argv) for name, argv in probes.items()}
@@ -217,6 +246,7 @@ def main() -> None:
     parser.add_argument("--label", required=True, help="name of this run in the output")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--sizes", type=int, nargs="+", default=[500, 1000, 2000])
+    parser.add_argument("--revision", help="revision to record when the tree has no .git")
     args = parser.parse_args()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["about"] = (
@@ -230,7 +260,7 @@ def main() -> None:
         "cpu": _cpu_model(),
         "cpus": os.cpu_count(),
     }
-    doc.setdefault("runs", {})[args.label] = measure(args.src, sorted(args.sizes))
+    doc.setdefault("runs", {})[args.label] = measure(args.src, sorted(args.sizes), args.revision)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc["runs"][args.label]))
 
