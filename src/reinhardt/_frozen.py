@@ -10,7 +10,8 @@ class Frozen:
     Assignment and deletion then raise :class:`AttributeError`.  Two values
     are equal when they have the same class and the same :meth:`_key` (all
     fields unless a subclass narrows it), and equal values hash equal.  The
-    repr lists every field: ``Name(field=value, ...)``.
+    repr lists every field: ``Name(field=value, ...)``, with an int too long
+    to print in decimal shown in hex.
     """
 
     __slots__ = ()
@@ -38,5 +39,12 @@ class Frozen:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+def _shown(value: object) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # an int longer in decimal than sys.get_int_max_str_digits()
+        return hex(value)

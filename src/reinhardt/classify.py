@@ -11,8 +11,13 @@ Given (n, dim) the decision ladder is exact:
     block, general-only if it is achievable but only with two or more
     marked blocks (hence by no smooth bounded domain), else unrealizable.
 
+Below n^2 - 2 that is three bit tests: dim in S(n), dim + 1 in S(n+1)
+(the index :func:`~reinhardt.dimsets.noncompact_set` tests), and
+:func:`~reinhardt.dimsets.is_realizable`, which rebuilds no set.
+
 Realizations (n <= 80) come from one search over the marked-set table
-(:func:`~reinhardt.dimsets.marked_set_rows`, built once on first use):
+(:func:`~reinhardt.dimsets.marked_set_rows`, built once on first use and
+shared with :func:`~reinhardt.dimsets.is_realizable`):
 parts are placed largest first, and one bit test per branch cuts every
 remainder that cannot reach the remaining value, so no partition is
 enumerated in vain.  Partition enumeration is left to the oracles.
@@ -23,16 +28,9 @@ concurrent callers.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
-from .dimsets import (
-    MARKED_ORACLE_MAX_N,
-    DimTable,
-    is_realizable,
-    marked_set_rows,
-    noncompact_set,
-)
+from .dimsets import MARKED_ORACLE_MAX_N, DimTable, _marked_rows, is_realizable
 from .partitions import (
     MarkedPartition,
     _marked_unchecked,
@@ -155,11 +153,6 @@ def n_squared_families(n: int) -> list[DomainFamily]:
     return families
 
 
-@lru_cache(maxsize=1)
-def _marked_rows() -> tuple[tuple[int, ...], ...]:
-    return marked_set_rows(MARKED_ORACLE_MAX_N)
-
-
 def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
     """All marked partitions of n whose dimension value equals ``dim``.
 
@@ -192,7 +185,7 @@ def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
         return []
     max_marks = 1 if smooth else n
     index, odd = divmod(dim - n, 2)
-    rows = _marked_rows()
+    rows = _marked_rows(MARKED_ORACLE_MAX_N)
     if odd or index < 0 or not rows[n][n] >> index & 1:
         return []
     found: list[Realization] = []
@@ -283,7 +276,7 @@ def classify_dimension(
     else:
         if dim in table.sets[n]:  # below n^2 - 2, so not the top value
             status = STATUS_COMPACT_BAD
-        elif dim in noncompact_set(table, n):
+        elif dim + 1 in table.sets[n + 1]:  # noncompact_set's index, below (n+1)^2
             status = STATUS_NONCOMPACT_GOOD
         elif is_realizable(table, n, dim):
             status = STATUS_GENERAL_ONLY

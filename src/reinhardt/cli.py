@@ -39,11 +39,16 @@ class CliError(Exception):
     pass
 
 
-def _emit_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]], out: TextIO) -> None:
-    import csv as _csv
+def _emit(fmt: str, header: Sequence[str], rows: Iterable[Sequence[Any]], out: TextIO) -> None:
+    """Write ``rows`` as CSV under ``header`` (None is an empty field), or
+    as JSON, each row an object keyed by ``header``."""
+    if fmt == "json":
+        out.write(_json_text([dict(zip(header, row)) for row in rows]))
+        return
+    import csv
 
-    writer = _csv.writer(out, lineterminator="\n")
-    writer.writerow(headers)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
 
 
@@ -51,10 +56,6 @@ def _json_text(rows: Sequence[dict[str, Any]]) -> str:
     import json
 
     return json.dumps({"rows": list(rows)}, ensure_ascii=False) + "\n"
-
-
-def _emit_json(rows: Sequence[dict[str, Any]], out: TextIO) -> None:
-    out.write(_json_text(rows))
 
 
 def _default_cache(value: str | None) -> str | None:
@@ -116,18 +117,17 @@ def cmd_table(args: SimpleNamespace) -> int:
         raise CliError(f"need 2 <= min_n <= max_n, got ({args.min_n}, {args.max_n})")
     cache = None if args.no_cache else _default_cache(args.cache)
     table = _load_or_build(args.max_n, cache, args.force)
-    records = [
+    rows = [
         (r.n, r.compact, r.compact_ratio, r.noncompact, r.noncompact_ratio)
         for r in ratio_table(table, list(range(args.min_n, args.max_n + 1)))
     ]
+    if args.format == "csv":
+        header = ("n", "c", "c/n^2", "h", "h/n")
+    else:
+        header = ("n", "c", "c_over_n2", "h", "h_over_n")
     out, close = _open_out(args.out)
     try:
-        if args.format == "csv":
-            rows = [["" if v is None else v for v in record] for record in records]
-            _emit_csv(("n", "c", "c/n^2", "h", "h/n"), rows, out)
-        else:
-            keys = ("n", "c", "c_over_n2", "h", "h_over_n")
-            _emit_json([dict(zip(keys, record)) for record in records], out)
+        _emit(args.format, header, rows, out)
     finally:
         if close:
             out.close()
@@ -196,7 +196,7 @@ def cmd_classify(args: SimpleNamespace) -> int:
     table = _load_or_build(args.n + 1, _default_cache(None))
     result = classify_dimension(table, args.n, args.dim)
     if args.format == "json":
-        _emit_json([_classification_record(result)], sys.stdout)
+        sys.stdout.write(_json_text([_classification_record(result)]))
         return 0
     rows: list[tuple[str, Any]] = [
         ("n", result.n),
@@ -209,7 +209,7 @@ def cmd_classify(args: SimpleNamespace) -> int:
         rows.append(("family", f"{fam.tag}: {fam.description}" + (f" [{params}]" if params else "")))
     for real in result.realizations:
         rows.append(("realization", str(real)))
-    _emit_csv(("field", "value"), rows, sys.stdout)
+    _emit("csv", ("field", "value"), rows, sys.stdout)
     return 0
 
 
@@ -238,58 +238,45 @@ def cmd_witness(args: SimpleNamespace) -> int:
     return 0
 
 
-# suite -> the function in `verifiers` and its arguments before max_n
-_VERIFY_SUITES = {
-    "bounds": ("verify_bounds", 2),
-    "lemma-largest": ("verify_largest_part", 7),
-    "numh": ("verify_noncompact_growth", 2),
-    "arms": ("verify_arms", 1),
-    "brute": ("verify_dp_oracle", 1),
-    "prop7": ("verify_two_block_closed_form", 2),
-    "sequences": ("verify_growth_sequence",),
+#: suite -> (the function in `verifiers`, its arguments before max_n, how
+#: far past max_n it builds a table, or None if it has its own limit, help)
+_SUITES = {
+    "bounds": ("verify_bounds", (2,), None, "value bounds and parity"),
+    "lemma-largest": ("verify_largest_part", (7,), None, "large values need a big block"),
+    "numh": ("verify_noncompact_growth", (2,), 1, "noncompact growth (report-only)"),
+    "arms": ("verify_arms", (1,), None, "Young-diagram arm totals"),
+    "brute": ("verify_dp_oracle", (1,), None, "recurrence vs enumeration"),
+    "prop7": ("verify_two_block_closed_form", (2,), None, "two-block closed form vs enumeration"),
+    "sequences": ("verify_growth_sequence", (), 0, "growth-sequence invariants"),
 }
-# suites limited only by the table they build: how far past max_n it goes
-_VERIFY_TABLE_PAST = {"sequences": 0, "numh": 1}
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
     from . import verifiers
 
-    past = _VERIFY_TABLE_PAST.get(args.suite)
+    name, lead, past, _ = _SUITES[args.suite]
     if past is not None and args.max_n + past > BUILD_LIMIT:
         raise CliError(
             f"suite {args.suite} builds the table to n={args.max_n + past};"
             f" inline builds stop at n={BUILD_LIMIT}"
         )
-    name, *lead = _VERIFY_SUITES[args.suite]
     report = getattr(verifiers, name)(*lead, args.max_n)
+    record = {
+        "suite": report.suite,
+        "n_lo": report.n_lo,
+        "n_hi": report.n_hi,
+        "status": report.status,
+        "elapsed_s": round(report.elapsed, 3),
+        "notes": report.notes,
+        "counterexamples": [list(ce) for ce in report.counterexamples],
+    }
     if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "suite": report.suite,
-                    "n_lo": report.n_lo,
-                    "n_hi": report.n_hi,
-                    "status": report.status,
-                    "elapsed_s": round(report.elapsed, 3),
-                    "notes": report.notes,
-                    "counterexamples": [list(ce) for ce in report.counterexamples],
-                }
-            ],
-            sys.stdout,
-        )
+        sys.stdout.write(_json_text([record]))
     else:
-        rows: list[tuple[str, Any]] = [
-            ("suite", report.suite),
-            ("n_lo", report.n_lo),
-            ("n_hi", report.n_hi),
-            ("status", report.status),
-            ("elapsed_s", round(report.elapsed, 3)),
-            ("notes", report.notes),
-        ]
+        rows = [(key, value) for key, value in record.items() if key != "counterexamples"]
         for n, value, detail in report.counterexamples:
             rows.append(("counterexample", f"n={n} value={value}: {detail}"))
-        _emit_csv(("field", "value"), rows, sys.stdout)
+        _emit("csv", ("field", "value"), rows, sys.stdout)
     return 1 if report.status == verifiers.STATUS_FAIL else 0
 
 
@@ -298,24 +285,8 @@ def cmd_sequence(args: SimpleNamespace) -> int:
 
     if args.max_n < 1:
         raise CliError(f"max_n must be positive, got {args.max_n}")
-    rows = growth_sequence(args.max_n)
-    if args.format == "csv":
-        _emit_csv(
-            ("n", "f", "2g", "k"),
-            [
-                (r.n, r.reach, 2 * r.threshold, "" if r.anchor is None else r.anchor)
-                for r in rows
-            ],
-            sys.stdout,
-        )
-    else:
-        _emit_json(
-            [
-                {"n": r.n, "f": r.reach, "2g": 2 * r.threshold, "k": r.anchor}
-                for r in rows
-            ],
-            sys.stdout,
-        )
+    rows = [(r.n, r.reach, 2 * r.threshold, r.anchor) for r in growth_sequence(args.max_n)]
+    _emit(args.format, ("n", "f", "2g", "k"), rows, sys.stdout)
     return 0
 
 
@@ -367,11 +338,8 @@ _COMMANDS = {
                 "--suite",
                 str,
                 _REQUIRED,
-                tuple(sorted(_VERIFY_SUITES)),
-                "bounds: value bounds and parity; lemma-largest: large values need a"
-                " big block; numh: noncompact growth (report-only); arms: Young-diagram"
-                " arm totals; brute: recurrence vs enumeration; prop7: two-block closed"
-                " form vs enumeration; sequences: growth-sequence invariants",
+                tuple(sorted(_SUITES)),
+                "; ".join(f"{suite}: {entry[3]}" for suite, entry in _SUITES.items()),
             ),
             ("--max-n", int, _REQUIRED, None, "last n checked"),
             _FORMAT,

@@ -21,7 +21,10 @@ small sets.  A :class:`DimTable` therefore holds two numbers per n, the
 low and the set size, plus the small sets in full, and rebuilds any
 other set with one step when it is asked for.  The prefix is measured
 from the built sets, never taken from the growth-sequence lemma, so the
-lemma's check stays independent of the build.  Tables and sets are
+lemma's check stays independent of the build.  The same largest-part
+argument decides membership in G(n), the values of marked partitions:
+:func:`is_realizable` reads ``low[n]`` and the small marked sets of
+:func:`marked_set_rows`, never a square-sum set.  Tables and sets are
 immutable once built and safe to share across threads.
 """
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
+from functools import lru_cache
 from math import isqrt
 from typing import Iterator
 
@@ -449,39 +453,43 @@ def smooth_bounded_sets(n: int, table: DimTable) -> tuple[DimSet, DimSet]:
 def is_realizable(table: DimTable, n: int, dim: int) -> bool:
     """Whether ``dim`` is achievable for n with any number of marked blocks.
 
-    Marked parts form a partition of some a and unmarked parts one of
-    n - a, so dim is achievable iff dim - 2a splits as u + v with u a
-    square sum for a and v one for n - a, for some a.  In index space
-    that asks for t = (dim - n)/2 - a as a sum of an index of S(a) and
-    one of S(n - a), which is symmetric in the two sets; so each pair
-    {a, n - a} is tested for both budgets, and each S(a) is expanded at
-    most once, and only when a budget is within reach of the pair's tops.
+    A marked block d adds d^2 + 2d to the value, an unmarked one d^2.
+    Values in the dense prefix of S(n) need no mark.  Parts that are all
+    below n/2 give at most sum d(d + 2) <= n(n+3)/2, so a value above
+    that has a largest part p = n - j >= n/2, marked or not, and the rest
+    is any marked partition of j <= p: dim is achievable iff dim - p^2 or
+    dim - p^2 - 2p lies in G(j), the marked values of j
+    (:func:`marked_set_rows`).  j runs up from 0 while p(p + 2) + j(j + 2)
+    still reaches dim, which falls as j rises to n/2.  At or below
+    n(n+3)/2, which the prefix covers for n > 40, G(n) is read directly.
+    So no S(n) is rebuilt, and the marked rows are shared with
+    :func:`~reinhardt.classify.realizations`.
     """
     if not 2 <= n <= table.n_max:
         raise ValueError(f"n={n} outside table range 2..{table.n_max}")
     if (dim - n) % 2 or dim < n or dim > n * n + 2 * n:
         return False
-    half = (dim - n) // 2
-    for a in range(n // 2 + 1):
-        b = n - a
-        top = (a * a - a) // 2 + (b * b - b) // 2  # the indices of a^2 + b^2
-        budgets = [t for t in {half - a, half - b} if 0 <= t <= top]
-        if budgets:
-            sa, sb = table.sets[a].bits, table.sets[b].bits
-            for t in budgets:  # bit i of sa and bit t-i of sb: reverse one window
-                window = min(t, sb.bit_length() - 1)
-                rev = _reverse_bits(sb & ((1 << (window + 1)) - 1), window + 1)
-                if (sa >> (t - window)) & rev:
-                    return True
+    half = (dim - n) // 2  # an index in base n; G(j) holds bit i for j + 2i
+    if half < table.low[n]:
+        return True  # S(n) is within G(n)
+    if 2 * dim <= n * (n + 3):
+        return bool(_marked_rows(max(n, MARKED_ORACLE_MAX_N))[n][n] >> half & 1)
+    stop = 0  # the first j whose largest part n - j no longer reaches dim
+    while 2 * stop <= n and (n - stop) * (n - stop + 2) + stop * (stop + 2) >= dim:
+        stop += 1
+    rows = _marked_rows(max(stop, MARKED_ORACLE_MAX_N))
+    for j in range(stop):
+        p = n - j
+        unmarked = half - (p * p - p) // 2  # p^2 + (j + 2i) = n + 2(off_p + i)
+        for i in (unmarked, unmarked - p):
+            if i >= 0 and rows[j][j] >> i & 1:
+                return True
     return False
 
 
-#: each byte with its bits in reverse order
-_REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
-
-
-def _reverse_bits(x: int, width: int) -> int:
-    """``x`` (below ``2**width``) with its ``width`` low bits in reverse
-    order: its bytes reversed in order and each byte through :data:`_REV8`."""
-    size = (width + 7) // 8
-    return int.from_bytes(x.to_bytes(size, "big").translate(_REV8), "little") >> (8 * size - width)
+@lru_cache(maxsize=1)
+def _marked_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
+    """``marked_set_rows(n_max)``, kept for the last n_max asked for.
+    Callers ask for at least :data:`MARKED_ORACLE_MAX_N`, so every query
+    up to that size shares one table."""
+    return marked_set_rows(n_max)

@@ -15,6 +15,7 @@ import time
 from typing import NamedTuple
 
 from .dimsets import (
+    MARKED_ORACLE_MAX_N,
     DimTable,
     build_table,
     compact_count,
@@ -281,6 +282,8 @@ def verify_two_block_closed_form(n_lo: int, n_hi: int) -> CheckReport:
     started = time.perf_counter()
     if not 2 <= n_lo <= n_hi:
         raise ValueError(f"need 2 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
+    if n_hi > MARKED_ORACLE_MAX_N:
+        raise ValueError(f"prop7 suite is limited to n <= {MARKED_ORACLE_MAX_N}, got {n_hi}")
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):
         brute: set[int] = set()

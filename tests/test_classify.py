@@ -280,3 +280,19 @@ class TestLargeN:
         c = classify_dimension(t, 100, 100 * 100 - 2 * 50)
         assert c.realizations == ()
         assert "skipped" in c.notes
+
+    @pytest.mark.parametrize("dim, status", [(72892, "general_only"), (75056, "unrealizable")])
+    def test_query_rebuilds_each_set_once(self, monkeypatch, dim, status):
+        from reinhardt import dimsets
+
+        table = build_table(301)
+        stepped = []
+
+        def step(n, *args):
+            stepped.append(n)
+            return real_step(n, *args)
+
+        real_step = dimsets._step
+        monkeypatch.setattr(dimsets, "_step", step)
+        assert classify_dimension(table, 300, dim).status == status
+        assert sorted(stepped) == [300, 301]

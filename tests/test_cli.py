@@ -562,7 +562,7 @@ class TestArgv:
                 assert command in captured.out
                 for flag, *_ in options:
                     assert flag in captured.out
-            for suite in reinhardt.cli._VERIFY_SUITES:
+            for suite in reinhardt.cli._SUITES:
                 assert suite in captured.out
 
     @pytest.mark.parametrize("command", list(reinhardt.cli._COMMANDS))
@@ -575,5 +575,5 @@ class TestArgv:
         for flag, *_ in reinhardt.cli._COMMANDS[command][1]:
             assert f"\n  {flag}" in out
         if command == "verify":
-            for suite in reinhardt.cli._VERIFY_SUITES:
+            for suite in reinhardt.cli._SUITES:
                 assert suite in out

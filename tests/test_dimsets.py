@@ -20,13 +20,13 @@ from reinhardt import (
     two_block_dimensions,
 )
 from reinhardt.dimsets import (
-    _reverse_bits,
     _step,
     full_set_limit,
     marked_set_rows,
     set_bit_length,
 )
 from reinhardt.partitions import iter_partition_tuples, iter_square_sums
+from reinhardt.sequences import growth_sequence
 
 
 class TestDimSet:
@@ -165,11 +165,14 @@ class TestBuild:
         with pytest.raises(ValueError, match="one low and one count"):
             DimTable((1, 1), (1,))
 
-    @pytest.mark.parametrize("n", range(2, 51))
+    @pytest.mark.parametrize("n", range(2, 61))
     def test_parts_below_half_stay_below_the_early_stop(self, n):
         # the build's largest-part stop: parts all below n/2 sum to at most
-        # n(n-1)/2 (n = 2 has no such partition)
-        assert max(iter_square_sums(n, (n - 1) // 2), default=0) <= n * (n - 1) // 2
+        # n(n-1)/2 (n = 2 has no such partition); marking them adds at most
+        # 2n, is_realizable's stop at n(n+3)/2
+        biggest = max(iter_square_sums(n, (n - 1) // 2), default=0)
+        assert biggest <= n * (n - 1) // 2
+        assert biggest + 2 * n <= n * (n + 3) // 2
 
 
 def _plain_recurrence(n_max: int) -> list[int]:
@@ -381,9 +384,56 @@ class TestRealizableMembership:
         for dim in range(n - 3, n * n + 2 * n + 3):
             assert is_realizable(table64, n, dim) == (dim in achievable)
 
-    def test_window_reversal_equals_string_reversal(self):
-        rng = random.Random(2048)
-        for width in range(1, 2049):
-            for x in (0, 1, (1 << width) - 1, rng.getrandbits(width), rng.getrandbits(width)):
-                expected = int(format(x, f"0{width}b")[::-1], 2)
-                assert _reverse_bits(x, width) == expected, (x, width)
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_equals_pair_sumsets_for_every_dim(self, table64, n):
+        sets = _PairSumsetOracle(table64, n)
+        for dim in range(n - 3, n * n + 2 * n + 3):
+            assert is_realizable(table64, n, dim) == sets.realizable(n, dim), dim
+
+    def test_equals_pair_sumsets_near_the_edges(self, big_table):
+        rng = random.Random(803)
+        sets = _PairSumsetOracle(big_table, 1000)
+        for n in (61, 100, 300, 803, 1000):
+            edge = n + 2 * big_table.low[n]  # the first value above the prefix
+            dims = [*range(edge - 400, edge + 401), *range(n * n - 400, n * n + 2 * n + 1)]
+            dims += [edge + 2 * rng.randrange((n * n + 2 * n - edge) // 2 + 1) for _ in range(200)]
+            for dim in dims:
+                assert is_realizable(big_table, n, dim) == sets.realizable(n, dim), (n, dim)
+
+    def test_fallback_only_below_41(self, table300):
+        # above n = 40 the prefix reaches past n(n+3)/2, so every query that
+        # passes the prefix takes the largest-part loop
+        assert 2 * (40 + 2 * table300.low[40]) <= 40 * 43
+        for n in range(41, 301):
+            assert 2 * (n + 2 * table300.low[n]) > n * (n + 3), n
+        # and on: reach(n) lies in the prefix (the `sequences` suite checks it)
+        for row in growth_sequence(100_000)[45:]:
+            assert 2 * row.reach > row.n * (row.n + 3), row.n
+
+
+class _PairSumsetOracle:
+    """The pair-sumset route: marked parts form a partition of some a and
+    unmarked ones of n - a, so dim is achievable iff an index of S(a) and
+    one of S(n - a) sum to (dim - n)/2 - a, for some a.  Each set is
+    reversed once as a string, and a window of it is one shift of that."""
+
+    def __init__(self, table, n_max):
+        self.bits = [s.bits for s in table.sets[: n_max + 1]]
+        self.rev = [int(format(b, "b")[::-1], 2) for b in self.bits]
+
+    def realizable(self, n, dim):
+        if (dim - n) % 2 or dim < n or dim > n * n + 2 * n:
+            return False
+        half = (dim - n) // 2
+        for a in range(n // 2 + 1):
+            b = n - a
+            top = (a * a - a) // 2 + (b * b - b) // 2  # the indices of a^2 + b^2
+            for t in {half - a, half - b}:
+                if not 0 <= t <= top:
+                    continue
+                # bit i of S(a) and bit t - i of S(b): reverse S(b)'s low window
+                width = self.bits[b].bit_length()
+                window = min(t, width - 1)
+                if (self.bits[a] >> (t - window)) & (self.rev[b] >> (width - 1 - window)):
+                    return True
+        return False

@@ -135,6 +135,13 @@ def test_repr_lists_every_field(case):
     assert repr(value) == f"{name}({shown})"
 
 
+def test_repr_of_a_large_set_shows_its_tail_in_hex():
+    # the tail of S(1000) has about 16 400 decimal digits, past the default
+    # limit of int-to-str conversion
+    dimset = build_table(1000).sets[1000]
+    assert repr(dimset) == f"DimSet(n=1000, low={dimset.low}, tail={dimset.tail:#x})"
+
+
 def test_copy_and_pickle_keep_the_value(case):
     _, value, _, _, _ = case
     assert copy.copy(value) == value

@@ -196,6 +196,14 @@ class TestTwoBlockSuite:
     def test_passes(self):
         assert verify_two_block_closed_form(2, 40).status == "pass"
 
+    def test_refuses_beyond_limit_before_any_work(self, monkeypatch):
+        def fail(n, length, marks):
+            raise AssertionError(f"called with n={n}")
+
+        monkeypatch.setattr(reinhardt.verifiers, "dimensions_bruteforce", fail)
+        with pytest.raises(ValueError, match="prop7 suite is limited to n <= 80, got 81"):
+            verify_two_block_closed_form(2, 81)
+
 
 class TestGrowthSequenceSuite:
     def test_passes(self, table64):

@@ -2,6 +2,7 @@
 
     python3 tools/bench_layers.py --src TREE --label NAME --out BENCH_x.json
                                   [--sizes 500 1000 2000] [--revision REV]
+                                  [--versus OTHER_TREE]
 
 For the tree's ``src`` it records, untraced:
 
@@ -13,6 +14,10 @@ For the tree's ``src`` it records, untraced:
   and peak RSS;
 * one set on demand, ``load_table(fh, n).sets[n]`` from the n_max = 4096
   file, at each n in ``ON_DEMAND_N`` (a child each; bytes read, peak RSS);
+* membership, ``is_realizable(table, n, dim)`` for each (n, dim) in
+  ``MEMBERSHIP`` with the table loaded untimed from the same file, and
+  every ``functools`` cache in ``dimsets`` cleared before each timed call,
+  so each one pays for what it builds (a child each; peak RSS);
 * the build's growth exponent from n = 1000 to each larger size;
 * each verify suite in ``SUITES`` at its range, the best of ``REPEATS``
   in-process runs in one child each, and that child's peak RSS;
@@ -22,6 +27,10 @@ For the tree's ``src`` it records, untraced:
   standard-library modules the child imports (from one more run under
   ``-X importtime``).  These children get the environment perfbench/run.py
   gives its children, so they write and reuse ``.pyc`` files;
+* with ``--versus OTHER_TREE``, the same start-up argv run ``PAIRED``
+  times in each tree, the two trees' children alternating (and which goes
+  first alternating too), with the median child wall time of each tree:
+  trees measured minutes apart differ by more than host drift allows;
 * ``wc -l src/reinhardt/*.py``, the git revision of the tree (or
   ``--revision`` for a tree without ``.git``, such as a ``git archive``
   copy) and a digest of those files (the revision alone misses
@@ -47,6 +56,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -55,6 +65,10 @@ from pathlib import Path
 
 SAVE_LOAD_N = (1000, 4096)  # the last file also serves ON_DEMAND_N
 ON_DEMAND_N = (803, 4096)
+#: (n, dim) membership queries, both unrealizable: n^2 - 2 at n = 1000 and
+#: n^2 - 4 at n = 4000
+MEMBERSHIP = ((1000, 999998), (4000, 15999996))
+PAIRED = 30  # interleaved start-up children per tree and argv
 REPEATS = 5  # timed runs per child; the best is kept
 #: (suite function, n_lo, n_hi): the enumeration-heavy suites at the range
 #: perfbench's small-n-queries runs them and at their largest range
@@ -113,6 +127,18 @@ elif op.startswith("verify_"):  # a suite over n = int(path)..n
         report = suite(int(path), n)
         best = min(best, time.perf_counter() - started)
         assert report.status == "pass", report
+elif op == "member":  # is_realizable at (n, dim); path holds "FILE DIM"
+    from reinhardt import dimsets
+    path, dim = path.split()
+    with open(path, "rb") as fh:
+        table = load_table(fh, n)
+    for _ in range(reps):
+        for fn in vars(dimsets).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        started = time.perf_counter()
+        realizable = dimsets.is_realizable(table, n, int(dim))
+        best = min(best, time.perf_counter() - started)
 else:  # one set on demand from the front of a larger file
     with open(path, "rb") as fh:
         for _ in range(reps):
@@ -129,6 +155,8 @@ try:  # this process's own high-water mark; ru_maxrss would count the parent
 except OSError:
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
 result = {"s": round(best, 4), "bytes": size, "maxrss_mib": round(rss / 1024, 1)}
+if op == "member":
+    result["realizable"] = realizable
 print(json.dumps({**result, "module": reinhardt.__file__}))
 """
 
@@ -147,14 +175,18 @@ def _child(src: Path, op: str, n: int, path: str) -> dict:
     return result
 
 
-def _startup(src: Path, argv: tuple[str, ...]) -> dict:
-    """Best-of-REPEATS wall time of ``python ARGV`` and the modules it imports."""
-    env = {  # as perfbench/run.py's CHILD_ENV: bytecode caching stays on
+def _startup_env(src: Path) -> dict:
+    return {  # as perfbench/run.py's CHILD_ENV: bytecode caching stays on
         "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
         "PYTHONPATH": str(src),
         "PYTHONHASHSEED": "0",
         "PYTHONIOENCODING": "utf-8",
     }
+
+
+def _startup(src: Path, argv: tuple[str, ...]) -> dict:
+    """Best-of-REPEATS wall time of ``python ARGV`` and the modules it imports."""
+    env = _startup_env(src)
     with tempfile.TemporaryDirectory() as cwd:
         # untimed, and it writes any .pyc file still missing
         traced = subprocess.run(
@@ -175,6 +207,24 @@ def _startup(src: Path, argv: tuple[str, ...]) -> dict:
         "reinhardt_modules": sum(name.split(".")[0] == "reinhardt" for name in names),
         "stdlib_modules": sum(name.split(".")[0] in sys.stdlib_module_names for name in names),
     }
+
+
+def _startup_paired(src: Path, other: Path, argv: tuple[str, ...]) -> dict:
+    """Median wall time of ``python ARGV`` in each tree over PAIRED children
+    per tree, the trees' children alternating."""
+    envs = (_startup_env(src), _startup_env(other))
+    times: tuple[list[float], list[float]] = ([], [])
+    with tempfile.TemporaryDirectory() as cwd:
+        for env in envs:  # untimed, and it writes any .pyc file still missing
+            subprocess.run([sys.executable, *argv], cwd=cwd, env=env, check=True, capture_output=True)
+        for i in range(2 * PAIRED):
+            side = (i + i // 2) % 2  # 0 1, 1 0, 0 1, ...: each goes first in half the pairs
+            started = time.perf_counter()
+            subprocess.run(
+                [sys.executable, *argv], cwd=cwd, env=envs[side], check=True, capture_output=True
+            )
+            times[side].append(time.perf_counter() - started)
+    return {"s": round(statistics.median(times[0]), 4), "versus_s": round(statistics.median(times[1]), 4)}
 
 
 def _growth_exponents(builds: dict[int, float]) -> dict[str, float]:
@@ -200,13 +250,22 @@ def _revision(tree: Path, given: str | None) -> str | None:
         return given
 
 
-def measure(tree: Path, sizes: list[int], revision: str | None = None) -> dict:
+def _source_files(tree: Path) -> list[Path]:
+    return sorted((tree / "src" / "reinhardt").glob("*.py"))
+
+
+def _digest(tree: Path) -> str:
+    return hashlib.sha256(b"".join(p.read_bytes() for p in _source_files(tree))).hexdigest()[:12]
+
+
+def measure(
+    tree: Path, sizes: list[int], revision: str | None = None, versus: Path | None = None
+) -> dict:
     src = tree / "src"
-    files = sorted((src / "reinhardt").glob("*.py"))
-    digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+    files = _source_files(tree)
     run: dict = {
         "revision": _revision(tree, revision),
-        "src_sha256": digest[:12],
+        "src_sha256": _digest(tree),
         "repeats": REPEATS,
     }
     run["src_lines"] = sum(len(p.read_text().splitlines()) for p in files)
@@ -218,6 +277,9 @@ def measure(tree: Path, sizes: list[int], revision: str | None = None) -> dict:
             run["save_table"][str(n)] = _child(src, "save", n, path)
             run["load_table"][str(n)] = _child(src, "load", n, path)
         run["set_on_demand"] = {str(n): _child(src, "set", n, path) for n in ON_DEMAND_N}
+        run["membership"] = {
+            f"{n}, {dim}": _child(src, "member", n, f"{path} {dim}") for n, dim in MEMBERSHIP
+        }
     times = {int(n): r["s"] for n, r in run["build_table"].items()}
     run["build_growth_exp"] = _growth_exponents(times)
     run["suites"] = {
@@ -226,6 +288,12 @@ def measure(tree: Path, sizes: list[int], revision: str | None = None) -> dict:
     probes = {"pass": ("-c", "pass"), "import reinhardt.cli": ("-c", "import reinhardt.cli")}
     probes.update((cmd, ("-m", "reinhardt.cli", *a)) for cmd, a in STARTUP_ARGV.items())
     run["startup"] = {name: _startup(src, argv) for name, argv in probes.items()}
+    if versus is not None:
+        run["startup_paired"] = {
+            "versus": {"revision": _revision(versus, None), "src_sha256": _digest(versus)},
+            "children": PAIRED,
+            **{name: _startup_paired(src, versus / "src", argv) for name, argv in probes.items()},
+        }
     return run
 
 
@@ -247,12 +315,15 @@ def main() -> None:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--sizes", type=int, nargs="+", default=[500, 1000, 2000])
     parser.add_argument("--revision", help="revision to record when the tree has no .git")
+    parser.add_argument("--versus", type=Path, help="a second tree to interleave start-up with")
     args = parser.parse_args()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["about"] = (
         "tools/bench_layers.py: per source tree, untraced best-of-repeats wall"
         " time (s) and the measuring child's peak RSS (maxrss_mib); startup:"
-        " whole-child wall time and the modules the child imports"
+        " whole-child wall time and the modules the child imports; startup_paired:"
+        " median child wall time, this tree (s) and the --versus tree (versus_s),"
+        " children interleaved"
     )
     doc["host"] = {
         "python": platform.python_version(),
@@ -260,7 +331,9 @@ def main() -> None:
         "cpu": _cpu_model(),
         "cpus": os.cpu_count(),
     }
-    doc.setdefault("runs", {})[args.label] = measure(args.src, sorted(args.sizes), args.revision)
+    doc.setdefault("runs", {})[args.label] = measure(
+        args.src, sorted(args.sizes), args.revision, args.versus
+    )
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc["runs"][args.label]))
 
