@@ -11,7 +11,8 @@ Given (n, dim) the decision ladder is exact:
     block, general-only if it is achievable but only with two or more
     marked blocks (hence by no smooth bounded domain), else unrealizable.
 
-Below n^2 - 2 that is three bit tests: dim in S(n), dim + 1 in S(n+1)
+Only that last rung, for a dim of the parity of n and at least n
+(:func:`needs_table`), reads the table: dim in S(n), dim + 1 in S(n+1)
 (the index :func:`~reinhardt.dimsets.noncompact_set` tests), and
 :func:`~reinhardt.dimsets.is_realizable`, which rebuilds no set.
 
@@ -228,26 +229,46 @@ def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
     return found
 
 
+def needs_table(n: int, dim: int) -> bool:
+    """Whether the ladder reads the table for (n, dim): dim has the parity
+    of n and n <= dim <= n^2 - 2.  Every other value is decided by n alone."""
+    return (dim - n) % 2 == 0 and n <= dim <= n * n - 2
+
+
 def classify_dimension(
-    table: DimTable, n: int, dim: int, include_realizations: bool = True
+    table: DimTable | None, n: int, dim: int, include_realizations: bool = True
 ) -> Classification:
     """Classify the query (n, dim); see the module docstring for the ladder.
 
-    The table must cover n + 1 (the noncompact set needs the successor).
-    Realizations are enumerated when n is within oracle scale, otherwise
-    the list stays empty with an explanatory note;
+    Where :func:`needs_table` holds, the table must cover n + 1 (for the
+    successor set); elsewhere it may be None.  Realizations are enumerated
+    when n is within oracle scale, otherwise the list stays empty with a note;
     ``include_realizations=False`` skips the enumeration entirely (bulk
     scans over many dims would otherwise materialize millions of
     records) without changing the status decision.
     """
     if n < 2:
         raise ValueError(f"queries need n >= 2, got {n}")
-    if table.n_max < n + 1:
-        raise ValueError(f"table covers n_max={table.n_max}, need at least {n + 1}")
     top = n * n
     notes: list[str] = []
     families: tuple[DomainFamily, ...] = ()
-    if (dim - n) % 2:
+    if needs_table(n, dim):
+        if table is None or table.n_max < n + 1:
+            raise ValueError(f"dim={dim} at n={n} needs a table covering n={n + 1}")
+        if dim in table.sets[n]:  # below n^2 - 2, so not the top value
+            status = STATUS_COMPACT_BAD
+        elif dim + 1 in table.sets[n + 1]:  # noncompact_set's index, below (n+1)^2
+            status = STATUS_NONCOMPACT_GOOD
+        elif is_realizable(table, n, dim):
+            status = STATUS_GENERAL_ONLY
+            notes.append(
+                "achievable only with two or more marked blocks;"
+                " no smooth bounded domain realizes it"
+            )
+        else:
+            status = STATUS_UNREALIZABLE
+            notes.append("no partition of n reaches this value with any marking")
+    elif (dim - n) % 2:
         status = STATUS_UNREALIZABLE
         notes.append(
             f"parity: achievable dimensions for n={n} are {'even' if n % 2 == 0 else 'odd'}"
@@ -267,26 +288,12 @@ def classify_dimension(
     elif dim == top:
         status = STATUS_N_SQUARED
         families = tuple(n_squared_families(n))
-    elif dim > top - 2:
+    else:
         status = STATUS_UNREALIZABLE
         notes.append(
             f"gap: between n^2-2={top - 2} and n^2+2n={top + 2 * n} only "
             f"{top}, {top + 2} and {top + 2 * n} are achievable"
         )
-    else:
-        if dim in table.sets[n]:  # below n^2 - 2, so not the top value
-            status = STATUS_COMPACT_BAD
-        elif dim + 1 in table.sets[n + 1]:  # noncompact_set's index, below (n+1)^2
-            status = STATUS_NONCOMPACT_GOOD
-        elif is_realizable(table, n, dim):
-            status = STATUS_GENERAL_ONLY
-            notes.append(
-                "achievable only with two or more marked blocks;"
-                " no smooth bounded domain realizes it"
-            )
-        else:
-            status = STATUS_UNREALIZABLE
-            notes.append("no partition of n reaches this value with any marking")
     reals: tuple[Realization, ...] = ()
     if include_realizations:
         if n <= MARKED_ORACLE_MAX_N:

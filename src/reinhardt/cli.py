@@ -189,11 +189,13 @@ def _classification_record(result) -> dict[str, Any]:
 
 
 def cmd_classify(args: SimpleNamespace) -> int:
-    from .classify import classify_dimension
+    from .classify import classify_dimension, needs_table
 
     if args.n < 2:
         raise CliError(f"classification needs n >= 2, got {args.n}")
-    table = _load_or_build(args.n + 1, _default_cache(None))
+    table = None
+    if needs_table(args.n, args.dim):  # other values are decided by n alone
+        table = _load_or_build(args.n + 1, _default_cache(None))
     result = classify_dimension(table, args.n, args.dim)
     if args.format == "json":
         sys.stdout.write(_json_text([_classification_record(result)]))

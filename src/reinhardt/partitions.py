@@ -4,7 +4,9 @@ A partition of n models the block sizes (n_1, ..., n_k) of a Reinhardt
 domain in normalized form; the automorphism-group dimension contributed
 by a partition is the sum of squared block sizes plus 2 per marked block
 size.  Everything here is immutable and safe to share across threads;
-enumeration streams are independent per caller.
+enumeration streams are independent per caller.  One walk, :func:`_walk`,
+enumerates all partitions of n for the oracles and the verify suites; the
+tuples, :class:`Partition` objects and square sums are views of it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class Partition(Frozen):
 
     def __init__(self, parts: Iterable[int]) -> None:
         parts = tuple(parts)
-        if any(p < 1 for p in parts):
+        if any(not isinstance(p, int) or p < 1 for p in parts):
             raise ValueError(f"parts must be positive integers, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be non-increasing, got {parts}")
@@ -76,6 +78,8 @@ class MarkedPartition(Frozen):
         marks = tuple(sorted(marks, key=lambda vc: -vc[0]))
         seen = set()
         for value, count in marks:
+            if not (isinstance(value, int) and isinstance(count, int)):
+                raise ValueError(f"mark entries must be integers, got {(value, count)}")
             if value in seen:
                 raise ValueError(f"duplicate mark entry for part value {value}")
             seen.add(value)
@@ -131,54 +135,20 @@ def _marked_unchecked(
 
 
 def iter_partition_tuples(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield raw part tuples of n in reverse-lexicographic order.
-
-    Fast path used by the enumeration oracles; ``enumerate_partitions``
-    wraps these in :class:`Partition`.  ``max_part`` restricts every part
-    to at most that value.
-    """
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer ({n})")
-    if n == 0:
-        yield ()
-        return
-    cap = n if max_part is None else min(max_part, n)
-    if cap < 1:
-        return
-    a = [cap] if cap == n else None
-    if a is None:
-        # seed with the reverse-lex first partition under the cap
-        q, r = divmod(n, cap)
-        a = [cap] * q + ([r] if r else [])
-    while True:
-        yield tuple(a)
-        # decrement: find the rightmost part > 1, reduce it, and refill
-        # the tail greedily with chunks of the new value
-        j = len(a) - 1
-        ones = 0
-        while j >= 0 and a[j] == 1:
-            ones += 1
-            j -= 1
-        if j < 0:
-            return
-        a[j] -= 1
-        rem = ones + 1
-        del a[j + 1 :]
-        q, r = divmod(rem, a[j])
-        a.extend([a[j]] * q)
-        if r:
-            a.append(r)
+    """Yield the part tuples of n, each part at most ``max_part``, in
+    reverse-lexicographic order: the states of :func:`_walk` as tuples."""
+    for _, big, ones in _walk(n, max_part):
+        yield tuple(big) + (1,) * ones
 
 
 def _walk(n: int, max_part: int | None = None) -> Iterator[tuple[int, list[int], int]]:
-    """Yield ``(square sum, big, ones)`` for each ``parts`` that
-    :func:`iter_partition_tuples` yields for the same arguments, in the
-    same order, without building the tuples: ``parts`` is
-    ``tuple(big) + (1,) * ones``.
+    """Walk the partitions of n with every part at most ``max_part`` in
+    reverse-lexicographic order, (n) first, and yield ``(square sum, big,
+    ones)`` for each: its parts are ``tuple(big) + (1,) * ones``.
 
     ``big`` is the walk's live list of the parts above 1, changed by the
     next step, so a caller that keeps it must copy it.  The square sum is
-    updated by what each step removes and adds.
+    updated by what each step removes and adds; no step rescans the 1s.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative integer ({n})")
@@ -215,7 +185,7 @@ def _walk(n: int, max_part: int | None = None) -> Iterator[tuple[int, list[int],
 def iter_square_sums(n: int, max_part: int | None = None) -> Iterator[int]:
     """Yield ``sum(p * p for p in parts)`` for each ``parts`` that
     :func:`iter_partition_tuples` yields for the same arguments, in the
-    same order: the first field of :func:`_walk`."""
+    same order: the first field of :func:`_walk`, with no tuple built."""
     for total, _, _ in _walk(n, max_part):
         yield total
 
@@ -246,6 +216,10 @@ def enumerate_partitions_with_length(n: int, length: int) -> Iterator[Partition]
 
 
 def _fixed_length_tuples(n: int, length: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into ``length`` parts of at most ``max_part``,
+    reverse-lexicographically.  Not a filter of :func:`_walk`, which would
+    go through all p(n) partitions at each n of ``verify --suite prop7``;
+    sharing no code with the walk, it is also the walk's test oracle."""
     if length == 1:
         if 1 <= n <= max_part:
             yield (n,)

@@ -102,6 +102,18 @@ class TestLadderGoldens:
             classify_dimension(table64, 1, 3)
         with pytest.raises(ValueError):
             classify_dimension(table64, 64, 64)  # needs the successor set
+        with pytest.raises(ValueError):
+            classify_dimension(None, 4, 10)  # only the table decides it
+        # values decided by n alone read no table
+        assert classify_dimension(table64, 64, 64 * 66).status == "ball"
+        assert [classify_dimension(None, 4, d).status for d in (3, 15, 16, 18, 20, 24)] == [
+            "unrealizable",
+            "unrealizable",
+            "n_squared",
+            "ball_times_disc",
+            "unrealizable",
+            "ball",
+        ]
 
 
 class TestFamilies:

@@ -230,8 +230,9 @@ class TestCache:
         monkeypatch.setenv("REINHARDT_CACHE", str(cache))
         monkeypatch.setattr(reinhardt.cli, "load_table", counting_load)
         monkeypatch.setattr(reinhardt.cli, "build_table", no_build)
-        code, out, _ = run(capsys, "classify", "--n", "5", "--dim", "35")
-        assert code == 0 and "status,ball" in out.splitlines()
+        # 13 = 3^2 + 2^2 is below n^2 - 2, so only the table decides it
+        code, out, _ = run(capsys, "classify", "--n", "5", "--dim", "13")
+        assert code == 0 and "status,compact_bad" in out.splitlines()
         assert calls == [str(cache)]
 
     @pytest.mark.parametrize("version", [1, 2, 3])
@@ -360,6 +361,28 @@ class TestClassify:
         assert row["status"] == "n_squared"
         assert "ProductB2B2" in {f["tag"] for f in row["families"]}
         assert {"parts": [3, 1], "marks": [[3, 1]], "blocks": 2, "marked": 1} in row["realizations"]
+
+    @pytest.mark.parametrize(
+        "dim, status",
+        [
+            (25_010_000, "ball"),
+            (25_000_002, "ball_times_disc"),
+            (25_000_000, "n_squared"),
+            (25_000_004, "unrealizable"),  # the gap above n^2
+            (24_999_999, "unrealizable"),  # parity
+            (4_998, "unrealizable"),  # below n
+            (25_010_002, "unrealizable"),  # above n^2 + 2n
+        ],
+    )
+    def test_values_decided_by_n_read_no_table(self, capsys, monkeypatch, dim, status):
+        def no_table(*args):
+            raise AssertionError("classify read or built a table")
+
+        monkeypatch.setattr(reinhardt.cli, "load_table", no_table)
+        monkeypatch.setattr(reinhardt.cli, "build_table", no_table)
+        code, out, err = run(capsys, "classify", "--n", "5000", "--dim", str(dim))
+        assert (code, err) == (0, "")
+        assert f"status,{status}" in out.splitlines()
 
     def test_rejects_small_n(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "1", "--dim", "3")

@@ -16,7 +16,7 @@ from reinhardt import (
     square_sums_bruteforce,
     sum_of_squares,
 )
-from reinhardt.partitions import _walk, iter_partition_tuples, iter_square_sums
+from reinhardt.partitions import _fixed_length_tuples, iter_partition_tuples, iter_square_sums
 
 
 def parts_list(n):
@@ -59,13 +59,18 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(0, 41))
     def test_square_sum_walk_matches_tuples(self, n):
+        # the oracle: the recursive fixed-length enumerator, which shares no
+        # code with the walk, over every length
+        oracle = sorted(
+            (t for k in range(1, n + 1) for t in _fixed_length_tuples(n, k, n)), reverse=True
+        )
+        full = list(iter_partition_tuples(n))
+        assert full == (oracle or [()]) and len(full) == partition_count(n)
         for cap in (None, *range(-1, n + 2)):
             tuples = list(iter_partition_tuples(n, cap))
-            sums = [sum(p * p for p in t) for t in tuples]
-            assert list(iter_square_sums(n, cap)) == sums
-            # the walk's state is the partition itself
-            walked = [(total, tuple(big) + (1,) * ones) for total, big, ones in _walk(n, cap)]
-            assert walked == list(zip(sums, tuples))
+            if cap is not None:
+                assert tuples == [t for t in full if not t or t[0] <= cap]
+            assert list(iter_square_sums(n, cap)) == [sum(p * p for p in t) for t in tuples]
 
     def test_square_sum_walk_rejects_negative_n(self):
         with pytest.raises(ValueError):
@@ -97,6 +102,9 @@ class TestPartitionType:
             Partition((1, 2))
         with pytest.raises(ValueError):
             Partition((3, 0))
+        for parts in ((2.5, 1.5), (2.0, 1), ("2", 1)):
+            with pytest.raises(ValueError):
+                Partition(parts)
         p = Partition((3, 1))
         assert p.n == 4 and p.length == 2
 
@@ -109,6 +117,9 @@ class TestPartitionType:
             MarkedPartition(p, ((5, 1),))
         with pytest.raises(ValueError):
             MarkedPartition(p, ((2, 1), (2, 1)))
+        for marks in (((2.0, 1),), ((2, 1.5),), ((2, 1.0),)):
+            with pytest.raises(ValueError):
+                MarkedPartition(p, marks)
 
     def test_from_values(self):
         mp = MarkedPartition.from_values(Partition((2, 2, 1)), [2, 2])

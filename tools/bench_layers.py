@@ -19,6 +19,9 @@ For the tree's ``src`` it records, untraced:
   every ``functools`` cache in ``dimsets`` cleared before each timed call,
   so each one pays for what it builds (a child each; peak RSS);
 * the build's growth exponent from n = 1000 to each larger size;
+* enumeration: each stream in ``ENUMERATION`` drained at each n in
+  ``ENUMERATION_N``, all partitions uncapped, the best of ``REPEATS`` in
+  one child each, and that child's peak RSS;
 * each verify suite in ``SUITES`` at its range, the best of ``REPEATS``
   in-process runs in one child each, and that child's peak RSS;
 * start-up: for ``python -c pass``, ``python -c "import reinhardt.cli"``
@@ -68,6 +71,9 @@ ON_DEMAND_N = (803, 4096)
 #: (n, dim) membership queries, both unrealizable: n^2 - 2 at n = 1000 and
 #: n^2 - 4 at n = 4000
 MEMBERSHIP = ((1000, 999998), (4000, 15999996))
+#: the partition streams drained by the enumeration layer, and their n
+ENUMERATION = ("iter_partition_tuples", "iter_square_sums")
+ENUMERATION_N = (40, 50, 60)
 PAIRED = 30  # interleaved start-up children per tree and argv
 REPEATS = 5  # timed runs per child; the best is kept
 #: (suite function, n_lo, n_hi): the enumeration-heavy suites at the range
@@ -127,6 +133,14 @@ elif op.startswith("verify_"):  # a suite over n = int(path)..n
         report = suite(int(path), n)
         best = min(best, time.perf_counter() - started)
         assert report.status == "pass", report
+elif op.startswith("iter_"):  # drain a partition stream of n
+    from collections import deque
+    from reinhardt import partitions
+    stream = getattr(partitions, op)
+    for _ in range(reps):
+        started = time.perf_counter()
+        deque(stream(n), maxlen=0)
+        best = min(best, time.perf_counter() - started)
 elif op == "member":  # is_realizable at (n, dim); path holds "FILE DIM"
     from reinhardt import dimsets
     path, dim = path.split()
@@ -282,6 +296,9 @@ def measure(
         }
     times = {int(n): r["s"] for n, r in run["build_table"].items()}
     run["build_growth_exp"] = _growth_exponents(times)
+    run["enumeration"] = {
+        f"{op}({n})": _child(src, op, n, "") for op in ENUMERATION for n in ENUMERATION_N
+    }
     run["suites"] = {
         f"{name}({lo}, {hi})": _child(src, name, hi, str(lo)) for name, lo, hi in SUITES
     }
