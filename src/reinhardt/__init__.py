@@ -42,7 +42,7 @@ _EXPORTS = {
     "enumerate_partitions_with_length": "partitions",
     "format_ratio": "sequences",
     "growth_sequence": "sequences",
-    "is_realizable": "dimsets",
+    "is_realizable": "classify",
     "load_table": "storage",
     "make_witness": "classify",
     "n_squared_families": "classify",

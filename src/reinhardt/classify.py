@@ -11,27 +11,31 @@ Given (n, dim) the decision ladder is exact:
     block, general-only if it is achievable but only with two or more
     marked blocks (hence by no smooth bounded domain), else unrealizable.
 
-Only that last rung, for a dim of the parity of n and at least n
-(:func:`needs_table`), reads the table: dim in S(n), dim + 1 in S(n+1)
-(the index :func:`~reinhardt.dimsets.noncompact_set` tests), and
-:func:`~reinhardt.dimsets.is_realizable`, which rebuilds no set.
+That last rung tests dim in S(n), dim + 1 in S(n+1) (the index
+:func:`~reinhardt.dimsets.noncompact_set` tests) and dim in G(n) by the
+largest-part recursion of :func:`is_realizable`: no
+file is read, and no set past the fixed base of n <= 80 is built.
 
 Realizations (n <= 80) come from one search over the marked-set table
 (:func:`~reinhardt.dimsets.marked_set_rows`, built once on first use and
-shared with :func:`~reinhardt.dimsets.is_realizable`):
+shared with the membership tests):
 parts are placed largest first, and one bit test per branch cuts every
 remainder that cannot reach the remaining value, so no partition is
 enumerated in vain.  Partition enumeration is left to the oracles.
 
-All queries are read-only against immutable tables and safe for
-concurrent callers.
+All queries read only immutable data and are safe for concurrent
+callers.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dimsets import MARKED_ORACLE_MAX_N, DimTable, _marked_rows, is_realizable
+from bisect import bisect_right
+from functools import lru_cache
+from math import isqrt
+
+from .dimsets import MARKED_ORACLE_MAX_N, build_table, marked_set_rows
 from .partitions import (
     MarkedPartition,
     _marked_unchecked,
@@ -47,6 +51,9 @@ STATUS_COMPACT_BAD = "compact_bad"
 STATUS_GENERAL_ONLY = "general_only"
 
 NOT_VERIFIED_LABEL = "canonical candidate; automorphism group not verified by this library"
+
+#: Largest n whose S(n) and G(n) membership is decided: an input guard.
+MEMBERSHIP_MAX_N = 10**8
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
@@ -186,7 +193,7 @@ def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
         return []
     max_marks = 1 if smooth else n
     index, odd = divmod(dim - n, 2)
-    rows = _marked_rows(MARKED_ORACLE_MAX_N)
+    rows = _marked_rows()
     if odd or index < 0 or not rows[n][n] >> index & 1:
         return []
     found: list[Realization] = []
@@ -229,37 +236,104 @@ def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
     return found
 
 
-def needs_table(n: int, dim: int) -> bool:
-    """Whether the ladder reads the table for (n, dim): dim has the parity
-    of n and n <= dim <= n^2 - 2.  Every other value is decided by n alone."""
-    return (dim - n) % 2 == 0 and n <= dim <= n * n - 2
+def is_realizable(n: int, dim: int) -> bool:
+    """Whether ``dim`` lies in G(n), the values of marked partitions of n
+    with any number of marks; see :func:`_member`."""
+    return _member(n, dim, True, _growth_rows(n))
 
 
-def classify_dimension(
-    table: DimTable | None, n: int, dim: int, include_realizations: bool = True
-) -> Classification:
+def _member(n: int, value: int, marked: bool, rows) -> bool:
+    """Whether ``value`` lies in G(n) if ``marked``, else in S(n); ``rows``
+    come from :func:`_growth_rows` at n or above.
+
+    A marked block d adds d^2 + 2d to the value, an unmarked one d^2.  For
+    n <= :data:`MARKED_ORACLE_MAX_N` a fixed base answers.  Above it every
+    value up to reach(n) is a square sum (the growth lemma: the
+    ``sequences`` suite checks it up to the CLI's build limit, and past
+    that it rests on the paper's proof).  reach(n) passes n(n+3)/2 (tested
+    to n = 100 000 and on a grid up to the guard), and parts all below
+    n/2 give at most sum d(d + 2) <= n(n+3)/2, so a value above reach(n)
+    has a largest part p = n - j >= n/2: it is in S(n) iff value - p^2 is
+    in S(j), and in G(n) iff value - p^2 or value - p^2 - 2p is in G(j).
+    j rises while p^2 + j^2 (+ 2n in G), the largest such value, still
+    reaches the value; that falls as j rises to n/2.
+    """
+    pad = 2 * n if marked else 0
+    if (value - n) % 2 or not n <= value <= n * n + pad:
+        return False
+    if n <= MARKED_ORACLE_MAX_N:
+        base = _marked_rows()[n][n] if marked else _small_squares()[n]
+        return bool(base >> (value - n) // 2 & 1)
+    if value <= _reach(n, rows):
+        return True
+    for j in range(n // 2 + 1):
+        p = n - j
+        if p * p + j * j + pad < value:
+            break
+        rest = value - p * p
+        if _member(j, rest, marked, rows) or marked and _member(j, rest - 2 * p, marked, rows):
+            return True
+    return False
+
+
+def _reach(n: int, rows) -> int:
+    """reach(n): its row, or one anchor step (n - k)^2 + reach(k), where
+    k = anchor(n) is the last row with threshold at most n."""
+    if n < len(rows):
+        return rows[n].reach
+    k = bisect_right(rows, n, key=lambda row: row.threshold) - 1
+    return (n - k) ** 2 + rows[k].reach
+
+
+def _growth_rows(n: int) -> list:
+    """``growth_sequence(m)`` with m past anchor(n + 1), so :func:`_reach`
+    serves every j <= n + 1 (anchor rises with j).  anchor(n) - sqrt(2n)
+    stays below 3 n^(1/4) for 80 < n <= 200 000, and the first m passes
+    anchor(n + 1) for every n <= 200 000; m doubles until the last row's
+    threshold passes n + 1."""
+    from .sequences import growth_sequence
+
+    if not 0 <= n <= MEMBERSHIP_MAX_N:
+        raise ValueError(f"S(n) and G(n) membership needs 0 <= n <= {MEMBERSHIP_MAX_N}, got {n}")
+    m = isqrt(2 * n) + 4 * isqrt(isqrt(n)) + 8
+    while (rows := growth_sequence(m))[m].threshold <= n + 1:
+        m *= 2
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _marked_rows() -> tuple[tuple[int, ...], ...]:
+    """The base's G(n), shared with :func:`realizations`."""
+    return marked_set_rows(MARKED_ORACLE_MAX_N)
+
+
+@lru_cache(maxsize=None)
+def _small_squares() -> tuple[int, ...]:
+    """The base's S(n), as bits."""
+    return tuple(s.bits for s in build_table(MARKED_ORACLE_MAX_N).sets)
+
+
+def classify_dimension(n: int, dim: int, include_realizations: bool = True) -> Classification:
     """Classify the query (n, dim); see the module docstring for the ladder.
 
-    Where :func:`needs_table` holds, the table must cover n + 1 (for the
-    successor set); elsewhere it may be None.  Realizations are enumerated
-    when n is within oracle scale, otherwise the list stays empty with a note;
-    ``include_realizations=False`` skips the enumeration entirely (bulk
-    scans over many dims would otherwise materialize millions of
-    records) without changing the status decision.
+    A dim of the parity of n from n to n^2 - 2 raises :class:`ValueError`
+    for n above :data:`MEMBERSHIP_MAX_N`; other values
+    answer at any n.  Realizations are listed for n <= 80, else a note says so;
+    ``include_realizations=False`` skips them without changing the status
+    (bulk scans would otherwise materialize millions of records).
     """
     if n < 2:
         raise ValueError(f"queries need n >= 2, got {n}")
     top = n * n
     notes: list[str] = []
     families: tuple[DomainFamily, ...] = ()
-    if needs_table(n, dim):
-        if table is None or table.n_max < n + 1:
-            raise ValueError(f"dim={dim} at n={n} needs a table covering n={n + 1}")
-        if dim in table.sets[n]:  # below n^2 - 2, so not the top value
+    if (dim - n) % 2 == 0 and n <= dim <= top - 2:
+        rows = _growth_rows(n)
+        if _member(n, dim, False, rows):  # below n^2 - 2, so not the top value
             status = STATUS_COMPACT_BAD
-        elif dim + 1 in table.sets[n + 1]:  # noncompact_set's index, below (n+1)^2
+        elif _member(n + 1, dim + 1, False, rows):  # noncompact_set's index, below (n+1)^2
             status = STATUS_NONCOMPACT_GOOD
-        elif is_realizable(table, n, dim):
+        elif _member(n, dim, True, rows):
             status = STATUS_GENERAL_ONLY
             notes.append(
                 "achievable only with two or more marked blocks;"

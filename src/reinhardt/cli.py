@@ -6,7 +6,9 @@ queried dimension), ``sequence`` (the inductive growth rows), and
 ``verify`` (the finite check suites).  CSV uses comma separators, LF
 line endings and always a header row; JSON output is a single top-level
 object with a ``rows`` array.  The environment variable
-``REINHARDT_CACHE`` supplies a default table-cache path.
+``REINHARDT_CACHE`` supplies a default table-cache path to ``table`` and
+``set``; ``classify`` reads and builds no table (see
+:mod:`reinhardt.classify`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .storage import (
 
 #: Largest table built inline without --force; a covering cache serves any n.
 BUILD_LIMIT = 4096
+#: Last row `sequence` prints: its rows are held before they are written.
+SEQUENCE_LIMIT = 100_000
 
 CACHE_ENV_VAR = "REINHARDT_CACHE"
 _CHUNK = 4096  # values per write in `set`
@@ -58,17 +62,14 @@ def _json_text(rows: Sequence[dict[str, Any]]) -> str:
     return json.dumps({"rows": list(rows)}, ensure_ascii=False) + "\n"
 
 
-def _default_cache(value: str | None) -> str | None:
-    if value is not None:
-        return value
-    return os.environ.get(CACHE_ENV_VAR) or None
-
-
-def _load_or_build(n_max: int, cache: str | None, force: bool = False) -> DimTable:
-    """The table for n = 0..n_max: read from the front of the cached table
-    if that covers n_max, else built (refused above :data:`BUILD_LIMIT`
-    unless ``force``) and saved to the cache, if any.  A cache in an older
+def _load_or_build(n_max: int, args: SimpleNamespace) -> DimTable:
+    """The table for n = 0..n_max: read from the front of the cache
+    (``--cache``, else ``$REINHARDT_CACHE``, none under ``--no-cache``) if
+    that covers n_max, else built (refused above :data:`BUILD_LIMIT` unless
+    ``--force``) and saved to the cache, if any.  A cache in an older
     format is rebuilt the same way, with one warning on stderr."""
+    cache = os.environ.get(CACHE_ENV_VAR) if args.cache is None else args.cache
+    cache = None if args.no_cache else cache
     if cache and os.path.exists(cache):
         try:
             with open(cache, "rb") as fh:
@@ -78,7 +79,7 @@ def _load_or_build(n_max: int, cache: str | None, force: bool = False) -> DimTab
         else:
             if table.n_max >= n_max:
                 return table
-    if n_max > BUILD_LIMIT and not force:
+    if n_max > BUILD_LIMIT and not args.force:
         raise CliError(
             f"no cached table covers n={n_max}; inline builds stop at n={BUILD_LIMIT}"
             f" (pass --force to `table` or `set`, or set ${CACHE_ENV_VAR} to a cache"
@@ -115,8 +116,7 @@ def cmd_table(args: SimpleNamespace) -> int:
 
     if not 2 <= args.min_n <= args.max_n:
         raise CliError(f"need 2 <= min_n <= max_n, got ({args.min_n}, {args.max_n})")
-    cache = None if args.no_cache else _default_cache(args.cache)
-    table = _load_or_build(args.max_n, cache, args.force)
+    table = _load_or_build(args.max_n, args)
     rows = [
         (r.n, r.compact, r.compact_ratio, r.noncompact, r.noncompact_ratio)
         for r in ratio_table(table, list(range(args.min_n, args.max_n + 1)))
@@ -138,8 +138,7 @@ def cmd_set(args: SimpleNamespace) -> int:
     n = args.n
     if n < 0:
         raise CliError(f"n must be non-negative, got {n}")
-    cache = None if args.no_cache else _default_cache(args.cache)
-    dimset = _load_or_build(n, cache, args.force).sets[n]
+    dimset = _load_or_build(n, args).sets[n]
     if args.format == "csv":
         head, sep, tail = f"n,values\n{n},", " ", "\n"
     else:
@@ -189,14 +188,11 @@ def _classification_record(result) -> dict[str, Any]:
 
 
 def cmd_classify(args: SimpleNamespace) -> int:
-    from .classify import classify_dimension, needs_table
+    from .classify import classify_dimension
 
     if args.n < 2:
         raise CliError(f"classification needs n >= 2, got {args.n}")
-    table = None
-    if needs_table(args.n, args.dim):  # other values are decided by n alone
-        table = _load_or_build(args.n + 1, _default_cache(None))
-    result = classify_dimension(table, args.n, args.dim)
+    result = classify_dimension(args.n, args.dim)
     if args.format == "json":
         sys.stdout.write(_json_text([_classification_record(result)]))
         return 0
@@ -287,6 +283,8 @@ def cmd_sequence(args: SimpleNamespace) -> int:
 
     if args.max_n < 1:
         raise CliError(f"max_n must be positive, got {args.max_n}")
+    if args.max_n > SEQUENCE_LIMIT:
+        raise CliError(f"sequence rows stop at n={SEQUENCE_LIMIT}, got --max-n {args.max_n}")
     rows = [(r.n, r.reach, 2 * r.threshold, r.anchor) for r in growth_sequence(args.max_n)]
     _emit(args.format, ("n", "f", "2g", "k"), rows, sys.stdout)
     return 0

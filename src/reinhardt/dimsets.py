@@ -22,9 +22,9 @@ low and the set size, plus the small sets in full, and rebuilds any
 other set with one step when it is asked for.  The prefix is measured
 from the built sets, never taken from the growth-sequence lemma, so the
 lemma's check stays independent of the build.  The same largest-part
-argument decides membership in G(n), the values of marked partitions:
-:func:`is_realizable` reads ``low[n]`` and the small marked sets of
-:func:`marked_set_rows`, never a square-sum set.  Tables and sets are
+argument, over the growth-sequence prefix, decides membership in S(n)
+and in G(n), the values of marked partitions, with no table
+(:func:`~reinhardt.classify.is_realizable`).  Tables and sets are
 immutable once built and safe to share across threads.
 """
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from functools import lru_cache
 from math import isqrt
 from typing import Iterator
 
@@ -448,48 +447,3 @@ def smooth_bounded_sets(n: int, table: DimTable) -> tuple[DimSet, DimSet]:
     one_marked = table.sets[n + 1].bits & ~(1 << top_succ) & ~1
     one_marked &= ~(1 << top)  # cap at n^2 - 2: drop the value n^2
     return DimSet(n, compact_bits), DimSet(n, one_marked & ~compact_bits)
-
-
-def is_realizable(table: DimTable, n: int, dim: int) -> bool:
-    """Whether ``dim`` is achievable for n with any number of marked blocks.
-
-    A marked block d adds d^2 + 2d to the value, an unmarked one d^2.
-    Values in the dense prefix of S(n) need no mark.  Parts that are all
-    below n/2 give at most sum d(d + 2) <= n(n+3)/2, so a value above
-    that has a largest part p = n - j >= n/2, marked or not, and the rest
-    is any marked partition of j <= p: dim is achievable iff dim - p^2 or
-    dim - p^2 - 2p lies in G(j), the marked values of j
-    (:func:`marked_set_rows`).  j runs up from 0 while p(p + 2) + j(j + 2)
-    still reaches dim, which falls as j rises to n/2.  At or below
-    n(n+3)/2, which the prefix covers for n > 40, G(n) is read directly.
-    So no S(n) is rebuilt, and the marked rows are shared with
-    :func:`~reinhardt.classify.realizations`.
-    """
-    if not 2 <= n <= table.n_max:
-        raise ValueError(f"n={n} outside table range 2..{table.n_max}")
-    if (dim - n) % 2 or dim < n or dim > n * n + 2 * n:
-        return False
-    half = (dim - n) // 2  # an index in base n; G(j) holds bit i for j + 2i
-    if half < table.low[n]:
-        return True  # S(n) is within G(n)
-    if 2 * dim <= n * (n + 3):
-        return bool(_marked_rows(max(n, MARKED_ORACLE_MAX_N))[n][n] >> half & 1)
-    stop = 0  # the first j whose largest part n - j no longer reaches dim
-    while 2 * stop <= n and (n - stop) * (n - stop + 2) + stop * (stop + 2) >= dim:
-        stop += 1
-    rows = _marked_rows(max(stop, MARKED_ORACLE_MAX_N))
-    for j in range(stop):
-        p = n - j
-        unmarked = half - (p * p - p) // 2  # p^2 + (j + 2i) = n + 2(off_p + i)
-        for i in (unmarked, unmarked - p):
-            if i >= 0 and rows[j][j] >> i & 1:
-                return True
-    return False
-
-
-@lru_cache(maxsize=1)
-def _marked_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    """``marked_set_rows(n_max)``, kept for the last n_max asked for.
-    Callers ask for at least :data:`MARKED_ORACLE_MAX_N`, so every query
-    up to that size shares one table."""
-    return marked_set_rows(n_max)

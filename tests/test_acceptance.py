@@ -145,7 +145,7 @@ def test_criterion_7_consistency(big_table, acceptance):
     )
 
 
-def test_criterion_8_classification_goldens(table64, acceptance):
+def test_criterion_8_classification_goldens(acceptance):
     checks = [
         (5, 35, "ball", None),
         (5, 27, "ball_times_disc", None),
@@ -157,7 +157,7 @@ def test_criterion_8_classification_goldens(table64, acceptance):
     ]
     failures = []
     for n, dim, status, family in checks:
-        got = classify_dimension(table64, n, dim)
+        got = classify_dimension(n, dim)
         if got.status != status or (family and family not in {f.tag for f in got.families}):
             failures.append((n, dim, got.status))
     acceptance(8, not failures, f"7 classification goldens (failures: {failures or 'none'})")

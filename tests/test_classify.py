@@ -1,15 +1,18 @@
+import random
 from itertools import product
+from math import isqrt
 
 import pytest
 
 from reinhardt import (
-    build_table,
     classify_dimension,
     dimension_value,
     make_witness,
     n_squared_families,
     realizations,
 )
+from reinhardt.classify import MEMBERSHIP_MAX_N
+from reinhardt.dimsets import MARKED_ORACLE_MAX_N, marked_set_rows
 from reinhardt.partitions import iter_partition_tuples, partition_count
 
 
@@ -51,62 +54,66 @@ def _oracle_realizations(n, mode):
 
 
 class TestLadderGoldens:
-    def test_ball(self, table64):
-        c = classify_dimension(table64, 5, 35)
+    def test_ball(self):
+        c = classify_dimension(5, 35)
         assert c.status == "ball"
         assert c.families[0].tag == "Ball"
         assert any(r.marked.partition.parts == (5,) and r.mark_count == 1 for r in c.realizations)
 
-    def test_ball_times_disc(self, table64):
-        c = classify_dimension(table64, 5, 27)
+    def test_ball_times_disc(self):
+        c = classify_dimension(5, 27)
         assert c.status == "ball_times_disc"
         assert c.families[0].tag == "BallTimesDisc"
 
-    def test_n_squared_families_n4(self, table64):
-        c = classify_dimension(table64, 4, 16)
+    def test_n_squared_families_n4(self):
+        c = classify_dimension(4, 16)
         assert c.status == "n_squared"
         assert "ProductB2B2" in {f.tag for f in c.families}
 
-    def test_n_squared_families_n3(self, table64):
-        c = classify_dimension(table64, 3, 9)
+    def test_n_squared_families_n3(self):
+        c = classify_dimension(3, 9)
         assert c.status == "n_squared"
         assert "Polydisc3" in {f.tag for f in c.families}
 
-    def test_noncompact_good(self, table64):
-        c = classify_dimension(table64, 4, 12)
+    def test_noncompact_good(self):
+        c = classify_dimension(4, 12)
         assert c.status == "noncompact_good"
         assert c.realizations
 
-    def test_general_only(self, table64):
-        c = classify_dimension(table64, 4, 14)
+    def test_general_only(self):
+        c = classify_dimension(4, 14)
         assert c.status == "general_only"
         # 14 needs every part of (2,1,1) marked
         assert [r.mark_count for r in c.realizations] == [3]
 
-    def test_unrealizable_parity(self, table64):
-        c = classify_dimension(table64, 4, 15)
+    def test_unrealizable_parity(self):
+        c = classify_dimension(4, 15)
         assert c.status == "unrealizable"
         assert "parity" in c.notes
 
-    def test_compact_bad(self, table64):
-        assert classify_dimension(table64, 4, 8).status == "compact_bad"
-        assert classify_dimension(table64, 2, 2).status == "compact_bad"
+    def test_compact_bad(self):
+        assert classify_dimension(4, 8).status == "compact_bad"
+        assert classify_dimension(2, 2).status == "compact_bad"
 
-    def test_gap_and_range_notes(self, table64):
-        assert classify_dimension(table64, 5, 29).status == "unrealizable"
-        assert classify_dimension(table64, 5, 3).status == "unrealizable"
-        assert classify_dimension(table64, 5, 37).status == "unrealizable"
+    def test_gap_and_range_notes(self):
+        assert classify_dimension(5, 29).status == "unrealizable"
+        assert classify_dimension(5, 3).status == "unrealizable"
+        assert classify_dimension(5, 37).status == "unrealizable"
 
-    def test_input_validation(self, table64):
+    def test_input_validation(self):
         with pytest.raises(ValueError):
-            classify_dimension(table64, 1, 3)
-        with pytest.raises(ValueError):
-            classify_dimension(table64, 64, 64)  # needs the successor set
-        with pytest.raises(ValueError):
-            classify_dimension(None, 4, 10)  # only the table decides it
-        # values decided by n alone read no table
-        assert classify_dimension(table64, 64, 64 * 66).status == "ball"
-        assert [classify_dimension(None, 4, d).status for d in (3, 15, 16, 18, 20, 24)] == [
+            classify_dimension(1, 3)
+        # the membership rung answers up to its guard, at n + 1 too
+        assert classify_dimension(64, 64).status == "compact_bad"
+        top = MEMBERSHIP_MAX_N
+        assert classify_dimension(top, top * top - 2).status == "unrealizable"
+        with pytest.raises(ValueError, match=f"needs 0 <= n <= {top}, got {top + 1}"):
+            classify_dimension(top + 1, (top + 1) ** 2 - 2)
+        # values decided by n alone answer at any n
+        big = 10**12
+        assert classify_dimension(big, big * big + 2 * big).status == "ball"
+        assert classify_dimension(64, 64 * 66).status == "ball"
+        assert [classify_dimension(4, d).status for d in (3, 15, 16, 18, 20, 24)] == [
             "unrealizable",
             "unrealizable",
             "n_squared",
@@ -211,21 +218,21 @@ class TestWitness:
 
 class TestExhaustiveness:
     @pytest.mark.parametrize("n", range(2, 31))
-    def test_unrealizable_iff_no_realization(self, table64, n):
+    def test_unrealizable_iff_no_realization(self, n):
         achievable = _omega_values(n)
         for dim in range(n - 2, n * n + 2 * n + 3):
-            c = classify_dimension(table64, n, dim)
+            c = classify_dimension(n, dim)
             assert (c.status == "unrealizable") == (dim not in achievable), (n, dim)
             assert bool(c.realizations) == (dim in achievable), (n, dim)
 
     @pytest.mark.parametrize("n", range(31, 41))
-    def test_status_sweep_large_n(self, table64, n):
+    def test_status_sweep_large_n(self, n):
         # statuses against the independent oracle for every dim; the full
         # realization lists (millions of records here) are spot-checked
         # around the structural boundaries instead
         achievable = _omega_values(n)
         for dim in range(n - 2, n * n + 2 * n + 3):
-            c = classify_dimension(table64, n, dim, include_realizations=False)
+            c = classify_dimension(n, dim, include_realizations=False)
             assert (c.status == "unrealizable") == (dim not in achievable), (n, dim)
         probes = list(range(n - 2, n + 20)) + list(range(n * n - 40, n * n + 2 * n + 3))
         probes += list(range(n + 20, n * n - 40, 97))
@@ -270,11 +277,11 @@ class TestExhaustiveness:
             assert got == oracle.get(dim, []), (n, dim, mode)
 
     @pytest.mark.parametrize("n", range(2, 26))
-    def test_status_partition_below_gap(self, table64, n):
+    def test_status_partition_below_gap(self, n):
         # compact and noncompact never overlap and exhaust the smooth-
         # bounded values; general_only values admit no mark count <= 1
         for dim in range(n, n * n - 1, 2):
-            c = classify_dimension(table64, n, dim)
+            c = classify_dimension(n, dim)
             min_marks = min((r.mark_count for r in c.realizations), default=None)
             if c.status == "compact_bad":
                 assert min_marks == 0
@@ -288,23 +295,109 @@ class TestExhaustiveness:
 
 class TestLargeN:
     def test_realizations_skipped_above_oracle_scale(self):
-        t = build_table(101)
-        c = classify_dimension(t, 100, 100 * 100 - 2 * 50)
+        c = classify_dimension(100, 100 * 100 - 2 * 50)
         assert c.realizations == ()
         assert "skipped" in c.notes
 
     @pytest.mark.parametrize("dim, status", [(72892, "general_only"), (75056, "unrealizable")])
-    def test_query_rebuilds_each_set_once(self, monkeypatch, dim, status):
-        from reinhardt import dimsets
+    def test_query_builds_no_set_above_the_base(self, monkeypatch, dim, status):
+        from reinhardt import classify, dimsets
 
-        table = build_table(301)
-        stepped = []
+        stepped, built = [], []
 
         def step(n, *args):
             stepped.append(n)
             return real_step(n, *args)
 
-        real_step = dimsets._step
+        def build(n_max):
+            built.append(n_max)
+            return real_build(n_max)
+
+        real_step, real_build = dimsets._step, dimsets.build_table
         monkeypatch.setattr(dimsets, "_step", step)
-        assert classify_dimension(table, 300, dim).status == status
-        assert sorted(stepped) == [300, 301]
+        for module in (classify, dimsets):
+            monkeypatch.setattr(module, "build_table", build)
+        classify._small_squares.cache_clear()  # so the base is built under the patch
+        assert classify_dimension(300, dim).status == status
+        assert built == [MARKED_ORACLE_MAX_N]
+        assert stepped and max(stepped) == MARKED_ORACLE_MAX_N
+        stepped.clear()
+        assert classify_dimension(300, dim).status == status
+        assert (built, stepped) == ([MARKED_ORACLE_MAX_N], [])  # the base is kept
+
+    @pytest.mark.parametrize("n, draws", [(10**5, 100), (10**7, 40)])
+    def test_partitions_classify_one_sided(self, n, draws):
+        # a partition with two or more blocks is compact; with one block
+        # marked, below n^2 - 2, compact or noncompact.  Parts are drawn
+        # largest first, each within a few sqrt of the rest, so the values
+        # land near and above the prefix, where the recursion decides
+        rng = random.Random(n)
+        for _ in range(draws):
+            parts, rest = [], n
+            while rest:
+                part = rest - rng.randrange(min(rest, 3 * isqrt(rest) + 2))
+                if not parts and part == n:
+                    continue  # at least two blocks
+                parts.append(part)
+                rest -= part
+            dim = sum(p * p for p in parts)
+            assert classify_dimension(n, dim, False).status == "compact_bad", parts
+            marked = dim + 2 * rng.choice(parts)
+            if marked <= n * n - 2:
+                status = classify_dimension(n, marked, False).status
+                assert status in ("compact_bad", "noncompact_good"), (parts, marked)
+
+
+def _table_realizable(table, rows, n, dim):
+    """Oracle: dim in G(n) from a built table's measured prefix low[n] and
+    the marked rows, by the largest-part split (the table path of the
+    classifier before it needed no table)."""
+    if (dim - n) % 2 or dim < n or dim > n * n + 2 * n:
+        return False
+    half = (dim - n) // 2
+    if half < table.low[n]:
+        return True
+    if 2 * dim <= n * (n + 3):
+        return bool(rows[n][n] >> half & 1)
+    stop = 0
+    while 2 * stop <= n and (n - stop) * (n - stop + 2) + stop * (stop + 2) >= dim:
+        stop += 1
+    assert stop < len(rows)
+    for j in range(stop):
+        p = n - j
+        unmarked = half - (p * p - p) // 2
+        for i in (unmarked, unmarked - p):
+            if i >= 0 and rows[j][j] >> i & 1:
+                return True
+    return False
+
+
+def _table_status(table, rows, sets, n, dim):
+    """Oracle: the status of the membership rung from a built table."""
+    if dim in sets[n]:
+        return "compact_bad"
+    if dim + 1 in sets[n + 1]:
+        return "noncompact_good"
+    if _table_realizable(table, rows, n, dim):
+        return "general_only"
+    return "unrealizable"
+
+
+_TABLE_SAMPLE_N = [*range(2, 200), 250, 399, 500, 803, 1000]
+
+
+class TestTablePath:
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_equals_the_table_ladder(self, big_table, chunk):
+        # every dim within 400 of the prefix edge, the top 400 and 100
+        # seeded random ones, for a quarter of the sample each
+        rows = marked_set_rows(MARKED_ORACLE_MAX_N)
+        for n in _TABLE_SAMPLE_N[chunk::4]:
+            sets = {n: big_table.sets[n], n + 1: big_table.sets[n + 1]}
+            edge = n + 2 * big_table.low[n]
+            dims = {*range(edge - 400, edge + 401, 2), *range(n * n - 400, n * n - 1, 2)}
+            rng = random.Random(n)
+            dims |= {n + 2 * rng.randrange((n * n - n) // 2) for _ in range(100)}
+            for dim in sorted(d for d in dims if n <= d <= n * n - 2):
+                got = classify_dimension(n, dim, False).status
+                assert got == _table_status(big_table, rows, sets, n, dim), (n, dim)

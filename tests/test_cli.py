@@ -91,15 +91,15 @@ class TestTable:
 
 
 class TestBuildLimit:
-    def test_one_limit_for_every_command(self, capsys, tmp_path, monkeypatch):
+    def test_one_limit_for_every_command(self, capsys, monkeypatch):
         monkeypatch.delenv("REINHARDT_CACHE", raising=False)
-        expected = run(capsys, "classify", "--n", "15", "--dim", "101")
-        assert expected[0] == 0
+        queries = (("15", "101"), ("10", "30"))
+        expected = [run(capsys, "classify", "--n", n, "--dim", d) for n, d in queries]
+        assert [code for code, _, _ in expected] == [0, 0]
         monkeypatch.setattr(reinhardt.cli, "BUILD_LIMIT", 10)
         refusals = [
             run(capsys, "table", "--max-n", "11", "--no-cache"),
             run(capsys, "set", "--n", "11", "--no-cache"),
-            run(capsys, "classify", "--n", "10", "--dim", "30"),  # needs the table to 11
         ]
         assert {(code, out) for code, out, _ in refusals} == {(1, "")}
         (err,) = {err for _, _, err in refusals}  # one shared text
@@ -107,16 +107,9 @@ class TestBuildLimit:
         for argv in (("table", "--max-n", "11"), ("set", "--n", "11")):
             code, out, _ = run(capsys, *argv, "--force", "--no-cache")
             assert code == 0 and out
-        # a cache that covers n + 1 serves classify at any n, with no build
-        cache = tmp_path / "table.rdim"
-        assert run(capsys, "table", "--max-n", "20", "--force", "--cache", str(cache))[0] == 0
-        monkeypatch.setenv("REINHARDT_CACHE", str(cache))
-
-        def no_build(n_max):
-            raise AssertionError(f"built to n={n_max}")
-
-        monkeypatch.setattr(reinhardt.cli, "build_table", no_build)
-        assert run(capsys, "classify", "--n", "15", "--dim", "101") == expected
+        # classify builds no table, so the limit does not concern it: the
+        # same answers at n = 15 and at n = 10, whose successor passes it
+        assert [run(capsys, "classify", "--n", n, "--dim", d) for n, d in queries] == expected
 
     def test_verify_suites_that_build_obey_the_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(reinhardt.cli, "BUILD_LIMIT", 10)
@@ -214,26 +207,23 @@ class TestCache:
         assert out == run(capsys, "set", "--n", "20", "--no-cache")[1]
         assert len(positions) == 1 and positions[0] < cache.stat().st_size
 
-    def test_classify_reads_env_cache(self, capsys, tmp_path, monkeypatch):
+    def test_classify_ignores_env_cache(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("REINHARDT_CACHE", raising=False)
+        # 13 = 3^2 + 2^2 is below n^2 - 2: the membership rung decides it
+        argv = ("classify", "--n", "5", "--dim", "13")
+        expected = run(capsys, *argv)
+        assert expected[0] == 0 and "status,compact_bad" in expected[1].splitlines()
         cache = tmp_path / "env.rdim"
         run(capsys, "table", "--max-n", "6", "--cache", str(cache))
-        load_table = reinhardt.cli.load_table
         calls = []
-
-        def counting_load(fh, n_max=None):
-            calls.append(fh.name)
-            return load_table(fh, n_max)
-
-        def no_build(*args):
-            raise AssertionError("classify rebuilt a table the cache covers")
-
+        monkeypatch.setattr(reinhardt.cli, "load_table", lambda *args: calls.append(args))
         monkeypatch.setenv("REINHARDT_CACHE", str(cache))
-        monkeypatch.setattr(reinhardt.cli, "load_table", counting_load)
-        monkeypatch.setattr(reinhardt.cli, "build_table", no_build)
-        # 13 = 3^2 + 2^2 is below n^2 - 2, so only the table decides it
-        code, out, _ = run(capsys, "classify", "--n", "5", "--dim", "13")
-        assert code == 0 and "status,compact_bad" in out.splitlines()
-        assert calls == [str(cache)]
+        assert run(capsys, *argv) == expected and calls == []
+        blob = bytearray(cache.read_bytes())
+        blob[-3] ^= 0x10  # `table` now fails on this file, classify is unaffected
+        cache.write_bytes(bytes(blob))
+        assert run(capsys, *argv) == expected
+        assert cache.read_bytes() == blob and [p.name for p in tmp_path.iterdir()] == ["env.rdim"]
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_format_cache_is_rebuilt_with_one_warning(
@@ -372,14 +362,35 @@ class TestClassify:
             (24_999_999, "unrealizable"),  # parity
             (4_998, "unrealizable"),  # below n
             (25_010_002, "unrealizable"),  # above n^2 + 2n
+            # the membership rung, from a table built to 5001: the last value
+            # of the prefix of S(5000), the first above it, and past it
+            (23_843_718, "compact_bad"),
+            (23_843_720, "noncompact_good"),
+            (23_843_722, "compact_bad"),
+            (24_980_010, "general_only"),
+            (24_980_000, "unrealizable"),
+            (24_999_998, "unrealizable"),  # n^2 - 2
         ],
     )
-    def test_values_decided_by_n_read_no_table(self, capsys, monkeypatch, dim, status):
+    def test_values_decided_by_n_read_no_table(self, capsys, monkeypatch, tmp_path, dim, status):
+        from reinhardt import classify, dimsets, storage
+
         def no_table(*args):
             raise AssertionError("classify read or built a table")
 
-        monkeypatch.setattr(reinhardt.cli, "load_table", no_table)
+        def base_only(n_max):
+            assert n_max == dimsets.MARKED_ORACLE_MAX_N, f"built to n={n_max}"
+            return build_table(n_max)
+
+        for module in (reinhardt.cli, storage):
+            monkeypatch.setattr(module, "load_table", no_table)
         monkeypatch.setattr(reinhardt.cli, "build_table", no_table)
+        for module in (classify, dimsets):
+            monkeypatch.setattr(module, "build_table", base_only)
+        classify._small_squares.cache_clear()  # so the base is built under the patch
+        cache = tmp_path / "corrupt.rdim"
+        cache.write_bytes(b"RDIM" + b"\xff" * 40)
+        monkeypatch.setenv("REINHARDT_CACHE", str(cache))
         code, out, err = run(capsys, "classify", "--n", "5000", "--dim", str(dim))
         assert (code, err) == (0, "")
         assert f"status,{status}" in out.splitlines()
@@ -511,6 +522,20 @@ class TestSequence:
         assert lines[1] == "0,0,4,"
         assert lines[5] == "4,10,18,1"
         assert lines[19] == "18,142,164,7"
+
+    def test_refuses_beyond_limit_before_any_row(self, capsys, monkeypatch):
+        import reinhardt.sequences
+
+        def no_rows(n_max):
+            raise AssertionError(f"built rows to n={n_max}")
+
+        monkeypatch.setattr(reinhardt.sequences, "growth_sequence", no_rows)
+        limit = reinhardt.cli.SEQUENCE_LIMIT
+        code, out, err = run(capsys, "sequence", "--max-n", str(limit + 1))
+        assert (code, out) == (1, "")
+        assert err == f"error: sequence rows stop at n={limit}, got --max-n {limit + 1}\n"
+        with pytest.raises(AssertionError, match=f"n={limit}"):
+            run(capsys, "sequence", "--max-n", str(limit))
 
     def test_json_null_anchor_at_zero(self, capsys):
         code, out, _ = run(capsys, "sequence", "--max-n", "2", "--format", "json")

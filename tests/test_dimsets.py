@@ -19,6 +19,7 @@ from reinhardt import (
     square_sums_bruteforce,
     two_block_dimensions,
 )
+from reinhardt.classify import MEMBERSHIP_MAX_N, _growth_rows, _member, _reach
 from reinhardt.dimsets import (
     _step,
     full_set_limit,
@@ -345,10 +346,10 @@ class TestMarkedSetRows:
                 assert rows[p][m] == expected, (p, m)
 
     @pytest.mark.parametrize("n", [2, 17, 40, 64])
-    def test_full_row_equals_realizable(self, table64, n):
+    def test_full_row_equals_realizable(self, n):
         row = marked_set_rows(n)[n][n]
         for dim in range(n, n * n + 2 * n + 1, 2):
-            assert bool(row >> (dim - n) // 2 & 1) == is_realizable(table64, n, dim), dim
+            assert bool(row >> (dim - n) // 2 & 1) == is_realizable(n, dim), dim
 
     def test_refusal(self):
         with pytest.raises(ValueError):
@@ -371,7 +372,7 @@ class TestTwoBlockClosedForm:
 
 class TestRealizableMembership:
     @pytest.mark.parametrize("n", range(2, 21))
-    def test_matches_enumeration(self, table64, n):
+    def test_matches_enumeration(self, n):
         achievable = set()
         for parts in iter_partition_tuples(n):
             base = sum(p * p for p in parts)
@@ -382,13 +383,13 @@ class TestRealizableMembership:
                 if (sums >> s) & 1:
                     achievable.add(base + 2 * s)
         for dim in range(n - 3, n * n + 2 * n + 3):
-            assert is_realizable(table64, n, dim) == (dim in achievable)
+            assert is_realizable(n, dim) == (dim in achievable)
 
     @pytest.mark.parametrize("n", range(2, 61))
     def test_equals_pair_sumsets_for_every_dim(self, table64, n):
         sets = _PairSumsetOracle(table64, n)
         for dim in range(n - 3, n * n + 2 * n + 3):
-            assert is_realizable(table64, n, dim) == sets.realizable(n, dim), dim
+            assert is_realizable(n, dim) == sets.realizable(n, dim), dim
 
     def test_equals_pair_sumsets_near_the_edges(self, big_table):
         rng = random.Random(803)
@@ -398,7 +399,33 @@ class TestRealizableMembership:
             dims = [*range(edge - 400, edge + 401), *range(n * n - 400, n * n + 2 * n + 1)]
             dims += [edge + 2 * rng.randrange((n * n + 2 * n - edge) // 2 + 1) for _ in range(200)]
             for dim in dims:
-                assert is_realizable(big_table, n, dim) == sets.realizable(n, dim), (n, dim)
+                assert is_realizable(n, dim) == sets.realizable(n, dim), (n, dim)
+
+    def test_equals_plain_recurrence_for_every_dim(self, plain_marked):
+        rows = _growth_rows(150)  # past anchor(151), so for every n <= 150
+        for n in range(151):
+            for dim in range(n, n * n + 2 * n + 1, 2):
+                expected = bool(plain_marked[n] >> (dim - n) // 2 & 1)
+                assert _member(n, dim, True, rows) == expected, (n, dim)
+
+    def test_equals_plain_recurrence_near_the_edges(self, plain_marked, table300):
+        rows = _growth_rows(300)
+        for n in range(151, 301):
+            edge = n + 2 * table300.low[n]  # the first value above the prefix
+            dims = [*range(edge - 400, edge + 401, 2), *range(n * n - 400, n * n + 2 * n + 1, 2)]
+            for dim in dims:
+                expected = bool(plain_marked[n] >> (dim - n) // 2 & 1)
+                assert _member(n, dim, True, rows) == expected, (n, dim)
+
+    def test_input_checks(self):
+        assert [is_realizable(n, n) for n in (0, 1, 2)] == [True, True, True]
+        assert not is_realizable(4, 15) and not is_realizable(4, 25) and is_realizable(4, 24)
+        with pytest.raises(ValueError, match="needs 0 <= n"):
+            is_realizable(-1, 1)
+        top = MEMBERSHIP_MAX_N
+        assert is_realizable(top, top * top + 2 * top)
+        with pytest.raises(ValueError, match=f"needs 0 <= n <= {top}, got {top + 1}"):
+            is_realizable(top + 1, (top + 1) ** 2)
 
     def test_fallback_only_below_41(self, table300):
         # above n = 40 the prefix reaches past n(n+3)/2, so every query that
@@ -409,6 +436,40 @@ class TestRealizableMembership:
         # and on: reach(n) lies in the prefix (the `sequences` suite checks it)
         for row in growth_sequence(100_000)[45:]:
             assert 2 * row.reach > row.n * (row.n + 3), row.n
+
+    def test_anchor_step_equals_the_sequence(self):
+        rows = _growth_rows(100_000)  # past anchor(100 001), 530 rows
+        assert len(rows) < 1000
+        for row in growth_sequence(100_001):
+            assert _reach(row.n, rows) == row.reach, row.n
+
+    def test_reach_passes_the_largest_part_bound_to_the_guard(self):
+        # the membership loop's 2j <= n needs 2 reach(n) > n(n+3) past the
+        # base; the test above covers every n to 100 000, this a 1% grid on
+        rows = _growth_rows(MEMBERSHIP_MAX_N)
+        n = 100_000
+        while n <= MEMBERSHIP_MAX_N:
+            for m in (n, n + 1):
+                assert 2 * _reach(m, rows) > m * (m + 3), m
+            n += n // 100
+
+
+def _plain_marked_recurrence(n_max: int) -> list[int]:
+    """Oracle: G(n) as the OR of every G(n-d) shifted by an unmarked or a
+    marked block d, (d^2 - d)/2 or (d^2 + d)/2 in index space, across its
+    full width."""
+    bits = [1]
+    for n in range(1, n_max + 1):
+        acc = 0
+        for d in range(1, n + 1):
+            acc |= (bits[n - d] << (d * d - d) // 2) | (bits[n - d] << (d * d + d) // 2)
+        bits.append(acc)
+    return bits
+
+
+@pytest.fixture(scope="module")
+def plain_marked():
+    return _plain_marked_recurrence(300)
 
 
 class _PairSumsetOracle:

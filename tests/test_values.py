@@ -91,9 +91,9 @@ CASES = {
         ("tag", "description", "parameters"),
     ),
     "Classification": (
-        lambda: classify_dimension(build_table(5), 4, 12),
-        lambda: classify_dimension(build_table(6), 4, 12),
-        lambda: classify_dimension(build_table(5), 4, 10),
+        lambda: classify_dimension(4, 12),
+        lambda: classify_dimension(4, 12),
+        lambda: classify_dimension(4, 10),
         ("n", "dim", "status", "families", "realizations", "notes"),
     ),
     "WitnessDomain": (

@@ -14,10 +14,15 @@ For the tree's ``src`` it records, untraced:
   and peak RSS;
 * one set on demand, ``load_table(fh, n).sets[n]`` from the n_max = 4096
   file, at each n in ``ON_DEMAND_N`` (a child each; bytes read, peak RSS);
-* membership, ``is_realizable(table, n, dim)`` for each (n, dim) in
-  ``MEMBERSHIP`` with the table loaded untimed from the same file, and
-  every ``functools`` cache in ``dimsets`` cleared before each timed call,
-  so each one pays for what it builds (a child each; peak RSS);
+* membership, ``is_realizable(n, dim)`` for each (n, dim) in
+  ``MEMBERSHIP``, with every ``functools`` cache in ``dimsets`` and
+  ``classify`` cleared before each timed call, so each one pays for what
+  it builds (a child each; peak RSS).  A tree whose ``is_realizable``
+  still takes a table gets it loaded untimed from the same file;
+* classify, ``reinhardt.cli.main(["classify", ...])`` in-process for each
+  (n, dim) in ``CLASSIFY``, with no ``REINHARDT_CACHE`` and the caches
+  cleared as above: the best time, the exit code and the status line,
+  or the first line of stderr when it exits 1 (a child each; peak RSS);
 * the build's growth exponent from n = 1000 to each larger size;
 * enumeration: each stream in ``ENUMERATION`` drained at each n in
   ``ENUMERATION_N``, all partitions uncapped, the best of ``REPEATS`` in
@@ -71,6 +76,16 @@ ON_DEMAND_N = (803, 4096)
 #: (n, dim) membership queries, both unrealizable: n^2 - 2 at n = 1000 and
 #: n^2 - 4 at n = 4000
 MEMBERSHIP = ((1000, 999998), (4000, 15999996))
+#: (n, dim) classify queries: reach(n) + 2 and + 4, just above the
+#: growth-sequence prefix, and one unrealizable dim, at n = 10^5 and 10^7
+CLASSIFY = (
+    (10**5, 9903036100),
+    (10**5, 9903036102),
+    (10**5, 9979433350),
+    (10**7, 99908341012162),
+    (10**7, 99908341012164),
+    (10**7, 99986804603564),
+)
 #: the partition streams drained by the enumeration layer, and their n
 ENUMERATION = ("iter_partition_tuples", "iter_square_sums")
 ENUMERATION_N = (40, 50, 60)
@@ -142,17 +157,34 @@ elif op.startswith("iter_"):  # drain a partition stream of n
         deque(stream(n), maxlen=0)
         best = min(best, time.perf_counter() - started)
 elif op == "member":  # is_realizable at (n, dim); path holds "FILE DIM"
-    from reinhardt import dimsets
+    import inspect
+    from reinhardt import classify, dimsets
     path, dim = path.split()
-    with open(path, "rb") as fh:
-        table = load_table(fh, n)
+    args = (n, int(dim))
+    if "table" in inspect.signature(reinhardt.is_realizable).parameters:
+        with open(path, "rb") as fh:
+            args = (load_table(fh, n), *args)
     for _ in range(reps):
-        for fn in vars(dimsets).values():
+        for fn in [*vars(dimsets).values(), *vars(classify).values()]:
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
         started = time.perf_counter()
-        realizable = dimsets.is_realizable(table, n, int(dim))
+        realizable = reinhardt.is_realizable(*args)
         best = min(best, time.perf_counter() - started)
+elif op == "classify":  # the CLI's classify at (n, dim = path), in-process
+    from contextlib import redirect_stderr, redirect_stdout
+    from reinhardt import classify, cli, dimsets
+    for _ in range(reps):
+        for fn in [*vars(dimsets).values(), *vars(classify).values()]:
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        started = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["classify", "--n", str(n), "--dim", path])
+        best = min(best, time.perf_counter() - started)
+    lines = out.getvalue().splitlines()
+    answer = next((l for l in lines if l.startswith("status,")), err.getvalue().split("\n")[0])
 else:  # one set on demand from the front of a larger file
     with open(path, "rb") as fh:
         for _ in range(reps):
@@ -171,12 +203,15 @@ except OSError:
 result = {"s": round(best, 4), "bytes": size, "maxrss_mib": round(rss / 1024, 1)}
 if op == "member":
     result["realizable"] = realizable
+if op == "classify":
+    result.update(exit=code, answer=answer)
 print(json.dumps({**result, "module": reinhardt.__file__}))
 """
 
 
 def _child(src: Path, op: str, n: int, path: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    env.pop("REINHARDT_CACHE", None)
     out = subprocess.run(
         [sys.executable, "-c", _CHILD, op, str(n), str(REPEATS), path],
         env=env, check=True, capture_output=True, text=True,
@@ -294,6 +329,7 @@ def measure(
         run["membership"] = {
             f"{n}, {dim}": _child(src, "member", n, f"{path} {dim}") for n, dim in MEMBERSHIP
         }
+    run["classify"] = {f"{n}, {dim}": _child(src, "classify", n, str(dim)) for n, dim in CLASSIFY}
     times = {int(n): r["s"] for n, r in run["build_table"].items()}
     run["build_growth_exp"] = _growth_exponents(times)
     run["enumeration"] = {
