@@ -33,7 +33,6 @@ from typing import NamedTuple
 
 from bisect import bisect_right
 from functools import lru_cache
-from math import isqrt
 
 from .dimsets import MARKED_ORACLE_MAX_N, build_table, marked_set_rows
 from .partitions import (
@@ -286,19 +285,17 @@ def _reach(n: int, rows) -> int:
 
 
 def _growth_rows(n: int) -> list:
-    """``growth_sequence(m)`` with m past anchor(n + 1), so :func:`_reach`
-    serves every j <= n + 1 (anchor rises with j).  anchor(n) - sqrt(2n)
-    stays below 3 n^(1/4) for 80 < n <= 200 000, and the first m passes
-    anchor(n + 1) for every n <= 200 000; m doubles until the last row's
-    threshold passes n + 1."""
-    from .sequences import growth_sequence
+    """The growth rows through the first whose threshold passes n + 1, so
+    :func:`_reach` finds anchor(j) among them for every j <= n + 1."""
+    from .sequences import _growth_walk
 
     if not 0 <= n <= MEMBERSHIP_MAX_N:
         raise ValueError(f"S(n) and G(n) membership needs 0 <= n <= {MEMBERSHIP_MAX_N}, got {n}")
-    m = isqrt(2 * n) + 4 * isqrt(isqrt(n)) + 8
-    while (rows := growth_sequence(m))[m].threshold <= n + 1:
-        m *= 2
-    return rows
+    rows = []
+    for row in _growth_walk():
+        rows.append(row)
+        if row.threshold > n + 1:
+            return rows
 
 
 @lru_cache(maxsize=None)

@@ -436,14 +436,10 @@ def smooth_bounded_sets(n: int, table: DimTable) -> tuple[DimSet, DimSet]:
     exactly one marked block and at least two blocks, capped at n^2 - 2,
     minus the compact set.  A marked partition of n with one mark is a
     partition of n+1 with one incremented part, so the one-marked values
-    are the (n+1)-set minus {n+1, (n+1)^2}, shifted down by 1.  This
-    one-marked route is independent of :func:`noncompact_set`'s
-    difference route; the tests compare the two.
+    are the (n+1)-set minus {n+1, (n+1)^2}, shifted down by 1.  Both n and
+    n^2 lie in S(n), so removing the compact set leaves
+    :func:`noncompact_set`.
     """
-    _check_count_range(table, n, need_successor=True)
+    noncompact = noncompact_set(table, n)
     top = set_bit_length(n) - 1
-    compact_bits = table.sets[n].bits & ~(1 << top)
-    top_succ = set_bit_length(n + 1) - 1
-    one_marked = table.sets[n + 1].bits & ~(1 << top_succ) & ~1
-    one_marked &= ~(1 << top)  # cap at n^2 - 2: drop the value n^2
-    return DimSet(n, compact_bits), DimSet(n, one_marked & ~compact_bits)
+    return DimSet(n, table.sets[n].bits & ~(1 << top)), noncompact

@@ -14,6 +14,8 @@ defined inductively:
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
+from itertools import count, islice
 from typing import NamedTuple
 
 from .dimsets import DimTable, compact_count, noncompact_count
@@ -33,10 +35,15 @@ def growth_sequence(n_max: int) -> list[GrowthRow]:
     """Rows of (reach, threshold, anchor) for n = 0..n_max."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
+    return list(islice(_growth_walk(), n_max + 1))
+
+
+def _growth_walk() -> Iterator[GrowthRow]:
+    """The rows for n = 0, 1, 2, ..., without end."""
     reach = [0]
-    anchor: list[int | None] = [None]
+    yield GrowthRow(0, 0, 2, None)
     k = 0
-    for n in range(1, n_max + 1):
+    for n in count(1):
         # The kappa with threshold(kappa) <= n form a prefix, so walking up
         # from the previous anchor finds its end.  By induction on n:
         # reach(kappa) + kappa is even (each row adds m^2 + m, m = n - k),
@@ -46,10 +53,9 @@ def growth_sequence(n_max: int) -> list[GrowthRow]:
         # reach(n-1), for every n.
         while k + 1 < n and reach[k + 1] + k + 1 + 4 <= 2 * n:
             k += 1
-        anchor.append(k)
         reach.append((n - k) ** 2 + reach[k])
-    # reach(n) has the parity of n (each row adds m^2 + m), so the halving is exact
-    return [GrowthRow(n, reach[n], (reach[n] + n + 4) // 2, anchor[n]) for n in range(n_max + 1)]
+        # reach(n) has the parity of n (each row adds m^2 + m), so the halving is exact
+        yield GrowthRow(n, reach[n], (reach[n] + n + 4) // 2, k)
 
 
 def format_ratio(numerator: int, denominator: int) -> str:

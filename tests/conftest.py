@@ -1,3 +1,4 @@
+import functools
 import time
 import tracemalloc
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from reinhardt import build_table
+from reinhardt.partitions import iter_partition_tuples
 
 # Property tests draw the same examples on every run, and a slow example
 # is not a failure.
@@ -17,6 +19,30 @@ _ACCEPTANCE_LINES: list[str] = []
 @pytest.fixture(scope="session")
 def table64():
     return build_table(64)
+
+
+@pytest.fixture(scope="session")
+def smooth_bounded_oracle():
+    """Oracle: n -> (compact, noncompact) smooth-bounded values as sets, by
+    enumerating every partition of n with two or more blocks and at most
+    one mark, capped at n^2 - 2."""
+
+    @functools.cache
+    def sets(n):
+        compact, one_marked = set(), set()
+        cap = n * n - 2
+        for parts in iter_partition_tuples(n):
+            if len(parts) < 2:
+                continue
+            base = sum(p * p for p in parts)
+            if base <= cap:
+                compact.add(base)
+            for v in set(parts):
+                if base + 2 * v <= cap:
+                    one_marked.add(base + 2 * v)
+        return compact, one_marked - compact
+
+    return sets
 
 
 @pytest.fixture(scope="session")

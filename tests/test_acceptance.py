@@ -126,7 +126,7 @@ def test_criterion_6_largest_part_suite(big_table, acceptance):
     acceptance(6, report.status == "pass", f"largest-part suite {report.status} for 7 <= n <= 40")
 
 
-def test_criterion_7_consistency(big_table, acceptance):
+def test_criterion_7_consistency(big_table, smooth_bounded_oracle, acceptance):
     count_bad = [
         n
         for n in range(2, 1000)
@@ -135,13 +135,13 @@ def test_criterion_7_consistency(big_table, acceptance):
     smooth_bad = []
     for n in range(2, 41):
         _, nc = smooth_bounded_sets(n, big_table)
-        if nc.bits != noncompact_set(big_table, n).bits:
+        if nc.to_set() != smooth_bounded_oracle(n)[1]:
             smooth_bad.append(n)
     acceptance(
         7,
         not count_bad and not smooth_bad,
         "noncompact set size equals count difference for 2 <= n <= 999;"
-        " smooth-bounded split matches for n <= 40",
+        " smooth-bounded noncompact set matches enumeration for n <= 40",
     )
 
 

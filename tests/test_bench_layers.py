@@ -1,0 +1,90 @@
+"""The schedule of tools/bench_layers.py, with its measuring child stubbed out."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    """The tool as a module, its child runner replaced by a stub that
+    records (tree, layer) and returns a time that differs per round."""
+    spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.calls = []
+
+    def child(src, cwd, op, n, *args):
+        module.calls.append((src.parent.name, (op, n, *args)))
+        return {"s": 0.01 * len(module.calls), "maxrss_mib": 1.0}
+
+    monkeypatch.setattr(module, "_child", child)
+    return module
+
+
+def _tree(root: Path, name: str) -> str:
+    (root / name / "src" / "reinhardt").mkdir(parents=True)
+    (root / name / "src" / "reinhardt" / "__init__.py").write_text("x = 1\n")
+    return f"{name}={root / name}"
+
+
+def _layers(calls):
+    """The calls grouped by layer, in the order the layers ran."""
+    layers: dict = {}
+    for tree, layer in calls:
+        layers.setdefault(layer, []).append(tree)
+    return layers
+
+
+def _layer_count(tool, sizes):
+    return (
+        len(sizes) + 2 * len(tool.SAVE_LOAD_N) + len(tool.ON_DEMAND_N) + len(tool.MEMBERSHIP)
+        + len(tool.CLASSIFY) + len(tool.ENUMERATION) * len(tool.ENUMERATION_N)
+        + len(tool.SUITES) + 2 + len(tool.STARTUP_ARGV)
+    )
+
+
+def test_two_trees_get_rounds_children_per_layer(tool, tmp_path):
+    out = tmp_path / "out.json"
+    tool.main(["--tree", _tree(tmp_path, "a"), "--tree", _tree(tmp_path, "b"),
+               "--out", str(out), "--sizes", "1000", "2000"])
+    layers = _layers(tool.calls)
+    assert len(layers) == _layer_count(tool, [1000, 2000])
+    for trees in layers.values():
+        assert sorted(trees) == ["a"] * tool.ROUNDS + ["b"] * tool.ROUNDS
+    runs = json.loads(out.read_text())["runs"]
+    assert set(runs) == {"a", "b"}
+    assert runs["a"]["interleaved_with"] == ["b"]
+    assert runs["a"]["rounds"] == tool.ROUNDS
+    assert set(runs["b"]["build_table"]) == {"1000", "2000"}
+    assert len(runs["b"]["startup"]) == 2 + len(tool.STARTUP_ARGV)
+
+
+def test_each_tree_goes_first_in_half_the_rounds(tool, tmp_path):
+    tool.main(["--tree", _tree(tmp_path, "a"), "--tree", _tree(tmp_path, "b"),
+               "--out", str(tmp_path / "out.json"), "--sizes", "1000"])
+    for trees in _layers(tool.calls).values():
+        rounds = [trees[i : i + 2] for i in range(0, len(trees), 2)]
+        assert all(sorted(pair) == ["a", "b"] for pair in rounds)
+        assert [pair[0] for pair in rounds].count("a") == tool.ROUNDS // 2
+
+
+def test_one_tree_writes_its_label_and_keeps_other_runs(tool, tmp_path):
+    out = tmp_path / "out.json"
+    out.write_text(json.dumps({"runs": {"old": {"src_lines": 1}}}))
+    tool.main(["--tree", _tree(tmp_path, "only"), "--out", str(out), "--sizes", "1000"])
+    layers = _layers(tool.calls)
+    assert len(layers) == _layer_count(tool, [1000])
+    assert all(trees == ["only"] * tool.ROUNDS for trees in layers.values())
+    runs = json.loads(out.read_text())["runs"]
+    assert runs["old"] == {"src_lines": 1}
+    assert runs["only"]["interleaved_with"] == []
+    assert runs["only"]["src_lines"] == 1
+    # the stub's times for build_table(1000) are 0.01 .. 0.01 * ROUNDS
+    build = runs["only"]["build_table"]["1000"]
+    assert build["s"] == round(0.01 * (tool.ROUNDS + 1) / 2, 4)
+    assert build["s_quartiles"][0] < build["s"] < build["s_quartiles"][1]

@@ -1,64 +1,63 @@
-"""Layer timings of one source tree, each measured in its own child process.
+"""Layer timings of one or two source trees, each measured in child processes.
 
-    python3 tools/bench_layers.py --src TREE --label NAME --out BENCH_x.json
-                                  [--sizes 500 1000 2000] [--revision REV]
-                                  [--versus OTHER_TREE]
+    python3 tools/bench_layers.py --tree NAME=TREE [--tree OTHER=TREE2]
+                                  --out BENCH_x.json [--sizes 500 1000 2000]
 
-For the tree's ``src`` it records, untraced:
+Every layer runs ``ROUNDS`` rounds, and each round starts one child per
+tree.  With two trees the order alternates, so each tree goes first in
+half the rounds: trees measured one after the other drift apart by more
+than most changes (unchanged code read up to 1.6x apart that way).  A
+child times its job ``REPEATS`` times and keeps the best; per tree a
+layer records ``s``, the median over rounds of those best times, with
+its quartiles (``s_quartiles``) and the largest child peak RSS
+(``maxrss_mib``).  The layers are:
 
-* ``build_table(n)`` for each n in ``--sizes``: the best of ``REPEATS``
-  wall times in one child, and that child's peak RSS;
-* ``save_table`` of the n_max = 1000 and 4096 tables to memory (one
-  child each, which builds the table untimed) and ``load_table`` of that
-  file (another child, which only imports and loads), each with bytes
-  and peak RSS;
+* ``build_table(n)`` for each n in ``--sizes``, and the build's growth
+  exponent from n = 1000 to each larger size (from the medians);
+* ``save_table`` of the n_max = 1000 and 4096 tables to memory (the
+  child builds the table untimed, then writes it to a file of its tree)
+  and ``load_table`` of that file (a child that only imports and loads),
+  each with its bytes;
 * one set on demand, ``load_table(fh, n).sets[n]`` from the n_max = 4096
-  file, at each n in ``ON_DEMAND_N`` (a child each; bytes read, peak RSS);
+  file, at each n in ``ON_DEMAND_N`` (bytes read);
 * membership, ``is_realizable(n, dim)`` for each (n, dim) in
   ``MEMBERSHIP``, with every ``functools`` cache in ``dimsets`` and
   ``classify`` cleared before each timed call, so each one pays for what
-  it builds (a child each; peak RSS).  A tree whose ``is_realizable``
-  still takes a table gets it loaded untimed from the same file;
+  it builds;
 * classify, ``reinhardt.cli.main(["classify", ...])`` in-process for each
   (n, dim) in ``CLASSIFY``, with no ``REINHARDT_CACHE`` and the caches
-  cleared as above: the best time, the exit code and the status line,
-  or the first line of stderr when it exits 1 (a child each; peak RSS);
-* the build's growth exponent from n = 1000 to each larger size;
+  cleared as above, with the exit code and the status line, or the first
+  line of stderr when it exits 1;
 * enumeration: each stream in ``ENUMERATION`` drained at each n in
-  ``ENUMERATION_N``, all partitions uncapped, the best of ``REPEATS`` in
-  one child each, and that child's peak RSS;
-* each verify suite in ``SUITES`` at its range, the best of ``REPEATS``
-  in-process runs in one child each, and that child's peak RSS;
+  ``ENUMERATION_N``, all partitions uncapped;
+* each verify suite in ``SUITES`` at its range;
 * start-up: for ``python -c pass``, ``python -c "import reinhardt.cli"``
-  and one small argv per CLI subcommand (``STARTUP_ARGV``), the best of
-  ``REPEATS`` child wall times, and the number of ``reinhardt.*`` and of
-  standard-library modules the child imports (from one more run under
-  ``-X importtime``).  These children get the environment perfbench/run.py
-  gives its children, so they write and reuse ``.pyc`` files;
-* with ``--versus OTHER_TREE``, the same start-up argv run ``PAIRED``
-  times in each tree, the two trees' children alternating (and which goes
-  first alternating too), with the median child wall time of each tree:
-  trees measured minutes apart differ by more than host drift allows;
-* ``wc -l src/reinhardt/*.py``, the git revision of the tree (or
-  ``--revision`` for a tree without ``.git``, such as a ``git archive``
-  copy) and a digest of those files (the revision alone misses
-  uncommitted edits).
+  and one small argv per CLI subcommand (``STARTUP_ARGV``), the wall time
+  of a whole ``python ARGV`` process, and the number of ``reinhardt.*``
+  and of standard-library modules it imports (from one more run under
+  ``-X importtime``).  These processes get the environment
+  perfbench/run.py gives its children.  The child that starts them is
+  not the one measured, so this layer has no peak RSS;
+* ``wc -l src/reinhardt/*.py``, a digest of those files, which identifies
+  the code, and the git revision of a tree that holds ``.git``.
 
 Every child starts from a fresh interpreter with ``PYTHONPATH`` set to
-the tree's ``src``, so its peak RSS covers one measurement.  It reads
-that peak as its own ``VmHWM`` where Linux gives one: its ``ru_maxrss``
-also counts the memory of this process, which it starts as a copy of,
-so it never read below about 18.6 MiB.  The result
-is stored under ``runs[NAME]`` in the ``--out`` JSON file; runs already
-there under other names are kept, so measuring two trees into one file
-compares them.  Mind the sizes: a tree that expands every set, as the
-sources before format v3 do, needs about 1.4 GB at n = 4096, and one
-that holds every tail (format v3) about 0.5 GB at n = 8192.
+its tree's ``src``, whose ``.pyc`` files the tool writes first, and a
+working directory of its tree's own, so its peak RSS covers one
+measurement.  It reads that peak as its own
+``VmHWM`` where Linux gives one: its ``ru_maxrss`` also counts the
+memory of this process, which it starts as a copy of.  Each tree's
+result is stored under ``runs[NAME]`` in the ``--out`` JSON file; runs
+already there under other names are kept.  Mind the sizes: a tree that
+expands every set, as the sources before format v3 do, needs about
+1.4 GB at n = 4096, and one that holds every tail (format v3) about
+0.5 GB at n = 8192.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import math
@@ -68,7 +67,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 SAVE_LOAD_N = (1000, 4096)  # the last file also serves ON_DEMAND_N
@@ -89,7 +87,7 @@ CLASSIFY = (
 #: the partition streams drained by the enumeration layer, and their n
 ENUMERATION = ("iter_partition_tuples", "iter_square_sums")
 ENUMERATION_N = (40, 50, 60)
-PAIRED = 30  # interleaved start-up children per tree and argv
+ROUNDS = 20  # children per tree and layer; even, so each tree leads in half
 REPEATS = 5  # timed runs per child; the best is kept
 #: (suite function, n_lo, n_hi): the enumeration-heavy suites at the range
 #: perfbench's small-n-queries runs them and at their largest range
@@ -110,42 +108,51 @@ STARTUP_ARGV = {
 }
 
 _CHILD = r"""
-import io, json, resource, sys, time
+import io, json, os, resource, sys, time
 import reinhardt
-from reinhardt import build_table, load_table, save_table
 
-op, n, reps, path = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
-best, size = float("inf"), None
+op, n, reps, args = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
+best, result = float("inf"), {}
 if op == "build":
     for _ in range(reps):
         started = time.perf_counter()
-        table = build_table(n)
+        table = reinhardt.build_table(n)
         best = min(best, time.perf_counter() - started)
         del table
-elif op == "save":
-    table = build_table(n)
+elif op == "save":  # to memory, then to the file args[0] for load and set
+    table = reinhardt.build_table(n)
     for _ in range(reps):
         buf = io.BytesIO()
         started = time.perf_counter()
-        size = save_table(table, buf)
+        result["bytes"] = reinhardt.save_table(table, buf)
         best = min(best, time.perf_counter() - started)
-    with open(path, "wb") as fh:
+    with open(args[0], "wb") as fh:
         fh.write(buf.getvalue())
 elif op == "load":
-    with open(path, "rb") as fh:
+    with open(args[0], "rb") as fh:
         for _ in range(reps):
             fh.seek(0)
             started = time.perf_counter()
-            table = load_table(fh)
+            table = reinhardt.load_table(fh)
             best = min(best, time.perf_counter() - started)
-            size = fh.tell()
+            result["bytes"] = fh.tell()
             assert table.n_max == n
             del table
-elif op.startswith("verify_"):  # a suite over n = int(path)..n
+elif op == "set":  # one set on demand from the front of a larger file
+    with open(args[0], "rb") as fh:
+        for _ in range(reps):
+            fh.seek(0)
+            started = time.perf_counter()
+            dimset = reinhardt.load_table(fh, n).sets[n]
+            best = min(best, time.perf_counter() - started)
+            result["bytes"] = fh.tell()
+            assert dimset.n == n
+            del dimset
+elif op.startswith("verify_"):  # a suite over n = int(args[0])..n
     suite = getattr(reinhardt, op)
     for _ in range(reps):
         started = time.perf_counter()
-        report = suite(int(path), n)
+        report = suite(int(args[0]), n)
         best = min(best, time.perf_counter() - started)
         assert report.status == "pass", report
 elif op.startswith("iter_"):  # drain a partition stream of n
@@ -156,124 +163,89 @@ elif op.startswith("iter_"):  # drain a partition stream of n
         started = time.perf_counter()
         deque(stream(n), maxlen=0)
         best = min(best, time.perf_counter() - started)
-elif op == "member":  # is_realizable at (n, dim); path holds "FILE DIM"
-    import inspect
-    from reinhardt import classify, dimsets
-    path, dim = path.split()
-    args = (n, int(dim))
-    if "table" in inspect.signature(reinhardt.is_realizable).parameters:
-        with open(path, "rb") as fh:
-            args = (load_table(fh, n), *args)
-    for _ in range(reps):
-        for fn in [*vars(dimsets).values(), *vars(classify).values()]:
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-        started = time.perf_counter()
-        realizable = reinhardt.is_realizable(*args)
-        best = min(best, time.perf_counter() - started)
-elif op == "classify":  # the CLI's classify at (n, dim = path), in-process
+elif op in ("member", "classify"):  # at (n, dim = args[0]), caches cleared
     from contextlib import redirect_stderr, redirect_stdout
-    from reinhardt import classify, cli, dimsets
+    from reinhardt import classify, dimsets
+    if op == "classify":
+        from reinhardt import cli
     for _ in range(reps):
         for fn in [*vars(dimsets).values(), *vars(classify).values()]:
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
         out, err = io.StringIO(), io.StringIO()
         started = time.perf_counter()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["classify", "--n", str(n), "--dim", path])
+        if op == "member":
+            result["realizable"] = reinhardt.is_realizable(n, int(args[0]))
+        else:
+            with redirect_stdout(out), redirect_stderr(err):
+                result["exit"] = cli.main(["classify", "--n", str(n), "--dim", args[0]])
         best = min(best, time.perf_counter() - started)
-    lines = out.getvalue().splitlines()
-    answer = next((l for l in lines if l.startswith("status,")), err.getvalue().split("\n")[0])
-else:  # one set on demand from the front of a larger file
-    with open(path, "rb") as fh:
-        for _ in range(reps):
-            fh.seek(0)
-            started = time.perf_counter()
-            dimset = load_table(fh, n).sets[n]
-            best = min(best, time.perf_counter() - started)
-            size = fh.tell()
-            assert dimset.n == n
-            del dimset
-try:  # this process's own high-water mark; ru_maxrss would count the parent
-    with open("/proc/self/status") as fh:  # it was started as a copy of
-        rss = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-except OSError:
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-result = {"s": round(best, 4), "bytes": size, "maxrss_mib": round(rss / 1024, 1)}
-if op == "member":
-    result["realizable"] = realizable
-if op == "classify":
-    result.update(exit=code, answer=answer)
-print(json.dumps({**result, "module": reinhardt.__file__}))
-"""
-
-
-def _child(src: Path, op: str, n: int, path: str) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
-    env.pop("REINHARDT_CACHE", None)
-    out = subprocess.run(
-        [sys.executable, "-c", _CHILD, op, str(n), str(REPEATS), path],
-        env=env, check=True, capture_output=True, text=True,
-    ).stdout
-    result = json.loads(out)
-    if not Path(result.pop("module")).resolve().is_relative_to(src.resolve()):
-        raise RuntimeError(f"child imported reinhardt from outside {src}")
-    if result["bytes"] is None:
-        del result["bytes"]
-    return result
-
-
-def _startup_env(src: Path) -> dict:
-    return {  # as perfbench/run.py's CHILD_ENV: bytecode caching stays on
+    if op == "classify":
+        lines = out.getvalue().splitlines()
+        result["answer"] = next(
+            (l for l in lines if l.startswith("status,")), err.getvalue().split("\n")[0]
+        )
+else:  # startup: the wall time of a whole python ARGV (args) process
+    import subprocess
+    env = {  # as perfbench/run.py's CHILD_ENV: bytecode caching stays on
         "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
-        "PYTHONPATH": str(src),
+        "PYTHONPATH": os.environ["PYTHONPATH"],
         "PYTHONHASHSEED": "0",
         "PYTHONIOENCODING": "utf-8",
     }
-
-
-def _startup(src: Path, argv: tuple[str, ...]) -> dict:
-    """Best-of-REPEATS wall time of ``python ARGV`` and the modules it imports."""
-    env = _startup_env(src)
-    with tempfile.TemporaryDirectory() as cwd:
-        # untimed, and it writes any .pyc file still missing
-        traced = subprocess.run(
-            [sys.executable, "-X", "importtime", *argv],
-            cwd=cwd, env=env, check=True, capture_output=True, text=True,
-        ).stderr
-        best = float("inf")
-        for _ in range(REPEATS):
-            started = time.perf_counter()
-            subprocess.run(
-                [sys.executable, *argv], cwd=cwd, env=env, check=True, capture_output=True
-            )
-            best = min(best, time.perf_counter() - started)
+    traced = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=env, check=True, capture_output=True, text=True,
+    ).stderr
+    for _ in range(reps):
+        started = time.perf_counter()
+        subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True)
+        best = min(best, time.perf_counter() - started)
     # a header, then lines "import time: self | cumulative | <indent>name"
-    names = [line.rsplit("|", 1)[1].strip() for line in traced.splitlines() if "|" in line][1:]
-    return {
-        "s": round(best, 4),
-        "reinhardt_modules": sum(name.split(".")[0] == "reinhardt" for name in names),
-        "stdlib_modules": sum(name.split(".")[0] in sys.stdlib_module_names for name in names),
-    }
+    names = [l.rsplit("|", 1)[1].strip() for l in traced.splitlines() if "|" in l][1:]
+    result["reinhardt_modules"] = sum(m.split(".")[0] == "reinhardt" for m in names)
+    result["stdlib_modules"] = sum(m.split(".")[0] in sys.stdlib_module_names for m in names)
+if op != "startup":
+    try:  # this process's own high-water mark; ru_maxrss would count the parent
+        with open("/proc/self/status") as fh:  # it was started as a copy of
+            rss = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+    except OSError:
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    result["maxrss_mib"] = round(rss / 1024, 1)
+print(json.dumps({"s": best, **result, "module": reinhardt.__file__}))
+"""
 
 
-def _startup_paired(src: Path, other: Path, argv: tuple[str, ...]) -> dict:
-    """Median wall time of ``python ARGV`` in each tree over PAIRED children
-    per tree, the trees' children alternating."""
-    envs = (_startup_env(src), _startup_env(other))
-    times: tuple[list[float], list[float]] = ([], [])
-    with tempfile.TemporaryDirectory() as cwd:
-        for env in envs:  # untimed, and it writes any .pyc file still missing
-            subprocess.run([sys.executable, *argv], cwd=cwd, env=env, check=True, capture_output=True)
-        for i in range(2 * PAIRED):
-            side = (i + i // 2) % 2  # 0 1, 1 0, 0 1, ...: each goes first in half the pairs
-            started = time.perf_counter()
-            subprocess.run(
-                [sys.executable, *argv], cwd=cwd, env=envs[side], check=True, capture_output=True
-            )
-            times[side].append(time.perf_counter() - started)
-    return {"s": round(statistics.median(times[0]), 4), "versus_s": round(statistics.median(times[1]), 4)}
+def _child(src: Path, cwd: str, op: str, n: int, *args: str) -> dict:
+    """Run one measuring child in ``cwd`` against the tree's ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    env.pop("REINHARDT_CACHE", None)
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD, op, str(n), str(REPEATS), *args],
+        cwd=cwd, env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    result = json.loads(out)
+    if not Path(result.pop("module")).resolve().is_relative_to(src):
+        raise RuntimeError(f"child imported reinhardt from outside {src}")
+    return result
+
+
+def _interleaved(trees: dict[str, tuple[Path, str]], op: str, n: int, *args: str) -> dict:
+    """One layer: ROUNDS rounds of one child per tree, the trees' order
+    alternating; per tree the median best time with its quartiles, the
+    largest peak RSS and the child's other fields."""
+    labels = list(trees)
+    results: dict[str, list[dict]] = {label: [] for label in labels}
+    for i in range(ROUNDS):
+        for label in labels[::-1] if i % 2 else labels:
+            results[label].append(_child(*trees[label], op, n, *args))
+    layer = {}
+    for label, runs in results.items():
+        q1, median, q3 = statistics.quantiles([r["s"] for r in runs], n=4, method="inclusive")
+        layer[label] = runs[0] | {"s": round(median, 4), "s_quartiles": [round(q1, 4), round(q3, 4)]}
+        if "maxrss_mib" in runs[0]:
+            layer[label]["maxrss_mib"] = max(r["maxrss_mib"] for r in runs)
+    return layer
 
 
 def _growth_exponents(builds: dict[int, float]) -> dict[str, float]:
@@ -286,68 +258,73 @@ def _growth_exponents(builds: dict[int, float]) -> dict[str, float]:
     }
 
 
-def _revision(tree: Path, given: str | None) -> str | None:
-    """The tree's git revision, or ``given`` for a tree without ``.git``."""
+def _revision(tree: Path) -> str | None:
+    """The tree's git revision, if it holds ``.git``."""
     if not (tree / ".git").exists():
-        return given
+        return None
     try:
         return subprocess.run(
             ["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
             check=True, capture_output=True, text=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
-        return given
+        return None
 
 
-def _source_files(tree: Path) -> list[Path]:
-    return sorted((tree / "src" / "reinhardt").glob("*.py"))
-
-
-def _digest(tree: Path) -> str:
-    return hashlib.sha256(b"".join(p.read_bytes() for p in _source_files(tree))).hexdigest()[:12]
-
-
-def measure(
-    tree: Path, sizes: list[int], revision: str | None = None, versus: Path | None = None
-) -> dict:
-    src = tree / "src"
-    files = _source_files(tree)
-    run: dict = {
-        "revision": _revision(tree, revision),
-        "src_sha256": _digest(tree),
+def _describe(tree: Path) -> dict:
+    files = sorted((tree / "src" / "reinhardt").glob("*.py"))
+    return {
+        "revision": _revision(tree),
+        "src_sha256": hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()[:12],
+        "src_lines": sum(len(p.read_text().splitlines()) for p in files),
+        "rounds": ROUNDS,
         "repeats": REPEATS,
     }
-    run["src_lines"] = sum(len(p.read_text().splitlines()) for p in files)
-    run["build_table"] = {str(n): _child(src, "build", n, "") for n in sizes}
-    run["save_table"], run["load_table"] = {}, {}
+
+
+def measure(trees: dict[str, Path], sizes: list[int]) -> dict[str, dict]:
+    """Every layer of every tree, interleaved; the run of each tree by label."""
+    runs = {
+        label: {**_describe(tree), "interleaved_with": [other for other in trees if other != label]}
+        for label, tree in trees.items()
+    }
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table.rdim")
+        children = {}  # label: (src, working directory), each tree its own files
+        for i, (label, tree) in enumerate(trees.items()):
+            os.mkdir(cwd := os.path.join(tmp, str(i)))
+            children[label] = (src := (tree / "src").resolve(), cwd)
+            # bytecode for every tree alike: a child that compiles the
+            # package from source peaks about 1 MiB higher
+            compileall.compile_dir(src / "reinhardt", quiet=1)
+
+        def layer(section: str, key: str, op: str, n: int, *args: str) -> None:
+            for label, result in _interleaved(children, op, n, *args).items():
+                runs[label].setdefault(section, {})[key] = result
+
+        for n in sizes:
+            layer("build_table", str(n), "build", n)
         for n in SAVE_LOAD_N:
-            run["save_table"][str(n)] = _child(src, "save", n, path)
-            run["load_table"][str(n)] = _child(src, "load", n, path)
-        run["set_on_demand"] = {str(n): _child(src, "set", n, path) for n in ON_DEMAND_N}
-        run["membership"] = {
-            f"{n}, {dim}": _child(src, "member", n, f"{path} {dim}") for n, dim in MEMBERSHIP
-        }
-    run["classify"] = {f"{n}, {dim}": _child(src, "classify", n, str(dim)) for n, dim in CLASSIFY}
-    times = {int(n): r["s"] for n, r in run["build_table"].items()}
-    run["build_growth_exp"] = _growth_exponents(times)
-    run["enumeration"] = {
-        f"{op}({n})": _child(src, op, n, "") for op in ENUMERATION for n in ENUMERATION_N
-    }
-    run["suites"] = {
-        f"{name}({lo}, {hi})": _child(src, name, hi, str(lo)) for name, lo, hi in SUITES
-    }
-    probes = {"pass": ("-c", "pass"), "import reinhardt.cli": ("-c", "import reinhardt.cli")}
-    probes.update((cmd, ("-m", "reinhardt.cli", *a)) for cmd, a in STARTUP_ARGV.items())
-    run["startup"] = {name: _startup(src, argv) for name, argv in probes.items()}
-    if versus is not None:
-        run["startup_paired"] = {
-            "versus": {"revision": _revision(versus, None), "src_sha256": _digest(versus)},
-            "children": PAIRED,
-            **{name: _startup_paired(src, versus / "src", argv) for name, argv in probes.items()},
-        }
-    return run
+            layer("save_table", str(n), "save", n, f"{n}.rdim")
+            layer("load_table", str(n), "load", n, f"{n}.rdim")
+        for n in ON_DEMAND_N:
+            layer("set_on_demand", str(n), "set", n, f"{SAVE_LOAD_N[-1]}.rdim")
+        for n, dim in MEMBERSHIP:
+            layer("membership", f"{n}, {dim}", "member", n, str(dim))
+        for n, dim in CLASSIFY:
+            layer("classify", f"{n}, {dim}", "classify", n, str(dim))
+        for op in ENUMERATION:
+            for n in ENUMERATION_N:
+                layer("enumeration", f"{op}({n})", op, n)
+        for name, lo, hi in SUITES:
+            layer("suites", f"{name}({lo}, {hi})", name, hi, str(lo))
+        probes = {"pass": ("-c", "pass"), "import reinhardt.cli": ("-c", "import reinhardt.cli")}
+        probes.update((cmd, ("-m", "reinhardt.cli", *a)) for cmd, a in STARTUP_ARGV.items())
+        for name, argv in probes.items():
+            layer("startup", name, "startup", 0, *argv)
+    for run in runs.values():
+        times = {int(n): r["s"] for n, r in run["build_table"].items()}
+        run["build_growth_exp"] = _growth_exponents(times)
+    return runs
 
 
 def _cpu_model() -> str | None:
@@ -361,22 +338,32 @@ def _cpu_model() -> str | None:
         return None
 
 
-def main() -> None:
+def _tree(spec: str) -> tuple[str, Path]:
+    label, sep, path = spec.partition("=")
+    if not (label and sep and path):
+        raise argparse.ArgumentTypeError(f"expected NAME=PATH, got {spec!r}")
+    return label, Path(path)
+
+
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", required=True, type=Path, help="source tree (holds src/)")
-    parser.add_argument("--label", required=True, help="name of this run in the output")
+    parser.add_argument(
+        "--tree", required=True, action="append", type=_tree, metavar="NAME=PATH",
+        help="a source tree (holds src/) and its name in the output; once or twice",
+    )
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--sizes", type=int, nargs="+", default=[500, 1000, 2000])
-    parser.add_argument("--revision", help="revision to record when the tree has no .git")
-    parser.add_argument("--versus", type=Path, help="a second tree to interleave start-up with")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    trees = dict(args.tree)
+    if len(trees) != len(args.tree) or len(trees) > 2:
+        parser.error("--tree takes one or two trees with distinct names")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["about"] = (
-        "tools/bench_layers.py: per source tree, untraced best-of-repeats wall"
-        " time (s) and the measuring child's peak RSS (maxrss_mib); startup:"
-        " whole-child wall time and the modules the child imports; startup_paired:"
-        " median child wall time, this tree (s) and the --versus tree (versus_s),"
-        " children interleaved"
+        "tools/bench_layers.py: per source tree and layer, the median over"
+        " rounds (s) and quartiles (s_quartiles) of each child's untraced"
+        " best-of-repeats wall time, the trees' children alternating, and"
+        " the largest child peak RSS (maxrss_mib); startup: whole-process"
+        " wall time and the modules the process imports"
     )
     doc["host"] = {
         "python": platform.python_version(),
@@ -384,11 +371,10 @@ def main() -> None:
         "cpu": _cpu_model(),
         "cpus": os.cpu_count(),
     }
-    doc.setdefault("runs", {})[args.label] = measure(
-        args.src, sorted(args.sizes), args.revision, args.versus
-    )
+    runs = measure(trees, sorted(args.sizes))
+    doc.setdefault("runs", {}).update(runs)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps(doc["runs"][args.label]))
+    print(json.dumps(runs))
 
 
 if __name__ == "__main__":
