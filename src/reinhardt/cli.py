@@ -67,27 +67,32 @@ def _load_or_build(n_max: int, args: SimpleNamespace) -> DimTable:
     (``--cache``, else ``$REINHARDT_CACHE``, none under ``--no-cache``) if
     that covers n_max, else built (refused above :data:`BUILD_LIMIT` unless
     ``--force``) and saved to the cache, if any.  A cache in an older
-    format is rebuilt the same way, with one warning on stderr."""
+    format is rebuilt the same way, with one warning on stderr.  A cache
+    that cannot be read or saved fails with an error that names it and
+    only an OSError's reason, as its file may be the save's temporary one."""
     cache = os.environ.get(CACHE_ENV_VAR) if args.cache is None else args.cache
     cache = None if args.no_cache else cache
-    if cache and os.path.exists(cache):
-        try:
-            with open(cache, "rb") as fh:
-                table = load_table(fh, n_max)
-        except OldFormatError as exc:
-            print(f"warning: cache {cache}: {exc}; rebuilding it", file=sys.stderr)
-        else:
-            if table.n_max >= n_max:
-                return table
-    if n_max > BUILD_LIMIT and not args.force:
-        raise CliError(
-            f"no cached table covers n={n_max}; inline builds stop at n={BUILD_LIMIT}"
-            f" (pass --force to `table` or `set`, or set ${CACHE_ENV_VAR} to a cache"
-            f" written by `table --max-n {n_max} --force --cache PATH`)"
-        )
-    table = build_table(n_max)
-    if cache:
-        _save_cache(table, cache)
+    try:
+        if cache and os.path.exists(cache):
+            try:
+                with open(cache, "rb") as fh:
+                    table = load_table(fh, n_max)
+            except OldFormatError as exc:
+                print(f"warning: cache {cache}: {exc}; rebuilding it", file=sys.stderr)
+            else:
+                if table.n_max >= n_max:
+                    return table
+        if n_max > BUILD_LIMIT and not args.force:
+            raise CliError(
+                f"no cached table covers n={n_max}; inline builds stop at n={BUILD_LIMIT}"
+                f" (pass --force to `table` or `set`, or set ${CACHE_ENV_VAR} to a cache"
+                f" written by `table --max-n {n_max} --force --cache PATH`)"
+            )
+        table = build_table(n_max)
+        if cache:
+            _save_cache(table, cache)
+    except (OSError, ValueError) as exc:  # only the cache's read and save raise these
+        raise CliError(f"cache {cache}: {getattr(exc, 'strerror', None) or exc}") from exc
     return table
 
 

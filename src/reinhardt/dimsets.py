@@ -16,8 +16,8 @@ Most of each set is a dense prefix, so a :class:`DimSet` is held as
 ``(low, tail)``: ``low`` is the length of its run of ones from index 0
 and ``tail`` the bits from there up.  Above that prefix a step of the
 build ORs only the small sets S(j) under each largest part n - j (see
-:func:`build_table`), so S(n) follows from ``low[0..n-1]`` and a few
-small sets.  A :class:`DimTable` therefore holds two numbers per n, the
+:func:`build_table`), so S(n) follows from ``low[n-1]`` and a few small
+sets.  A :class:`DimTable` therefore holds two numbers per n, the
 low and the set size, plus the small sets in full, and rebuilds any
 other set with one step when it is asked for.  The prefix is measured
 from the built sets, never taken from the growth-sequence lemma, so the
@@ -144,8 +144,8 @@ class DimTable(Frozen):
     its size; :func:`compact_count` and :func:`noncompact_count` read the
     counts.  The sets S(0..K), K = :func:`full_set_limit` (n_max), are
     rebuilt in full when the table is made, and ``sets[n]`` above K is
-    rebuilt from them and from ``low[0..n-1]`` with one step of the
-    build on each access.  A rebuilt set whose low or size differs from
+    rebuilt from them and from ``low[n-1]`` with one step of the build
+    on each access.  A rebuilt set whose low or size differs from
     the stored pair raises :class:`ValueError` naming its n.
     """
 
@@ -180,12 +180,10 @@ class SetSequence(Sequence):
         self._full = [1]  # S(0) = {0}
         self._check(0, 1, 0)
         for n in range(1, min(full_set_limit(len(low) - 1), len(low) - 1) + 1):
-            lo, tail = _step(n, low, self._full, self._offs)
-            self._check(n, lo, tail)
-            self._full.append(((tail + 1) << lo) - 1)
+            self._full.append(self[n].bits)  # a step and its check
 
-    def _check(self, n: int, lo: int, tail: int) -> None:
-        size = lo + tail.bit_count()
+    def _check(self, n: int, reach: int, acc: int) -> None:
+        lo, size = reach + (acc ^ (acc + 1)).bit_length() - 1, reach + acc.bit_count()
         if (lo, size) != (self._low[n], self._count[n]):
             raise ValueError(
                 f"S({n}) rebuilds with low {lo} and {size} values, but the table"
@@ -199,12 +197,16 @@ class SetSequence(Sequence):
         if isinstance(index, slice):
             return tuple(self[n] for n in range(len(self))[index])
         n = range(len(self))[index]
+        lo = self._low[n]
         if n < len(self._full):
-            lo = self._low[n]
             return DimSet.from_prefix_tail(n, lo, self._full[n] >> lo)
-        lo, tail = _step(n, self._low, self._full, self._offs)
-        self._check(n, lo, tail)
-        return DimSet.from_prefix_tail(n, lo, tail)
+        reach = self._low[n - 1]
+        try:
+            acc = _step(n, reach, self._full, self._offs)
+        except IndexError:  # only a low below the built one reads past S(K)
+            raise ValueError(f"S({n}) does not rebuild from the stored low {reach}") from None
+        self._check(n, reach, acc)
+        return DimSet.from_prefix_tail(n, lo, acc >> (lo - reach))
 
     def __repr__(self) -> str:
         return f"SetSequence(n_max={len(self) - 1})"
@@ -212,8 +214,8 @@ class SetSequence(Sequence):
 
 def full_set_limit(n_max: int) -> int:
     """K = 2 isqrt(n_max) + 32: a table keeps S(0..K) in full.  A step
-    at n reads S(j) for j <= J(n): every j < n for n <= 31, and above
-    that J(n) <= 2 isqrt(n) + 3 (checked to 4096; J(1000) = 57)."""
+    at n reads S(j) for j <= J(n): every j < n for n <= 41, and above
+    that J(n) <= 2 isqrt(n) + 5 (checked to 4096; J(1000) = 58)."""
     return 2 * isqrt(n_max) + 32
 
 
@@ -221,20 +223,13 @@ def _offsets(n_max: int) -> list[int]:
     return [(d * d - d) // 2 for d in range(n_max + 1)]  # off_d, also top(d)
 
 
-def _step(n: int, low, full, offs: list[int]) -> tuple[int, int]:
-    """Canonical ``(low, tail)`` of S(n) from ``low[0..n-1]`` and the full
-    sets ``full[j]`` = S(j), j <= J(n); see :func:`build_table`.  Its
-    loops sit near the start of its code object: under tracemalloc,
+def _step(n: int, reach: int, full, offs: list[int]) -> int:
+    """The bits of S(n) from index ``reach`` = low[n-1] up, bit i standing
+    for index reach + i: the OR of the largest-part pieces, read from the
+    full sets ``full[j]`` = S(j), j <= J(n); see :func:`build_table`.  Its
+    loop sits near the start of its code object: under tracemalloc,
     Python 3.11 finds an allocation's line by scanning from the start.
     """
-    reach, d = 0, 1
-    while d <= n and offs[d] <= reach:
-        i = n - d
-        if offs[d] + low[i] > reach:
-            reach = offs[d] + low[i]
-        if offs[d] + offs[i] < reach:  # f(d) < reach: jump past the middle
-            d = (n + isqrt(4 * reach - n * n + 2 * n - 1)) // 2
-        d += 1
     big = 2 * (n + 2 * reach) > n * (n + 1)  # parts all below n/2 give <= n(n-1)/2
     acc = 0
     for j in range(n):  # largest part n - j, the rest any partition of j
@@ -242,32 +237,28 @@ def _step(n: int, low, full, offs: list[int]) -> tuple[int, int]:
             break
         s = offs[n - j] - reach
         acc |= full[j] << s if s >= 0 else full[j] >> -s
-    ones = (acc ^ (acc + 1)).bit_length() - 1
-    return reach + ones, acc >> ones
+    return acc
 
 
 def build_table(n_max: int) -> DimTable:
     """Build the square-sum sets for all n up to n_max.
 
-    A part d shifts S(n-d) left by off_d = d(d-1)/2, so it fills the
-    indices [off_d, off_d + low(n-d)), where low(i) is the measured run
-    of ones from index 0 in S(i).  Taking d ascending up to the first gap
-    gives ``reach``: every index below it is in S(n).  The highest index
-    part d can reach is f(d) = off_d + top(n-d), with top(i) = (i^2-i)/2
-    the index of i^2, which is always in S(i).  f is convex and symmetric
-    under d <-> n-d, so the parts with f(d) < reach form one middle range,
-    which the scan jumps over.
+    A part 1 added to a partition of n-1 adds 1 to both n and the value,
+    so S(n-1) lies in S(n) index for index, and every index below
+    ``reach`` = low(n-1), the run of ones from index 0 in S(n-1), is in
+    S(n).  Above ``reach`` each set is built from its largest part
+    d = n - j, which puts S(j) at off_d = d(d-1)/2.  That piece reaches
+    up to f(d) = off_d + top(j), with top(j) = (j^2-j)/2 the index of
+    j^2, which is always in S(j).  A partition whose parts are all below
+    n/2 has a square sum of at most n(n-1)/2.  So once the value of
+    ``reach`` exceeds n(n+1)/2, every index above it has a largest part
+    of at least n/2, and j runs up from 0 while 2j <= n and
+    f(n-j) >= reach (f falls as j rises to n/2).  Below that bound (34
+    values of n, all at most 41) j takes every value below n, which is
+    the plain recurrence.  The result equals the plain recurrence bit for
+    bit.
 
-    Above ``reach`` each set is built from its largest part d = n - j,
-    which puts S(j) at off_d.  A partition whose parts are all below n/2
-    has a square sum of at most n(n-1)/2.  So once the value of ``reach``
-    exceeds n(n+1)/2, every index above it has a largest part of at least
-    n/2, and j runs up from 0 while 2j <= n and f(n-j) >= reach (f falls
-    as j rises to n/2).  Below that bound (25 values of n, all at most
-    31) j takes every value below n, which is the plain recurrence.  The
-    result equals the plain recurrence bit for bit.
-
-    So a step reads only ``low[0..n-1]`` and S(0..J(n)) (see
+    So a step reads only ``low[n-1]`` and S(0..J(n)) (see
     :func:`full_set_limit`), and the build holds O(n) ints besides the
     set being built.  n_max = 0 gives the trivial table of only {0}.
     """
@@ -276,11 +267,12 @@ def build_table(n_max: int) -> DimTable:
     offs, keep = _offsets(n_max), full_set_limit(n_max)
     low, count, full = [1], [1], [1]  # S(0) = {0}
     for n in range(1, n_max + 1):
-        lo, tail = _step(n, low, full, offs)
-        low.append(lo)
-        count.append(lo + tail.bit_count())
+        reach = low[-1]
+        acc = _step(n, reach, full, offs)
+        low.append(reach + (acc ^ (acc + 1)).bit_length() - 1)
+        count.append(reach + acc.bit_count())
         if n <= keep:
-            full.append(((tail + 1) << lo) - 1)
+            full.append(((acc + 1) << reach) - 1)
     return DimTable(low, count)
 
 

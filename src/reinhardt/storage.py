@@ -22,7 +22,9 @@ CRC-32 run over some bytes followed by their own CRC always ends in the
 same state (the residue 0x2144DF1C), so a chain through them would
 restart at every record and let whole records swap places unseen.  A
 stored low or count that the recurrence disagrees with behind valid CRCs
-is caught when its set is rebuilt, which for S(0..K) is at load.
+is caught when its set is rebuilt, which for S(0..K) is at load; as a
+low also seeds the next set's step, a wrong one gives that set whole or
+an error, never a wrong set.
 
 Format v4 replaced v3, which stored each set's tail, on purpose.  Files
 of versions 1 to 3 are not read: :class:`OldFormatError` says so, and the

@@ -12,7 +12,8 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 @pytest.fixture
 def tool(monkeypatch):
     """The tool as a module, its child runner replaced by a stub that
-    records (tree, layer) and returns a time that differs per round."""
+    records (tree, layer) and returns a time and, off start-up, a page
+    fault count that grow with each call."""
     spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -20,7 +21,10 @@ def tool(monkeypatch):
 
     def child(src, cwd, op, n, *args):
         module.calls.append((src.parent.name, (op, n, *args)))
-        return {"s": 0.01 * len(module.calls), "maxrss_mib": 1.0}
+        result = {"s": 0.01 * len(module.calls), "maxrss_mib": 1.0}
+        if op != "startup":
+            result["minflt"] = 100 * len(module.calls)
+        return result
 
     monkeypatch.setattr(module, "_child", child)
     return module
@@ -62,6 +66,17 @@ def test_two_trees_get_rounds_children_per_layer(tool, tmp_path):
     assert runs["a"]["rounds"] == tool.ROUNDS
     assert set(runs["b"]["build_table"]) == {"1000", "2000"}
     assert len(runs["b"]["startup"]) == 2 + len(tool.STARTUP_ARGV)
+    # the stub's times grow with each call, so the tree that goes second
+    # in a round reads higher: b reads lower in the rounds it leads
+    for section in ("build_table", "startup"):
+        for layer in runs["b"][section].values():
+            ratio = layer["ratio"]
+            assert ratio["lower_in"] == tool.ROUNDS // 2
+            assert ratio["quartiles"][0] < 1 < ratio["quartiles"][1]
+            assert 0.95 < ratio["median"] < 1.05
+        assert all("ratio" not in layer for layer in runs["a"][section].values())
+    assert "minflt" in runs["a"]["build_table"]["1000"]
+    assert all("minflt" not in layer for layer in runs["a"]["startup"].values())
 
 
 def test_each_tree_goes_first_in_half_the_rounds(tool, tmp_path):
@@ -88,3 +103,4 @@ def test_one_tree_writes_its_label_and_keeps_other_runs(tool, tmp_path):
     build = runs["only"]["build_table"]["1000"]
     assert build["s"] == round(0.01 * (tool.ROUNDS + 1) / 2, 4)
     assert build["s_quartiles"][0] < build["s"] < build["s_quartiles"][1]
+    assert build["minflt"] == round(100 * (tool.ROUNDS + 1) / 2) and "ratio" not in build

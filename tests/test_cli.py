@@ -145,10 +145,17 @@ class TestCache:
             raise OSError("disk full")
 
         monkeypatch.setattr(reinhardt.cli, "save_table", failing_save)
-        code, _, err = run(capsys, "table", "--max-n", "20", "--cache", str(cache))
-        assert code == 1 and "disk full" in err
+        code, out, err = run(capsys, "table", "--max-n", "20", "--cache", str(cache))
+        assert (code, out, err) == (1, "", f"error: cache {cache}: disk full\n")
         assert cache.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["table.rdim"]
+
+    def test_save_to_a_missing_directory_names_the_cache(self, capsys, tmp_path):
+        cache = tmp_path / "missing" / "x.rdim"
+        code, out, err = run(capsys, "set", "--n", "5", "--cache", str(cache))
+        assert (code, out) == (1, "")
+        assert err == f"error: cache {cache}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_larger_than_request_serves_query(self, capsys, tmp_path):
         cache = tmp_path / "table.rdim"
@@ -166,14 +173,19 @@ class TestCache:
             {"n": 10, "c": 26, "c_over_n2": "0.2600", "h": None, "h_over_n": None}
         ]
 
-    def test_corrupted_cache_fails_loudly(self, capsys, tmp_path):
+    def test_corrupted_cache_fails_loudly(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "table.rdim"
         run(capsys, "table", "--max-n", "10", "--cache", str(cache))
         blob = bytearray(cache.read_bytes())
         blob[-3] ^= 0x10
         cache.write_bytes(bytes(blob))
-        code, _, err = run(capsys, "table", "--max-n", "10", "--cache", str(cache))
-        assert code == 1 and "checksum" in err
+        code, out, err = run(capsys, "table", "--max-n", "10", "--cache", str(cache))
+        assert (code, out) == (1, "") and "checksum" in err
+        assert err.startswith(f"error: cache {cache}: record 10 checksum mismatch")
+        # the same error names a cache that came from the environment
+        monkeypatch.setenv("REINHARDT_CACHE", str(cache))
+        assert run(capsys, "set", "--n", "10") == (1, "", err)
+        assert cache.read_bytes() == blob and [p.name for p in tmp_path.iterdir()] == ["table.rdim"]
 
     def test_set_reads_short_cache_once(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "table.rdim"

@@ -122,6 +122,9 @@ class TestBuild:
         plain = _plain_recurrence(1001)
         mismatched = [n for n, s in enumerate(big_table.sets) if s.bits != plain[n]]
         assert big_table.n_max == 1001 and mismatched == []
+        # the lemma a step starts from: S(n-1) lies in S(n) index for index,
+        # so low[n-1] is a run of ones in S(n)
+        assert [n for n in range(1, 1002) if plain[n - 1] & ~plain[n]] == []
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
     def test_tiny_tables(self, n_max):
@@ -140,18 +143,20 @@ class TestBuild:
         assert mismatched == []
 
     def test_steps_read_only_the_sets_a_table_keeps(self):
-        # J(n) <= 2 isqrt(n) + 3 for 31 < n <= 4096: a step given only
-        # S(0..2 isqrt(n) + 3) rebuilds S(n), so S(0..K) covers every step
+        # J(n) <= 2 isqrt(n) + 5 for 41 < n <= 4096: a step given only
+        # S(0..2 isqrt(n) + 5) rebuilds S(n), so S(0..K) covers every step
         table = build_table(4096)
         full = [s.bits for s in table.sets[: full_set_limit(4096) + 1]]
         offs = [(d * d - d) // 2 for d in range(4097)]
         wrong = []
-        for n in range(32, 4097):
-            low, tail = _step(n, table.low, full[: 2 * isqrt(n) + 4], offs)
-            if (low, low + tail.bit_count()) != (table.low[n], table.count[n]):
+        for n in range(42, 4097):
+            reach = table.low[n - 1]
+            acc = _step(n, reach, full[: 2 * isqrt(n) + 6], offs)
+            low = reach + (acc ^ (acc + 1)).bit_length() - 1
+            if (low, reach + acc.bit_count()) != (table.low[n], table.count[n]):
                 wrong.append(n)
         assert wrong == []
-        assert full_set_limit(4096) == 160 >= 2 * isqrt(4096) + 3
+        assert full_set_limit(4096) == 160 >= 2 * isqrt(4096) + 5
 
     def test_a_table_rebuilds_its_sets_and_checks_them(self, table300):
         assert DimTable(table300.low, table300.count) == table300

@@ -181,6 +181,26 @@ class TestValidation:
         assert loaded.sets[n - 1] == table.sets[n - 1]
         with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds with low {table.low[n]}"):
             loaded.sets[n]
+        if field:
+            return
+        # a stored low seeds the next step: raised up to low[n+1] the step
+        # still rebuilds S(n+1), raised past it S(n+1) rebuilds too high,
+        # and cut to 1 the step needs sets the table does not keep
+        for low, error in [
+            (1, "does not rebuild from"),
+            (stored + 1, None),
+            (table.low[n + 1] + 1, "rebuilds with low"),
+        ]:
+            _put(data, n, 0, low)
+            _reseal(data)
+            loaded = load_table(io.BytesIO(bytes(data)))
+            with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds with low {table.low[n]}"):
+                loaded.sets[n]
+            if error is None:
+                assert loaded.sets[n + 1] == table.sets[n + 1]
+            else:
+                with pytest.raises(ValueError, match=f"S\\({n + 1}\\) {error}"):
+                    loaded.sets[n + 1]
 
     def test_truncation_names_first_incomplete_record(self):
         data = _dump(build_table(4))

@@ -9,8 +9,14 @@ half the rounds: trees measured one after the other drift apart by more
 than most changes (unchanged code read up to 1.6x apart that way).  A
 child times its job ``REPEATS`` times and keeps the best; per tree a
 layer records ``s``, the median over rounds of those best times, with
-its quartiles (``s_quartiles``) and the largest child peak RSS
-(``maxrss_mib``).  The layers are:
+its quartiles (``s_quartiles``), the largest child peak RSS
+(``maxrss_mib``) and the median of the children's minor page faults
+(``minflt``, from ``ru_minflt``).  With two trees the second also
+records ``ratio``: the median and quartiles over rounds of its best time
+divided by the first tree's in the same round, and ``lower_in``, the
+number of rounds in which it read lower.  A host that drifts moves both
+children of a round alike, so the paired ratio can resolve a change that
+the two medians cannot.  The layers are:
 
 * ``build_table(n)`` for each n in ``--sizes``, and the build's growth
   exponent from n = 1000 to each larger size (from the medians);
@@ -37,7 +43,7 @@ its quartiles (``s_quartiles``) and the largest child peak RSS
   and of standard-library modules it imports (from one more run under
   ``-X importtime``).  These processes get the environment
   perfbench/run.py gives its children.  The child that starts them is
-  not the one measured, so this layer has no peak RSS;
+  not the one measured, so this layer has no peak RSS or page faults;
 * ``wc -l src/reinhardt/*.py``, a digest of those files, which identifies
   the code, and the git revision of a tree that holds ``.git``.
 
@@ -206,6 +212,7 @@ else:  # startup: the wall time of a whole python ARGV (args) process
     result["reinhardt_modules"] = sum(m.split(".")[0] == "reinhardt" for m in names)
     result["stdlib_modules"] = sum(m.split(".")[0] in sys.stdlib_module_names for m in names)
 if op != "startup":
+    result["minflt"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:  # this process's own high-water mark; ru_maxrss would count the parent
         with open("/proc/self/status") as fh:  # it was started as a copy of
             rss = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
@@ -230,10 +237,15 @@ def _child(src: Path, cwd: str, op: str, n: int, *args: str) -> dict:
     return result
 
 
+def _quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def _interleaved(trees: dict[str, tuple[Path, str]], op: str, n: int, *args: str) -> dict:
     """One layer: ROUNDS rounds of one child per tree, the trees' order
     alternating; per tree the median best time with its quartiles, the
-    largest peak RSS and the child's other fields."""
+    largest peak RSS, the median minor page faults and the child's other
+    fields, and for a second tree its paired ratio to the first."""
     labels = list(trees)
     results: dict[str, list[dict]] = {label: [] for label in labels}
     for i in range(ROUNDS):
@@ -241,10 +253,20 @@ def _interleaved(trees: dict[str, tuple[Path, str]], op: str, n: int, *args: str
             results[label].append(_child(*trees[label], op, n, *args))
     layer = {}
     for label, runs in results.items():
-        q1, median, q3 = statistics.quantiles([r["s"] for r in runs], n=4, method="inclusive")
+        q1, median, q3 = _quartiles([r["s"] for r in runs])
         layer[label] = runs[0] | {"s": round(median, 4), "s_quartiles": [round(q1, 4), round(q3, 4)]}
         if "maxrss_mib" in runs[0]:
             layer[label]["maxrss_mib"] = max(r["maxrss_mib"] for r in runs)
+        if "minflt" in runs[0]:
+            layer[label]["minflt"] = round(statistics.median(r["minflt"] for r in runs))
+    if len(labels) == 2:  # the second tree's time over the first's, round by round
+        ratios = [b["s"] / a["s"] for a, b in zip(*results.values())]
+        q1, median, q3 = _quartiles(ratios)
+        layer[labels[1]]["ratio"] = {
+            "median": round(median, 3),
+            "quartiles": [round(q1, 3), round(q3, 3)],
+            "lower_in": sum(r < 1 for r in ratios),
+        }
     return layer
 
 
@@ -362,8 +384,11 @@ def main(argv: list[str] | None = None) -> None:
         "tools/bench_layers.py: per source tree and layer, the median over"
         " rounds (s) and quartiles (s_quartiles) of each child's untraced"
         " best-of-repeats wall time, the trees' children alternating, and"
-        " the largest child peak RSS (maxrss_mib); startup: whole-process"
-        " wall time and the modules the process imports"
+        " the largest child peak RSS (maxrss_mib) and the median child minor"
+        " page faults (minflt); with two trees, ratio: the second tree's"
+        " per-round time over the first's (median, quartiles, lower_in"
+        " rounds); startup: whole-process wall time and the modules the"
+        " process imports"
     )
     doc["host"] = {
         "python": platform.python_version(),
