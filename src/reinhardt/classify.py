@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from bisect import bisect_right
 from functools import lru_cache
+from math import isqrt
 
 from .dimsets import MARKED_ORACLE_MAX_N, build_table, marked_set_rows
 from .partitions import (
@@ -238,24 +238,29 @@ def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
 def is_realizable(n: int, dim: int) -> bool:
     """Whether ``dim`` lies in G(n), the values of marked partitions of n
     with any number of marks; see :func:`_member`."""
-    return _member(n, dim, True, _growth_rows(n))
+    _check_membership_n(n)
+    return _member(n, dim, True)
 
 
-def _member(n: int, value: int, marked: bool, rows) -> bool:
-    """Whether ``value`` lies in G(n) if ``marked``, else in S(n); ``rows``
-    come from :func:`_growth_rows` at n or above.
+def _check_membership_n(n: int) -> None:
+    if not 0 <= n <= MEMBERSHIP_MAX_N:
+        raise ValueError(f"S(n) and G(n) membership needs 0 <= n <= {MEMBERSHIP_MAX_N}, got {n}")
+
+
+def _member(n: int, value: int, marked: bool) -> bool:
+    """Whether ``value`` lies in G(n) if ``marked``, else in S(n).
 
     A marked block d adds d^2 + 2d to the value, an unmarked one d^2.  For
     n <= :data:`MARKED_ORACLE_MAX_N` a fixed base answers.  Above it every
-    value up to reach(n) is a square sum (the growth lemma: the
-    ``sequences`` suite checks it up to the CLI's build limit, and past
-    that it rests on the paper's proof).  reach(n) passes n(n+3)/2 (tested
-    to n = 100 000 and on a grid up to the guard), and parts all below
-    n/2 give at most sum d(d + 2) <= n(n+3)/2, so a value above reach(n)
-    has a largest part p = n - j >= n/2: it is in S(n) iff value - p^2 is
-    in S(j), and in G(n) iff value - p^2 or value - p^2 - 2p is in G(j).
-    j rises while p^2 + j^2 (+ 2n in G), the largest such value, still
-    reaches the value; that falls as j rises to n/2.
+    value up to reach(n) is a square sum (the growth lemma: the tests check
+    it for every n <= 4096, and past that it rests on the paper's proof).
+    reach(n) passes n(n+3)/2 (tested to n = 100 000 and on a grid up to the
+    guard), and parts all below n/2 give at most sum d(d + 2) <= n(n+3)/2,
+    so a value above reach(n) has a largest part p = n - j >= n/2: it is in
+    S(n) iff value - p^2 is in S(j), and in G(n) iff value - p^2 or
+    value - p^2 - 2p is in G(j).  j starts where p^2 + j <= value (the rest
+    is at least j ones), and rises while p^2 + j^2 (+ 2n in G), the largest
+    such value, still reaches the value; that falls as j rises to n/2.
     """
     pad = 2 * n if marked else 0
     if (value - n) % 2 or not n <= value <= n * n + pad:
@@ -263,39 +268,33 @@ def _member(n: int, value: int, marked: bool, rows) -> bool:
     if n <= MARKED_ORACLE_MAX_N:
         base = _marked_rows()[n][n] if marked else _small_squares()[n]
         return bool(base >> (value - n) // 2 & 1)
-    if value <= _reach(n, rows):
+    if value <= _reach(n):
         return True
-    for j in range(n // 2 + 1):
+    q = min(n, (1 + isqrt(1 + 4 * (value - n))) // 2)  # the largest p with p^2 - p <= value - n
+    for j in range(n - q, n // 2 + 1):
         p = n - j
         if p * p + j * j + pad < value:
             break
         rest = value - p * p
-        if _member(j, rest, marked, rows) or marked and _member(j, rest - 2 * p, marked, rows):
+        if _member(j, rest, marked) or marked and _member(j, rest - 2 * p, marked):
             return True
     return False
 
 
-def _reach(n: int, rows) -> int:
-    """reach(n): its row, or one anchor step (n - k)^2 + reach(k), where
-    k = anchor(n) is the last row with threshold at most n."""
-    if n < len(rows):
-        return rows[n].reach
-    k = bisect_right(rows, n, key=lambda row: row.threshold) - 1
-    return (n - k) ** 2 + rows[k].reach
-
-
-def _growth_rows(n: int) -> list:
-    """The growth rows through the first whose threshold passes n + 1, so
-    :func:`_reach` finds anchor(j) among them for every j <= n + 1."""
-    from .sequences import _growth_walk
-
-    if not 0 <= n <= MEMBERSHIP_MAX_N:
-        raise ValueError(f"S(n) and G(n) membership needs 0 <= n <= {MEMBERSHIP_MAX_N}, got {n}")
-    rows = []
-    for row in _growth_walk():
-        rows.append(row)
-        if row.threshold > n + 1:
-            return rows
+@lru_cache(maxsize=None)
+def _reach(n: int) -> int:
+    """reach(n) = (n - k)^2 + reach(k), reach(0) = 0, where k = anchor(n) is
+    the largest kappa in [1, n) with reach(kappa) + kappa + 4 <= 2n, else 0.
+    The test holds on a prefix of kappa (see the comment in
+    :func:`~reinhardt.sequences._growth_walk`), so a gallop and a bisection
+    find k.  The memo holds only fixed ints, so it is safe to share."""
+    lo, hi = 0, 1  # the test holds at lo (or lo = 0) and fails at hi (or hi = n)
+    while hi < n and _reach(hi) + hi + 4 <= 2 * n:
+        lo, hi = hi, min(2 * hi, n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _reach(mid) + mid + 4 <= 2 * n else (lo, mid)
+    return (n - lo) ** 2 + _reach(lo) if lo else n * n
 
 
 @lru_cache(maxsize=None)
@@ -325,12 +324,12 @@ def classify_dimension(n: int, dim: int, include_realizations: bool = True) -> C
     notes: list[str] = []
     families: tuple[DomainFamily, ...] = ()
     if (dim - n) % 2 == 0 and n <= dim <= top - 2:
-        rows = _growth_rows(n)
-        if _member(n, dim, False, rows):  # below n^2 - 2, so not the top value
+        _check_membership_n(n)
+        if _member(n, dim, False):  # below n^2 - 2, so not the top value
             status = STATUS_COMPACT_BAD
-        elif _member(n + 1, dim + 1, False, rows):  # noncompact_set's index, below (n+1)^2
+        elif _member(n + 1, dim + 1, False):  # noncompact_set's index, below (n+1)^2
             status = STATUS_NONCOMPACT_GOOD
-        elif _member(n, dim, True, rows):
+        elif _member(n, dim, True):
             status = STATUS_GENERAL_ONLY
             notes.append(
                 "achievable only with two or more marked blocks;"

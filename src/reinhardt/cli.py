@@ -21,7 +21,7 @@ from typing import Any, Iterable, NoReturn, Sequence, TextIO
 
 # Each command imports the rest of the package when it runs, so a process
 # loads only what its command uses.
-from .dimsets import DimTable, build_table
+from .dimsets import DimSet, DimTable, build_table
 from .storage import (
     OldFormatError,
     TableCorruptionError,
@@ -62,14 +62,14 @@ def _json_text(rows: Sequence[dict[str, Any]]) -> str:
     return json.dumps({"rows": list(rows)}, ensure_ascii=False) + "\n"
 
 
-def _load_or_build(n_max: int, args: SimpleNamespace) -> DimTable:
-    """The table for n = 0..n_max: read from the front of the cache
-    (``--cache``, else ``$REINHARDT_CACHE``, none under ``--no-cache``) if
-    that covers n_max, else built (refused above :data:`BUILD_LIMIT` unless
-    ``--force``) and saved to the cache, if any.  A cache in an older
-    format is rebuilt the same way, with one warning on stderr.  A cache
-    that cannot be read or saved fails with an error that names it and
-    only an OSError's reason, as its file may be the save's temporary one."""
+def _load_or_build(n_max: int, args: SimpleNamespace, one_set: bool = False) -> DimTable | DimSet:
+    """The table for n = 0..n_max, or with ``one_set`` only S(n_max): read
+    from the front of the cache (``--cache``, else ``$REINHARDT_CACHE``,
+    none under ``--no-cache``) if that covers n_max, else built (refused
+    above :data:`BUILD_LIMIT` unless ``--force``) and saved to the cache.
+    An older format is rebuilt alike, with one warning on stderr.  A cache
+    that fails its read, save or S(n_max) rebuild fails with an error that
+    names it, giving an OSError's reason only: its file may be a temporary one."""
     cache = os.environ.get(CACHE_ENV_VAR) if args.cache is None else args.cache
     cache = None if args.no_cache else cache
     try:
@@ -81,7 +81,7 @@ def _load_or_build(n_max: int, args: SimpleNamespace) -> DimTable:
                 print(f"warning: cache {cache}: {exc}; rebuilding it", file=sys.stderr)
             else:
                 if table.n_max >= n_max:
-                    return table
+                    return table.sets[n_max] if one_set else table
         if n_max > BUILD_LIMIT and not args.force:
             raise CliError(
                 f"no cached table covers n={n_max}; inline builds stop at n={BUILD_LIMIT}"
@@ -91,9 +91,9 @@ def _load_or_build(n_max: int, args: SimpleNamespace) -> DimTable:
         table = build_table(n_max)
         if cache:
             _save_cache(table, cache)
-    except (OSError, ValueError) as exc:  # only the cache's read and save raise these
+    except (OSError, ValueError) as exc:  # only the cache's read, save and set raise these
         raise CliError(f"cache {cache}: {getattr(exc, 'strerror', None) or exc}") from exc
-    return table
+    return table.sets[n_max] if one_set else table
 
 
 def _save_cache(table: DimTable, cache: str) -> None:
@@ -143,7 +143,7 @@ def cmd_set(args: SimpleNamespace) -> int:
     n = args.n
     if n < 0:
         raise CliError(f"n must be non-negative, got {n}")
-    dimset = _load_or_build(n, args).sets[n]
+    dimset = _load_or_build(n, args, one_set=True)
     if args.format == "csv":
         head, sep, tail = f"n,values\n{n},", " ", "\n"
     else:

@@ -46,6 +46,13 @@ def smooth_bounded_oracle():
 
 
 @pytest.fixture(scope="session")
+def table4097():
+    """The table one past the CLI's build limit, so S(n + 1) is there for
+    every n the CLI builds."""
+    return build_table(4097)
+
+
+@pytest.fixture(scope="session")
 def big_build():
     """Timed, allocation-traced build to n_max=1001 shared across the session."""
     tracemalloc.start()

@@ -11,6 +11,7 @@ import reinhardt.cli
 import reinhardt.verifiers
 from reinhardt import build_table, load_table, save_table
 from reinhardt.cli import main
+from test_storage import _put, _reseal
 
 
 def run(capsys, *argv):
@@ -185,6 +186,25 @@ class TestCache:
         # the same error names a cache that came from the environment
         monkeypatch.setenv("REINHARDT_CACHE", str(cache))
         assert run(capsys, "set", "--n", "10") == (1, "", err)
+        assert cache.read_bytes() == blob and [p.name for p in tmp_path.iterdir()] == ["table.rdim"]
+
+    def test_set_that_fails_its_rebuild_names_the_cache(self, capsys, tmp_path, monkeypatch):
+        # count(90) lowered by 1 behind resealed CRCs: the file loads, but
+        # S(90) does not rebuild to it
+        cache = tmp_path / "table.rdim"
+        run(capsys, "table", "--max-n", "100", "--cache", str(cache))
+        blob = bytearray(cache.read_bytes())
+        _put(blob, 90, 8, 3095)
+        _reseal(blob)
+        cache.write_bytes(blob)
+        reason = (
+            "S(90) rebuilds with low 2619 and 3096 values,"
+            " but the table stores low 2619 and count 3095"
+        )
+        expected = (1, "", f"error: cache {cache}: {reason}\n")
+        assert run(capsys, "set", "--n", "90", "--cache", str(cache)) == expected
+        monkeypatch.setenv("REINHARDT_CACHE", str(cache))
+        assert run(capsys, "set", "--n", "90") == expected
         assert cache.read_bytes() == blob and [p.name for p in tmp_path.iterdir()] == ["table.rdim"]
 
     def test_set_reads_short_cache_once(self, capsys, tmp_path, monkeypatch):

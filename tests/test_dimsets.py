@@ -19,7 +19,8 @@ from reinhardt import (
     square_sums_bruteforce,
     two_block_dimensions,
 )
-from reinhardt.classify import MEMBERSHIP_MAX_N, _growth_rows, _member, _reach
+from reinhardt.classify import MEMBERSHIP_MAX_N, _member, _reach
+from reinhardt.cli import BUILD_LIMIT
 from reinhardt.dimsets import (
     _step,
     full_set_limit,
@@ -142,10 +143,10 @@ class TestBuild:
         ]
         assert mismatched == []
 
-    def test_steps_read_only_the_sets_a_table_keeps(self):
+    def test_steps_read_only_the_sets_a_table_keeps(self, table4097):
         # J(n) <= 2 isqrt(n) + 5 for 41 < n <= 4096: a step given only
         # S(0..2 isqrt(n) + 5) rebuilds S(n), so S(0..K) covers every step
-        table = build_table(4096)
+        table = table4097
         full = [s.bits for s in table.sets[: full_set_limit(4096) + 1]]
         offs = [(d * d - d) // 2 for d in range(4097)]
         wrong = []
@@ -394,20 +395,18 @@ class TestRealizableMembership:
                 assert is_realizable(n, dim) == sets.realizable(n, dim), (n, dim)
 
     def test_equals_plain_recurrence_for_every_dim(self, plain_marked):
-        rows = _growth_rows(150)  # past anchor(151), so for every n <= 150
         for n in range(151):
             for dim in range(n, n * n + 2 * n + 1, 2):
                 expected = bool(plain_marked[n] >> (dim - n) // 2 & 1)
-                assert _member(n, dim, True, rows) == expected, (n, dim)
+                assert _member(n, dim, True) == expected, (n, dim)
 
     def test_equals_plain_recurrence_near_the_edges(self, plain_marked, table300):
-        rows = _growth_rows(300)
         for n in range(151, 301):
             edge = n + 2 * table300.low[n]  # the first value above the prefix
             dims = [*range(edge - 400, edge + 401, 2), *range(n * n - 400, n * n + 2 * n + 1, 2)]
             for dim in dims:
                 expected = bool(plain_marked[n] >> (dim - n) // 2 & 1)
-                assert _member(n, dim, True, rows) == expected, (n, dim)
+                assert _member(n, dim, True) == expected, (n, dim)
 
     def test_input_checks(self):
         assert [is_realizable(n, n) for n in (0, 1, 2)] == [True, True, True]
@@ -430,20 +429,42 @@ class TestRealizableMembership:
             assert 2 * row.reach > row.n * (row.n + 3), row.n
 
     def test_anchor_step_equals_the_sequence(self):
-        rows = _growth_rows(100_000)  # past anchor(100 001), 489 rows
-        assert len(rows) < 1000
+        _reach.cache_clear()
+        _reach(100_001)  # one query memoizes a few anchors, not every row
+        assert _reach.cache_info().currsize < 100
         for row in growth_sequence(100_001):
-            assert _reach(row.n, rows) == row.reach, row.n
+            assert _reach(row.n) == row.reach, row.n
+        _reach.cache_clear()
 
     def test_reach_passes_the_largest_part_bound_to_the_guard(self):
         # the membership loop's 2j <= n needs 2 reach(n) > n(n+3) past the
         # base; the test above covers every n to 100 000, this a 1% grid on
-        rows = _growth_rows(MEMBERSHIP_MAX_N)
         n = 100_000
         while n <= MEMBERSHIP_MAX_N:
             for m in (n, n + 1):
-                assert 2 * _reach(m, rows) > m * (m + 3), m
+                assert 2 * _reach(m) > m * (m + 3), m
             n += n // 100
+
+    def test_growth_lemma_to_the_build_limit(self, table4097):
+        # _member's shortcut: every value up to reach(n) is in S(n), so the
+        # index of reach(n) lies in the run of ones below low[n]
+        wrong = [n for n in range(BUILD_LIMIT + 1) if (_reach(n) - n) // 2 >= table4097.low[n]]
+        assert wrong == []
+
+    @pytest.mark.parametrize("n, stride", [(1009, 1), (2003, 1), (4096, 16)])
+    def test_largest_part_engines_agree_on_the_tails(self, table4097, n, stride):
+        # the build's _step and the query's _member apply the largest-part
+        # lemma independently: they must agree on the tail indices of S(n)
+        # and of S(n + 1), the noncompact rung
+        for m in (n, n + 1):
+            s = table4097.sets[m]
+            tail = format(s.tail, "b")[::-1]  # bit i is index low + i
+            wrong = [
+                i
+                for i in range(0, len(tail), stride)
+                if _member(m, m + 2 * (s.low + i), False) != (tail[i] == "1")
+            ]
+            assert len(tail) > 50_000 and wrong == [], (m, wrong[:5])
 
 
 def _plain_marked_recurrence(n_max: int) -> list[int]:

@@ -59,3 +59,28 @@ def test_cli_imports_only_what_a_command_runs():
     assert not {"reinhardt.partitions", "reinhardt.sequences"} & set(after_import)
     assert not unused & set(after_set)
     assert not {"fractions", "decimal"} & set(after_sequence)
+
+
+# Run in a fresh interpreter: prints the `reinhardt` modules that one
+# classify command loads, with its exit code.
+_CLASSIFY_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+import reinhardt.cli
+with redirect_stdout(io.StringIO()):
+    code = reinhardt.cli.main(["classify", "--n", "391", "--dim", "2159"])
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("reinhardt")), code]))
+"""
+
+
+def test_classify_loads_no_growth_sequence_module():
+    # n = 391 is past the fixed base, so the query needs reach(391), which
+    # classify computes itself
+    src = os.path.dirname(os.path.dirname(reinhardt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _CLASSIFY_PROBE], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    loaded, code = json.loads(out)
+    assert code == 0 and "reinhardt.classify" in loaded
+    assert "reinhardt.sequences" not in loaded

@@ -81,7 +81,8 @@ ON_DEMAND_N = (803, 4096)
 #: n^2 - 4 at n = 4000
 MEMBERSHIP = ((1000, 999998), (4000, 15999996))
 #: (n, dim) classify queries: reach(n) + 2 and + 4, just above the
-#: growth-sequence prefix, and one unrealizable dim, at n = 10^5 and 10^7
+#: growth-sequence prefix, and one unrealizable dim, at n = 10^5, 10^7 and
+#: 10^8, the membership guard
 CLASSIFY = (
     (10**5, 9903036100),
     (10**5, 9903036102),
@@ -89,6 +90,9 @@ CLASSIFY = (
     (10**7, 99908341012162),
     (10**7, 99908341012164),
     (10**7, 99986804603564),
+    (10**8, 9997133805402704),
+    (10**8, 9997133805402706),
+    (10**8, 9999999999999996),
 )
 #: the partition streams drained by the enumeration layer, and their n
 ENUMERATION = ("iter_partition_tuples", "iter_square_sums")
