@@ -22,13 +22,7 @@ from typing import Any, Iterable, NoReturn, Sequence, TextIO
 # Each command imports the rest of the package when it runs, so a process
 # loads only what its command uses.
 from .dimsets import DimSet, DimTable, build_table
-from .storage import (
-    OldFormatError,
-    TableCorruptionError,
-    UnsupportedFormatError,
-    load_table,
-    save_table,
-)
+from .storage import OldFormatError, load_table, save_table
 
 #: Largest table built inline without --force; a covering cache serves any n.
 BUILD_LIMIT = 4096
@@ -475,13 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # looked up at call time, so a wrapped cmd_* is the one that runs
         return globals()[f"cmd_{command}"](args)
-    except (
-        CliError,
-        TableCorruptionError,
-        UnsupportedFormatError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

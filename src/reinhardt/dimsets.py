@@ -313,7 +313,7 @@ def square_sums_bruteforce(n: int) -> DimSet:
     if n > ORACLE_MAX_N:
         raise ValueError(f"enumeration oracle is limited to n <= {ORACLE_MAX_N}, got {n}")
     bits = 0
-    for total in iter_square_sums(n):
+    for total in set(iter_square_sums(n)):
         bits |= 1 << ((total - n) // 2)
     return DimSet(n, bits)
 

@@ -12,6 +12,7 @@ elapsed time), and every recorded counterexample re-fails on its own.
 from __future__ import annotations
 
 import time
+from math import isqrt
 from typing import NamedTuple
 
 from .dimsets import (
@@ -67,6 +68,16 @@ def _finish(
     )
 
 
+def _checked(suite: str, n_lo: int, n_hi: int, lowest: int, limit: int | None = None) -> float:
+    """Refuse a range outside ``lowest <= n_lo <= n_hi <= limit`` before any
+    work; return the suite's start time."""
+    if not lowest <= n_lo <= n_hi:
+        raise ValueError(f"need {lowest} <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
+    if limit is not None and n_hi > limit:
+        raise ValueError(f"{suite} suite is limited to n <= {limit}, got {n_hi}")
+    return time.perf_counter()
+
+
 def _ensure_table(table: DimTable | None, n_needed: int) -> DimTable:
     if table is None or table.n_max < n_needed:
         return build_table(n_needed)
@@ -85,11 +96,7 @@ def verify_bounds(n_lo: int, n_hi: int) -> CheckReport:
     (the square sum plus 2n).  Only a partition that fails there is built
     and checked class by class, which names every failing class.
     """
-    started = time.perf_counter()
-    if not 2 <= n_lo <= n_hi:
-        raise ValueError(f"need 2 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
-    if n_hi > BOUNDS_MAX_N:
-        raise ValueError(f"bounds suite is limited to n <= {BOUNDS_MAX_N}, got {n_hi}")
+    started = _checked("bounds", n_lo, n_hi, 2, BOUNDS_MAX_N)
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):
         # the upper bounds on base + 2n, the value with every part marked
@@ -150,13 +157,7 @@ def verify_largest_part(
     at most n/2 stays at or below 3n^2/4.  Comparisons stay in integers
     (4N vs 3n^2).
     """
-    started = time.perf_counter()
-    if n_lo < 7:
-        raise ValueError(f"the largest-part claim assumes n >= 7, got n_lo={n_lo}")
-    if not n_lo <= n_hi:
-        raise ValueError(f"need n_lo <= n_hi, got ({n_lo}, {n_hi})")
-    if n_hi > LARGEST_MAX_N:
-        raise ValueError(f"largest-part suite is limited to n <= {LARGEST_MAX_N}, got {n_hi}")
+    started = _checked("largest-part", n_lo, n_hi, 7, LARGEST_MAX_N)
     table = _ensure_table(table, n_hi)
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):
@@ -197,9 +198,7 @@ def verify_noncompact_growth(
     k.  The underlying derivation only holds for sufficiently large n,
     so finite failures are observations, not verdicts.
     """
-    started = time.perf_counter()
-    if not 2 <= n_lo <= n_hi:
-        raise ValueError(f"need 2 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
+    started = _checked("numh", n_lo, n_hi, 2)
     table = _ensure_table(table, n_hi + 1)
     observations: list[Counterexample] = []
     skipped = 0
@@ -224,12 +223,9 @@ def verify_noncompact_growth(
 
 
 def _growth_anchor_index(n: int) -> int | None:
-    k = None
-    candidate = 1
-    while candidate * candidate + 3 * candidate + 1 <= 2 * n:
-        k = candidate
-        candidate += 1
-    return k
+    """The largest k with k^2 + 3k + 1 <= 2n, or None when there is none."""
+    k = (isqrt(8 * n + 5) - 3) // 2
+    return k if k >= 1 else None
 
 
 def verify_arms(n_lo: int, n_hi: int, table: DimTable | None = None) -> CheckReport:
@@ -240,11 +236,7 @@ def verify_arms(n_lo: int, n_hi: int, table: DimTable | None = None) -> CheckRep
     more than the compact count (the single-block partition contributes
     the excluded top value n^2).
     """
-    started = time.perf_counter()
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError(f"need 1 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
-    if n_hi > ORACLE_MAX_N:
-        raise ValueError(f"arms suite is limited to n <= {ORACLE_MAX_N}, got {n_hi}")
+    started = _checked("arms", n_lo, n_hi, 1, ORACLE_MAX_N)
     table = _ensure_table(table, n_hi)
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):
@@ -261,11 +253,7 @@ def verify_arms(n_lo: int, n_hi: int, table: DimTable | None = None) -> CheckRep
 
 def verify_dp_oracle(n_lo: int, n_hi: int, table: DimTable | None = None) -> CheckReport:
     """Recurrence-built sets equal full-enumeration sets, bit for bit."""
-    started = time.perf_counter()
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError(f"need 1 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
-    if n_hi > ORACLE_MAX_N:
-        raise ValueError(f"brute suite is limited to n <= {ORACLE_MAX_N}, got {n_hi}")
+    started = _checked("brute", n_lo, n_hi, 1, ORACLE_MAX_N)
     table = _ensure_table(table, n_hi)
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):
@@ -279,11 +267,7 @@ def verify_dp_oracle(n_lo: int, n_hi: int, table: DimTable | None = None) -> Che
 
 def verify_two_block_closed_form(n_lo: int, n_hi: int) -> CheckReport:
     """Closed-form two-block values equal the enumeration oracle."""
-    started = time.perf_counter()
-    if not 2 <= n_lo <= n_hi:
-        raise ValueError(f"need 2 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
-    if n_hi > MARKED_ORACLE_MAX_N:
-        raise ValueError(f"prop7 suite is limited to n <= {MARKED_ORACLE_MAX_N}, got {n_hi}")
+    started = _checked("prop7", n_lo, n_hi, 2, MARKED_ORACLE_MAX_N)
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):
         brute: set[int] = set()
@@ -317,7 +301,7 @@ def verify_growth_sequence(n_max: int, table: DimTable | None = None) -> CheckRe
         if n >= 1 and n + 1 <= n_max:
             nxt = rows[n + 1].anchor
             cur = row.anchor
-            if cur is not None and nxt is not None and nxt < cur:
+            if nxt < cur:
                 ces.append((n, nxt, "anchor decreased"))
         if n >= 4 and row.reach < 2 * n:
             ces.append((n, row.reach, "reach below 2n"))

@@ -236,8 +236,8 @@ class TestOracle:
         assert len(square_sums_bruteforce(20)) == 118
 
     def test_refusal(self):
-        with pytest.raises(ValueError, match="120"):
-            square_sums_bruteforce(121)
+        with pytest.raises(ValueError, match="80"):
+            square_sums_bruteforce(81)
 
 
 class TestSetStructure:

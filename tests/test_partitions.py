@@ -151,8 +151,8 @@ class TestStatistics:
         assert distinct_arm_values(2) == {0, 1}
 
     def test_distinct_arm_values_rejects_oracle_overflow(self):
-        with pytest.raises(ValueError, match="120"):
-            distinct_arm_values(121)
+        with pytest.raises(ValueError, match="80"):
+            distinct_arm_values(81)
 
     @pytest.mark.parametrize("n", range(1, 61))
     def test_arm_values_count_equals_square_sum_set_size(self, n):

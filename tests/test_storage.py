@@ -1,3 +1,4 @@
+import hashlib
 import io
 import struct
 import zlib
@@ -115,6 +116,15 @@ class TestRoundTrip:
     def test_file_is_twenty_bytes_a_record(self, big_table):
         table = load_table(io.BytesIO(_dump(big_table)), 1000)
         assert len(_dump(table)) == 20030  # the tails took 2 743 974 bytes
+
+    def test_bytes_at_the_build_limit(self, table4097):
+        # pins the build bit for bit one past the CLI's inline limit
+        data = _dump(table4097)
+        assert len(data) == 81970
+        assert (
+            hashlib.sha256(data).hexdigest()
+            == "85062e03e07c6734df467447956ecb6c25a840771643812875c4a8d6a504300e"
+        )
 
 
 class TestValidation:

@@ -130,7 +130,7 @@ class TestLargestPartSuite:
         assert report.status == "pass"
 
     def test_hypothesis_range_enforced(self):
-        with pytest.raises(ValueError, match="n >= 7"):
+        with pytest.raises(ValueError, match=r"need 7 <= n_lo <= n_hi, got \(6, 10\)"):
             verify_largest_part(6, 10)
 
     @pytest.mark.parametrize("n", range(0, 41))
@@ -160,6 +160,17 @@ class TestNoncompactGrowthSuite:
         assert _growth_anchor_index(2) is None
         assert _growth_anchor_index(3) == 1
 
+    def test_anchor_closed_form_equals_the_search(self):
+        from reinhardt.verifiers import _growth_anchor_index
+
+        # the largest k >= 1 with k^2 + 3k + 1 <= 2n, by the linear search
+        # carried from one n to the next
+        k, candidate = None, 1
+        for n in range(10**5 + 1):
+            while candidate * candidate + 3 * candidate + 1 <= 2 * n:
+                k, candidate = candidate, candidate + 1
+            assert _growth_anchor_index(n) == k, n
+
 
 class TestArmsSuite:
     def test_passes(self, table64):
@@ -188,8 +199,8 @@ class TestDpOracleSuite:
 
         monkeypatch.setattr(reinhardt.verifiers, "square_sums_bruteforce", fail)
         monkeypatch.setattr(reinhardt.verifiers, "build_table", fail)
-        with pytest.raises(ValueError, match="n <= 120, got 121"):
-            verify_dp_oracle(1, 121)
+        with pytest.raises(ValueError, match="n <= 80, got 81"):
+            verify_dp_oracle(1, 81)
 
 
 class TestTwoBlockSuite:

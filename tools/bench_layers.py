@@ -100,12 +100,15 @@ ENUMERATION_N = (40, 50, 60)
 ROUNDS = 20  # children per tree and layer; even, so each tree leads in half
 REPEATS = 5  # timed runs per child; the best is kept
 #: (suite function, n_lo, n_hi): the enumeration-heavy suites at the range
-#: perfbench's small-n-queries runs them and at their largest range
+#: perfbench's small-n-queries runs them and at a larger one: their largest,
+#: or n = 50 for the enumeration oracle, which takes about a minute at 80
 SUITES = (
     ("verify_bounds", 2, 30),
     ("verify_bounds", 2, 40),
     ("verify_largest_part", 7, 40),
     ("verify_largest_part", 7, 60),
+    ("verify_dp_oracle", 1, 30),
+    ("verify_dp_oracle", 1, 50),
 )
 #: one small argv per subcommand, so start-up dominates each child
 STARTUP_ARGV = {
