@@ -13,9 +13,10 @@ object with a ``rows`` array.  The environment variable
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
-from itertools import chain, islice
+from itertools import islice
 from types import SimpleNamespace
 from typing import Any, Iterable, NoReturn, Sequence, TextIO
 
@@ -31,6 +32,8 @@ SEQUENCE_LIMIT = 100_000
 
 CACHE_ENV_VAR = "REINHARDT_CACHE"
 _CHUNK = 4096  # values per write in `set`
+_CENTURIES = 64  # whole centuries of `set`'s dense run per write
+_DIGITS = [f"{d:02d}" for d in range(100)]  # the last two digits of a century's values
 
 
 class CliError(Exception):
@@ -147,21 +150,42 @@ def cmd_set(args: SimpleNamespace) -> int:
         head, sep, tail = head + "[", ", ", "]" + tail
     sys.stdout.write(head)
     # the dense prefix straight from its range; only the tail is walked bit by bit
-    prefix = range(n, n + 2 * dimset.low, 2)
-    _write_joined(chain(prefix, dimset.tail_values()), sep, sys.stdout)
+    lead = _write_run(n, n + 2 * dimset.low, sep, sys.stdout)
+    _write_joined(dimset.tail_values(), sep, sys.stdout, lead)
     sys.stdout.write(tail)
     return 0
 
 
-def _write_joined(values: Iterable[int], sep: str, out: TextIO) -> None:
-    """Write ``sep.join(map(str, values))`` a chunk at a time, so a large
-    set is never held as one list or string; one ``%`` per chunk formats
-    it faster than a ``str`` call per value."""
+def _write_run(lo: int, hi: int, sep: str, out: TextIO) -> str:
+    """Write ``sep.join(map(str, range(lo, hi, 2)))`` and return the lead
+    of what follows: ``sep``, or "" if nothing was written.  In a whole
+    century [100q, 100q + 100) the run's 50 values differ only in q, so
+    one join of their last two digits writes them, :data:`_CENTURIES`
+    centuries per write; values below 100 and the partial centuries at
+    either end go through :func:`_write_joined`."""
+    p = lo % 2
+    first, last = max(1, -(-(lo - p) // 100)), (hi - p) // 100  # whole centuries first..last-1
+    if first >= last:
+        return _write_joined(range(lo, hi, 2), sep, out)
+    lead = _write_joined(range(lo, 100 * first + p, 2), sep, out)
+    digits = _DIGITS[p::2]  # "00", "02", ..., "98", or "01", ..., "99"
+    for q in range(first, last, _CENTURIES):
+        centuries = map(str, range(q, min(q + _CENTURIES, last)))
+        out.write(lead + sep.join([c + (sep + c).join(digits) for c in centuries]))
+        lead = sep
+    return _write_joined(range(100 * last + p, hi, 2), sep, out, lead)
+
+
+def _write_joined(values: Iterable[int], sep: str, out: TextIO, lead: str = "") -> str:
+    """Write ``lead`` and ``sep.join(map(str, values))``, if ``values`` is
+    not empty, a chunk at a time, so a large set is never held as one list
+    or string; one ``%`` per chunk formats it faster than a ``str`` call
+    per value.  Returns the lead of what follows, as :func:`_write_run`."""
     values = iter(values)
-    lead = ""
     while chunk := tuple(islice(values, _CHUNK)):
         out.write(lead + sep.join(["%d"] * len(chunk)) % chunk)
         lead = sep
+    return lead
 
 
 def _classification_record(result) -> dict[str, Any]:
@@ -472,6 +496,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if argv is None:
+            # a process's entry point: move the heap out of the collector's
+            # reach, so the exit does not traverse it in one last collection
+            gc.freeze()
 
 
 if __name__ == "__main__":

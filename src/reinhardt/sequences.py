@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from itertools import count, islice
 from typing import NamedTuple
 
-from .dimsets import DimTable, compact_count, noncompact_count
+from .dimsets import DimTable
 from .partitions import DegenerateInputWarning
 
 
@@ -84,9 +84,12 @@ def ratio_table(table: DimTable, ns: list[int]) -> list[RatioRow]:
     """Counts plus the two growth ratios for each requested n.
 
     Out-of-range entries are skipped with a notice; the noncompact count
-    is omitted at n = n_max since it needs the successor set.
+    is omitted at n = n_max since it needs the successor set.  c and h
+    are read from ``table.count`` as ``dimsets.compact_count`` and
+    ``noncompact_count`` define them.
     """
     rows: list[RatioRow] = []
+    count = table.count
     for n in ns:
         if not 2 <= n <= table.n_max:
             warnings.warn(
@@ -95,9 +98,9 @@ def ratio_table(table: DimTable, ns: list[int]) -> list[RatioRow]:
                 stacklevel=2,
             )
             continue
-        c = compact_count(table, n)
-        if n <= table.n_max - 1:
-            h = noncompact_count(table, n)
+        c = count[n] - 1
+        if n < table.n_max:
+            h = count[n + 1] - count[n] - 1
             row = RatioRow(n, c, format_ratio(c, n * n), h, format_ratio(h, n))
         else:
             row = RatioRow(n, c, format_ratio(c, n * n), None, None)

@@ -20,6 +20,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class _Writes(list):
+    """A text stream that keeps each write as one item."""
+
+    write = list.append
+
+
 class TestTable:
     def test_small_range_with_edge_row(self, capsys):
         code, out, _ = run(capsys, "table", "--max-n", "5", "--min-n", "4", "--no-cache")
@@ -315,7 +321,9 @@ class TestSet:
         code, out, _ = run(capsys, "set", "--n", "2", "--format", "json", "--no-cache")
         assert json.loads(out) == {"rows": [{"n": 2, "values": [2, 4]}]}
 
-    # stdout of the list-and-join implementation this streaming output replaced
+    # stdout of the list-and-join implementation this streaming output
+    # replaced (n = 250 and 803), and of the writer that formatted every
+    # value of the dense run one at a time (the rest)
     @pytest.mark.parametrize(
         "argv,size,sha256",
         [
@@ -334,8 +342,124 @@ class TestSet:
                 2023995,
                 "3e4284e886e1b05f5c48a7d3fb9e65fef0e2f45576771a8f4bc0a1a1e16bf38d",
             ),
+            # both ends of the dense run's whole centuries: below, at and past 100
+            (
+                ("--n", "0"),
+                13,
+                "947fc7d92b18f075585f615315c016b52c747f51274718ff2bd850e09fb78dc8",
+            ),
+            (
+                ("--n", "0", "--format", "json"),
+                36,
+                "235f0c2f32055e3a0e397848fe770c56eb3d581b3368edea334ed82901240773",
+            ),
+            (
+                ("--n", "1"),
+                13,
+                "2c135c3799f3fdde4ee828875fb0d1a676de93fc200f54e3953bccbaa62eb061",
+            ),
+            (
+                ("--n", "1", "--format", "json"),
+                36,
+                "5b659c214f59f38561706405e404025f91aa5ca099c00ff7bd2eb827187bf3dc",
+            ),
+            (
+                ("--n", "2"),
+                15,
+                "7903f0baeb52f80aa8d226c7ca775d59b5e65061fc504bdc58adefd93118840b",
+            ),
+            (
+                ("--n", "2", "--format", "json"),
+                39,
+                "8f387b6a5a2436ad6554e463550e1982434df80bbbdcf6e6cd0c5acfcee5810a",
+            ),
+            (
+                ("--n", "49"),
+                3685,
+                "ea32d563f2070ec0a70efed5a29da74161c7a591324be906c55fc15228385805",
+            ),
+            (
+                ("--n", "49", "--format", "json"),
+                4542,
+                "c4d794897e91afdb9691e1016bc1975b3877b0defaa5177fe6b40b15c33bef3f",
+            ),
+            (
+                ("--n", "50"),
+                3872,
+                "9ed4498aa67f688ae91bd505527fc6198af95e009f9cf66ce00dfd9be065efed",
+            ),
+            (
+                ("--n", "50", "--format", "json"),
+                4766,
+                "1f52999d3cada01fa5d257c493163bde934222a0e5abe4a20477a9fcc074a516",
+            ),
+            (
+                ("--n", "99"),
+                18550,
+                "43a594af619fb6a815d63e85b88536aa7fab6e2fd0fa0df689fb2075beaecbe3",
+            ),
+            (
+                ("--n", "99", "--format", "json"),
+                22370,
+                "2aadfd5b881cd3df7380b3adfdb5887a1d516f0e086d686fb53a5d7a9ae36726",
+            ),
+            (
+                ("--n", "100"),
+                18969,
+                "acdf261aa42b17382fa8ea757d1aff47191ede8a43c3cec3b1a6f4a758a9eeb9",
+            ),
+            (
+                ("--n", "100", "--format", "json"),
+                22872,
+                "0c1a4bac766d9fc253a3522ad1a93317db51431975066da876da65ace2c54887",
+            ),
+            (
+                ("--n", "101"),
+                19380,
+                "6e76e1f05f181bf6f67892c49545e263470f08826e547ad06a63e9e5539465ce",
+            ),
+            (
+                ("--n", "101", "--format", "json"),
+                23365,
+                "7f5fc0dbaccca1146adfb4b343a2f9faef828668d338e5ac405f8f9df5ac4462",
+            ),
+            (
+                ("--n", "150"),
+                49671,
+                "d346bedcc37975b44f4c9ceec286026c09a830d94b06f89c2aba9b7c91f290fe",
+            ),
+            (
+                ("--n", "150", "--format", "json"),
+                58861,
+                "1f5be95d61b3cd608af7fffa127ac543c23087f36c21b54095d6026c28bd2a43",
+            ),
+            (
+                ("--n", "801"),
+                2013408,
+                "17e3745d2d0598398acb71f189876632e8a6c816e960e747ab2a01187928c390",
+            ),
+            (
+                ("--n", "801", "--format", "json"),
+                2308815,
+                "8f95358094b42cc0f63bdecd38df0039158b80e872e0c08d30a58e48d823594f",
+            ),
+            (
+                ("--n", "1000"),
+                3198866,
+                "448cb0dfcae203bcb79ff6bf9a4e66dbf7d53588afce8f10f23ddfa7b84e499f",
+            ),
+            (
+                ("--n", "1000", "--format", "json"),
+                3663581,
+                "89a8e3c365c1220cd9eee55735385cf94227f7bb52c123ca091a7ffe907d1a2c",
+            ),
         ],
-        ids=["250-csv", "250-json", "803-csv"],
+        ids=["250-csv", "250-json", "803-csv"]
+        + [
+            f"{n}-{fmt}"
+            for n in (0, 1, 2, 49, 50, 99, 100, 101, 150, 801, 1000)
+            for fmt in ("csv", "json")
+        ],
     )
     def test_large_set_goldens(self, capsys, argv, size, sha256):
         code, out, _ = run(capsys, "set", *argv, "--no-cache")
@@ -351,6 +475,32 @@ class TestSet:
         )
         out = run(capsys, "set", "--n", "5", "--format", "json", "--no-cache")[1]
         assert out == json.dumps({"rows": [{"n": 5, "values": values}]}) + "\n"
+
+    @pytest.mark.parametrize("sep", [" ", ", "])
+    def test_run_writer_equals_its_definition(self, sep):
+        # every start below 301 and every run of up to 600 values: values
+        # below 100, whole centuries and partial ones at either end
+        for lo in range(301):
+            want = sep.join(map(str, range(lo, lo + 1200, 2)))
+            ends = [0]  # ends[k]: the length of the first k values, joined
+            for v in range(lo, lo + 1200, 2):
+                ends.append(ends[-1] + (len(sep) if ends[-1] else 0) + len(str(v)))
+            for k, hi in enumerate(range(lo, lo + 1201, 2)):
+                out = _Writes()
+                lead = reinhardt.cli._write_run(lo, hi, sep, out)
+                assert "".join(out) == want[: ends[k]], (lo, hi)
+                assert lead == (sep if k else ""), (lo, hi)
+
+    @pytest.mark.parametrize("centuries", [1, 3])
+    def test_run_writer_batches_whole_centuries(self, monkeypatch, centuries):
+        monkeypatch.setattr(reinhardt.cli, "_CENTURIES", centuries)
+        for lo, hi in [(5, 1205), (100, 1000), (101, 1001), (250, 2752), (1999, 2999)]:
+            out = _Writes()
+            reinhardt.cli._write_run(lo, hi, ", ", out)
+            assert "".join(out) == ", ".join(map(str, range(lo, hi, 2)))
+            # no write holds more than a batch: the ", " before each value
+            # but the first counts its values
+            assert max(w.count(",") for w in out) <= 50 * centuries
 
     def test_inline_threshold(self, capsys):
         code, _, err = run(capsys, "set", "--n", "4097", "--no-cache")
@@ -657,3 +807,57 @@ class TestArgv:
         if command == "verify":
             for suite in reinhardt.cli._SUITES:
                 assert suite in out
+
+
+class TestProcess:
+    """`main()` called with no argv, as a process's entry point, freezes
+    the heap once the command has run; a caller passing argv keeps its own."""
+
+    def test_in_process_main_leaves_the_freeze_count(self, capsys):
+        import gc
+
+        before = gc.get_freeze_count()
+        for argv in (("set", "--n", "5", "--no-cache"), ("set", "--n", "-1")):
+            run(capsys, *argv)
+        assert gc.get_freeze_count() == before
+
+    @staticmethod
+    def _child(*args):
+        src = os.path.dirname(os.path.dirname(reinhardt.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("REINHARDT_CACHE", None)
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True
+        )
+
+    @pytest.mark.parametrize(
+        "argv,code,out,err",
+        [
+            (["set", "--n", "5"], 0, "n,values\n5,5 7 9 11 13 17 25\n", ""),
+            (["set", "--n", "-1"], 1, "", "error: n must be non-negative, got -1\n"),
+            (
+                ["set", "--nn", "3"],
+                2,
+                "",
+                "usage: reinhardt set [-h] --n N [--format {csv,json}] [--cache CACHE]"
+                " [--no-cache] [--force]\nreinhardt: error: unrecognized arguments: --nn\n",
+            ),
+            (["--help"], 0, reinhardt.cli._help(None) + "\n", ""),
+        ],
+        ids=["set", "error", "usage", "help"],
+    )
+    def test_child_exit_code_and_streams(self, argv, code, out, err):
+        child = self._child("-m", "reinhardt.cli", *argv)
+        assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+
+    def test_entry_point_freezes_after_the_command(self):
+        probe = (
+            "import gc, sys\n"
+            "from reinhardt.cli import main\n"
+            "sys.argv[1:] = ['set', '--n', '5', '--no-cache']\n"
+            "code = main()\n"
+            "print(code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        child = self._child("-c", probe)
+        assert child.stdout == "n,values\n5,5 7 9 11 13 17 25\n"
+        assert child.stderr == "0 True\n"

@@ -7,6 +7,7 @@ from reinhardt import (
     compact_count,
     format_ratio,
     growth_sequence,
+    noncompact_count,
     ratio_table,
 )
 
@@ -103,6 +104,14 @@ class TestRatioTable:
     def test_edge_row_omits_noncompact(self, table64):
         row = ratio_table(table64, [64])[0]
         assert row.noncompact is None and row.noncompact_ratio is None
+
+    def test_rows_read_the_count_functions(self, table64):
+        with pytest.warns(DegenerateInputWarning):
+            rows = ratio_table(table64, list(range(-1, 67)))
+        assert [r.n for r in rows] == list(range(2, 65))
+        for r in rows:
+            assert r.compact == compact_count(table64, r.n)
+            assert r.noncompact == (noncompact_count(table64, r.n) if r.n < 64 else None)
 
     def test_out_of_range_skipped_with_notice(self, table64):
         with pytest.warns(DegenerateInputWarning):

@@ -38,7 +38,8 @@ the two medians cannot.  The layers are:
   ``ENUMERATION_N``, all partitions uncapped;
 * each verify suite in ``SUITES`` at its range;
 * start-up: for ``python -c pass``, ``python -c "import reinhardt.cli"``
-  and one small argv per CLI subcommand (``STARTUP_ARGV``), the wall time
+  and the argvs of ``STARTUP_ARGV``, one small one per CLI subcommand
+  and a ``set`` whose output is mostly its dense run, the wall time
   of a whole ``python ARGV`` process, and the number of ``reinhardt.*``
   and of standard-library modules it imports (from one more run under
   ``-X importtime``).  These processes get the environment
@@ -110,10 +111,12 @@ SUITES = (
     ("verify_dp_oracle", 1, 30),
     ("verify_dp_oracle", 1, 50),
 )
-#: one small argv per subcommand, so start-up dominates each child
+#: one small argv per subcommand, so start-up dominates each child, and
+#: one `set` whose output, S(801), is about 2 MB of dense run
 STARTUP_ARGV = {
     "table": ("table", "--max-n", "20", "--no-cache"),
     "set": ("set", "--n", "30", "--no-cache"),
+    "set 801": ("set", "--n", "801", "--no-cache"),
     "classify": ("classify", "--n", "10", "--dim", "50"),
     "witness": ("witness", "--n", "4", "--dim", "12"),
     "sequence": ("sequence", "--max-n", "20"),
