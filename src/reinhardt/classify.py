@@ -35,6 +35,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .dimsets import MARKED_ORACLE_MAX_N, build_table, marked_set_rows
+from .lemma import reach
 from .partitions import (
     MarkedPartition,
     _marked_unchecked,
@@ -268,7 +269,7 @@ def _member(n: int, value: int, marked: bool) -> bool:
     if n <= MARKED_ORACLE_MAX_N:
         base = _marked_rows()[n][n] if marked else _small_squares()[n]
         return bool(base >> (value - n) // 2 & 1)
-    if value <= _reach(n):
+    if value <= reach(n):
         return True
     q = min(n, (1 + isqrt(1 + 4 * (value - n))) // 2)  # the largest p with p^2 - p <= value - n
     for j in range(n - q, n // 2 + 1):
@@ -279,22 +280,6 @@ def _member(n: int, value: int, marked: bool) -> bool:
         if _member(j, rest, marked) or marked and _member(j, rest - 2 * p, marked):
             return True
     return False
-
-
-@lru_cache(maxsize=None)
-def _reach(n: int) -> int:
-    """reach(n) = (n - k)^2 + reach(k), reach(0) = 0, where k = anchor(n) is
-    the largest kappa in [1, n) with reach(kappa) + kappa + 4 <= 2n, else 0.
-    The test holds on a prefix of kappa (see the comment in
-    :func:`~reinhardt.sequences._growth_walk`), so a gallop and a bisection
-    find k.  The memo holds only fixed ints, so it is safe to share."""
-    lo, hi = 0, 1  # the test holds at lo (or lo = 0) and fails at hi (or hi = n)
-    while hi < n and _reach(hi) + hi + 4 <= 2 * n:
-        lo, hi = hi, min(2 * hi, n)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _reach(mid) + mid + 4 <= 2 * n else (lo, mid)
-    return (n - lo) ** 2 + _reach(lo) if lo else n * n
 
 
 @lru_cache(maxsize=None)

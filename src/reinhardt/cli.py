@@ -5,10 +5,11 @@ square-sum set), ``classify`` and ``witness`` (structural answers for a
 queried dimension), ``sequence`` (the inductive growth rows), and
 ``verify`` (the finite check suites).  CSV uses comma separators, LF
 line endings and always a header row; JSON output is a single top-level
-object with a ``rows`` array.  The environment variable
-``REINHARDT_CACHE`` supplies a default table-cache path to ``table`` and
-``set``; ``classify`` reads and builds no table (see
-:mod:`reinhardt.classify`).
+object with a ``rows`` array.  Only ``table`` reads or writes a table
+cache, by default at the path in the environment variable
+``REINHARDT_CACHE``.  ``set`` computes its one set from the small sets
+alone (see :mod:`reinhardt.lemma`), and ``classify`` reads and builds no
+table (see :mod:`reinhardt.classify`).
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from typing import Any, Iterable, NoReturn, Sequence, TextIO
 
 # Each command imports the rest of the package when it runs, so a process
 # loads only what its command uses.
-from .dimsets import DimSet, DimTable, build_table
-from .storage import OldFormatError, load_table, save_table
+from .dimsets import DimTable, build_table
 
-#: Largest table built inline without --force; a covering cache serves any n.
+#: Largest table `table` builds inline without --force, where a covering
+#: cache serves any n, and largest n whose set `set` prints without it.
 BUILD_LIMIT = 4096
 #: Last row `sequence` prints: its rows are held before they are written.
 SEQUENCE_LIMIT = 100_000
@@ -59,14 +60,16 @@ def _json_text(rows: Sequence[dict[str, Any]]) -> str:
     return json.dumps({"rows": list(rows)}, ensure_ascii=False) + "\n"
 
 
-def _load_or_build(n_max: int, args: SimpleNamespace, one_set: bool = False) -> DimTable | DimSet:
-    """The table for n = 0..n_max, or with ``one_set`` only S(n_max): read
-    from the front of the cache (``--cache``, else ``$REINHARDT_CACHE``,
-    none under ``--no-cache``) if that covers n_max, else built (refused
-    above :data:`BUILD_LIMIT` unless ``--force``) and saved to the cache.
-    An older format is rebuilt alike, with one warning on stderr.  A cache
-    that fails its read, save or S(n_max) rebuild fails with an error that
-    names it, giving an OSError's reason only: its file may be a temporary one."""
+def _load_or_build(n_max: int, args: SimpleNamespace) -> DimTable:
+    """The table for n = 0..n_max: read from the front of the cache
+    (``--cache``, else ``$REINHARDT_CACHE``, none under ``--no-cache``) if
+    that covers n_max, else built (refused above :data:`BUILD_LIMIT` unless
+    ``--force``) and saved to the cache.  An older format is rebuilt alike,
+    with one warning on stderr.  A cache that fails its read or save fails
+    with an error that names it, giving an OSError's reason only: its file
+    may be a temporary one."""
+    from .storage import OldFormatError, load_table
+
     cache = os.environ.get(CACHE_ENV_VAR) if args.cache is None else args.cache
     cache = None if args.no_cache else cache
     try:
@@ -78,24 +81,26 @@ def _load_or_build(n_max: int, args: SimpleNamespace, one_set: bool = False) -> 
                 print(f"warning: cache {cache}: {exc}; rebuilding it", file=sys.stderr)
             else:
                 if table.n_max >= n_max:
-                    return table.sets[n_max] if one_set else table
+                    return table
         if n_max > BUILD_LIMIT and not args.force:
             raise CliError(
                 f"no cached table covers n={n_max}; inline builds stop at n={BUILD_LIMIT}"
-                f" (pass --force to `table` or `set`, or set ${CACHE_ENV_VAR} to a cache"
+                f" (pass --force, or set ${CACHE_ENV_VAR} to a cache"
                 f" written by `table --max-n {n_max} --force --cache PATH`)"
             )
         table = build_table(n_max)
         if cache:
             _save_cache(table, cache)
-    except (OSError, ValueError) as exc:  # only the cache's read, save and set raise these
+    except (OSError, ValueError) as exc:  # only the cache's read and save raise these
         raise CliError(f"cache {cache}: {getattr(exc, 'strerror', None) or exc}") from exc
-    return table.sets[n_max] if one_set else table
+    return table
 
 
 def _save_cache(table: DimTable, cache: str) -> None:
     """Save to a temporary file beside the cache and replace the cache only
     once complete, so a failed save leaves any previous cache intact."""
+    from .storage import save_table
+
     tmp = f"{cache}.{os.getpid()}.tmp"
     fh = open(tmp, "wb")
     try:
@@ -137,10 +142,17 @@ def cmd_table(args: SimpleNamespace) -> int:
 
 
 def cmd_set(args: SimpleNamespace) -> int:
+    from .lemma import square_sum_set
+
     n = args.n
     if n < 0:
         raise CliError(f"n must be non-negative, got {n}")
-    dimset = _load_or_build(n, args, one_set=True)
+    if n > BUILD_LIMIT and not args.force:
+        raise CliError(
+            f"S({n}) holds about {n * n // 2} values; `set` prints at most S({BUILD_LIMIT})"
+            " unless --force is given"
+        )
+    dimset = square_sum_set(n)  # --cache and --no-cache are accepted and not read
     if args.format == "csv":
         head, sep, tail = f"n,values\n{n},", " ", "\n"
     else:
@@ -314,11 +326,6 @@ def cmd_sequence(args: SimpleNamespace) -> int:
 
 
 _FORMAT = ("--format", str, "csv", ("csv", "json"), "output format")
-_CACHE = (
-    ("--cache", str, None, None, f"table cache path (default ${CACHE_ENV_VAR})"),
-    ("--no-cache", bool, False, None, "neither read nor write a table cache"),
-    ("--force", bool, False, None, f"build past n={BUILD_LIMIT} when no cache covers n"),
-)
 _REQUIRED = object()  # the default of an option that must be given
 
 #: command -> (help, options); an option is (flag, type, default or
@@ -331,12 +338,20 @@ _COMMANDS = {
             ("--min-n", int, 2, None, "first row"),
             _FORMAT,
             ("--out", str, None, None, "output path (default stdout)"),
-            *_CACHE,
+            ("--cache", str, None, None, f"table cache path (default ${CACHE_ENV_VAR})"),
+            ("--no-cache", bool, False, None, "neither read nor write a table cache"),
+            ("--force", bool, False, None, f"build past n={BUILD_LIMIT} when no cache covers n"),
         ),
     ),
     "set": (
         "print one achievable-dimension set",
-        (("--n", int, _REQUIRED, None, "complex dimension"), _FORMAT, *_CACHE),
+        (
+            ("--n", int, _REQUIRED, None, "complex dimension"),
+            _FORMAT,
+            ("--cache", str, None, None, "accepted; `set` reads no cache"),
+            ("--no-cache", bool, False, None, "accepted; `set` reads no cache"),
+            ("--force", bool, False, None, f"print S(n) past n={BUILD_LIMIT}"),
+        ),
     ),
     "classify": (
         "classify a queried (n, dim)",

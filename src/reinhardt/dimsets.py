@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
+from itertools import compress
 from math import isqrt
 from typing import Iterator
 
@@ -129,9 +130,9 @@ class DimSet(Frozen):
     def tail_values(self) -> Iterator[int]:
         """The values above the dense prefix, in ascending order."""
         start = self.n + 2 * self.low
-        for j, bit in enumerate(reversed(bin(self.tail))):
-            if bit == "1":
-                yield start + 2 * j
+        # the tail's bits from bit 0 up as bytes 0 and 1, which select its values
+        flags = bin(self.tail)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        yield from compress(range(start, start + 2 * len(flags), 2), flags)
 
     def to_set(self) -> set[int]:
         return set(self.values())

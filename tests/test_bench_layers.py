@@ -46,7 +46,7 @@ def _layers(calls):
 
 def _layer_count(tool, sizes):
     return (
-        len(sizes) + 2 * len(tool.SAVE_LOAD_N) + len(tool.ON_DEMAND_N) + len(tool.MEMBERSHIP)
+        len(sizes) + 2 * len(tool.SAVE_LOAD_N) + 2 * len(tool.ON_DEMAND_N) + len(tool.MEMBERSHIP)
         + len(tool.CLASSIFY) + len(tool.ENUMERATION) * len(tool.ENUMERATION_N)
         + len(tool.SUITES) + 2 + len(tool.STARTUP_ARGV)
     )
@@ -65,6 +65,7 @@ def test_two_trees_get_rounds_children_per_layer(tool, tmp_path):
     assert runs["a"]["interleaved_with"] == ["b"]
     assert runs["a"]["rounds"] == tool.ROUNDS
     assert set(runs["b"]["build_table"]) == {"1000", "2000"}
+    assert set(runs["b"]["set_command"]) == {str(n) for n in tool.ON_DEMAND_N}
     assert len(runs["b"]["startup"]) == 2 + len(tool.STARTUP_ARGV)
     # the stub's times grow with each call, so the tree that goes second
     # in a round reads higher: b reads lower in the rounds it leads
@@ -104,3 +105,13 @@ def test_one_tree_writes_its_label_and_keeps_other_runs(tool, tmp_path):
     assert build["s"] == round(0.01 * (tool.ROUNDS + 1) / 2, 4)
     assert build["s_quartiles"][0] < build["s"] < build["s_quartiles"][1]
     assert build["minflt"] == round(100 * (tool.ROUNDS + 1) / 2) and "ratio" not in build
+
+
+def test_the_set_command_child_runs_against_a_tree(tmp_path):
+    # the real measuring child, not the stub: `set` in-process, caches cleared
+    spec = importlib.util.spec_from_file_location("bench_layers_real", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    src = (TOOL.parents[1] / "src").resolve()
+    result = module._child(src, str(tmp_path), "cli_set", 30)
+    assert result["exit"] == 0 and result["s"] > 0 and result["maxrss_mib"] > 0

@@ -8,10 +8,10 @@ import sys
 import pytest
 
 import reinhardt.cli
+import reinhardt.storage
 import reinhardt.verifiers
 from reinhardt import build_table, load_table, save_table
 from reinhardt.cli import main
-from test_storage import _put, _reseal
 
 
 def run(capsys, *argv):
@@ -104,13 +104,16 @@ class TestBuildLimit:
         expected = [run(capsys, "classify", "--n", n, "--dim", d) for n, d in queries]
         assert [code for code, _, _ in expected] == [0, 0]
         monkeypatch.setattr(reinhardt.cli, "BUILD_LIMIT", 10)
-        refusals = [
-            run(capsys, "table", "--max-n", "11", "--no-cache"),
-            run(capsys, "set", "--n", "11", "--no-cache"),
-        ]
-        assert {(code, out) for code, out, _ in refusals} == {(1, "")}
-        (err,) = {err for _, _, err in refusals}  # one shared text
+        code, out, err = run(capsys, "table", "--max-n", "11", "--no-cache")
+        assert (code, out) == (1, "")
         assert "inline builds stop at n=10" in err and "--force" in err
+        # `set` builds no table: its limit is one on output size
+        assert run(capsys, "set", "--n", "11", "--no-cache") == (
+            1,
+            "",
+            "error: S(11) holds about 60 values; `set` prints at most S(10)"
+            " unless --force is given\n",
+        )
         for argv in (("table", "--max-n", "11"), ("set", "--n", "11")):
             code, out, _ = run(capsys, *argv, "--force", "--no-cache")
             assert code == 0 and out
@@ -151,7 +154,7 @@ class TestCache:
             fh.write(b"partial")
             raise OSError("disk full")
 
-        monkeypatch.setattr(reinhardt.cli, "save_table", failing_save)
+        monkeypatch.setattr(reinhardt.storage, "save_table", failing_save)
         code, out, err = run(capsys, "table", "--max-n", "20", "--cache", str(cache))
         assert (code, out, err) == (1, "", f"error: cache {cache}: disk full\n")
         assert cache.read_bytes() == before
@@ -159,7 +162,7 @@ class TestCache:
 
     def test_save_to_a_missing_directory_names_the_cache(self, capsys, tmp_path):
         cache = tmp_path / "missing" / "x.rdim"
-        code, out, err = run(capsys, "set", "--n", "5", "--cache", str(cache))
+        code, out, err = run(capsys, "table", "--max-n", "5", "--cache", str(cache))
         assert (code, out) == (1, "")
         assert err == f"error: cache {cache}: No such file or directory\n"
         assert list(tmp_path.iterdir()) == []
@@ -191,59 +194,8 @@ class TestCache:
         assert err.startswith(f"error: cache {cache}: record 10 checksum mismatch")
         # the same error names a cache that came from the environment
         monkeypatch.setenv("REINHARDT_CACHE", str(cache))
-        assert run(capsys, "set", "--n", "10") == (1, "", err)
+        assert run(capsys, "table", "--max-n", "10") == (1, "", err)
         assert cache.read_bytes() == blob and [p.name for p in tmp_path.iterdir()] == ["table.rdim"]
-
-    def test_set_that_fails_its_rebuild_names_the_cache(self, capsys, tmp_path, monkeypatch):
-        # count(90) lowered by 1 behind resealed CRCs: the file loads, but
-        # S(90) does not rebuild to it
-        cache = tmp_path / "table.rdim"
-        run(capsys, "table", "--max-n", "100", "--cache", str(cache))
-        blob = bytearray(cache.read_bytes())
-        _put(blob, 90, 8, 3095)
-        _reseal(blob)
-        cache.write_bytes(blob)
-        reason = (
-            "S(90) rebuilds with low 2619 and 3096 values,"
-            " but the table stores low 2619 and count 3095"
-        )
-        expected = (1, "", f"error: cache {cache}: {reason}\n")
-        assert run(capsys, "set", "--n", "90", "--cache", str(cache)) == expected
-        monkeypatch.setenv("REINHARDT_CACHE", str(cache))
-        assert run(capsys, "set", "--n", "90") == expected
-        assert cache.read_bytes() == blob and [p.name for p in tmp_path.iterdir()] == ["table.rdim"]
-
-    def test_set_reads_short_cache_once(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "table.rdim"
-        run(capsys, "table", "--max-n", "10", "--cache", str(cache))
-        load_table = reinhardt.cli.load_table
-        calls = []
-
-        def counting_load(fh, n_max=None):
-            calls.append(fh.name)
-            return load_table(fh, n_max)
-
-        monkeypatch.setattr(reinhardt.cli, "load_table", counting_load)
-        code, out, _ = run(capsys, "set", "--n", "20", "--cache", str(cache))
-        assert code == 0 and out.startswith("n,values\n20,20 22 ")
-        assert calls == [str(cache)]
-
-    def test_set_reads_only_the_cache_prefix(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "table.rdim"
-        run(capsys, "table", "--max-n", "300", "--cache", str(cache))
-        load_table = reinhardt.cli.load_table
-        positions = []
-
-        def tracking_load(fh, *args):
-            table = load_table(fh, *args)
-            positions.append(fh.tell())
-            return table
-
-        monkeypatch.setattr(reinhardt.cli, "load_table", tracking_load)
-        code, out, _ = run(capsys, "set", "--n", "20", "--cache", str(cache))
-        assert code == 0
-        assert out == run(capsys, "set", "--n", "20", "--no-cache")[1]
-        assert len(positions) == 1 and positions[0] < cache.stat().st_size
 
     def test_classify_ignores_env_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("REINHARDT_CACHE", raising=False)
@@ -254,7 +206,7 @@ class TestCache:
         cache = tmp_path / "env.rdim"
         run(capsys, "table", "--max-n", "6", "--cache", str(cache))
         calls = []
-        monkeypatch.setattr(reinhardt.cli, "load_table", lambda *args: calls.append(args))
+        monkeypatch.setattr(reinhardt.storage, "load_table", lambda *args: calls.append(args))
         monkeypatch.setenv("REINHARDT_CACHE", str(cache))
         assert run(capsys, *argv) == expected and calls == []
         blob = bytearray(cache.read_bytes())
@@ -270,7 +222,7 @@ class TestCache:
         cache = tmp_path / "old.rdim"
         # an older header over a body this version never reads
         cache.write_bytes(b"RDIM" + struct.pack("<HI", version, 30) + b"\x01" * 64)
-        argv = ("set", "--n", "25", "--format", "json")
+        argv = ("table", "--max-n", "25", "--format", "json")
         expected = run(capsys, *argv, "--no-cache")[1]
         saved = []
 
@@ -278,7 +230,7 @@ class TestCache:
             saved.append(table.n_max)
             save_table(table, fh)
 
-        monkeypatch.setattr(reinhardt.cli, "save_table", counting_save)
+        monkeypatch.setattr(reinhardt.storage, "save_table", counting_save)
         code, out, err = run(capsys, *argv, "--cache", str(cache))
         assert code == 0 and out == expected and saved == [25]
         (line,) = err.splitlines()
@@ -297,18 +249,55 @@ class TestCache:
     def test_newer_or_foreign_file_is_never_overwritten(self, capsys, tmp_path, blob):
         cache = tmp_path / "other.rdim"
         cache.write_bytes(blob)
-        for argv in (("table", "--max-n", "10"), ("set", "--n", "12")):
-            code, out, err = run(capsys, *argv, "--cache", str(cache))
-            assert (code, out) == (1, "") and err.startswith("error:")
+        code, out, err = run(capsys, "table", "--max-n", "10", "--cache", str(cache))
+        assert (code, out) == (1, "") and err.startswith("error:")
         assert cache.read_bytes() == blob
         assert [p.name for p in tmp_path.iterdir()] == ["other.rdim"]
 
     def test_env_var_default(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env.rdim"
         monkeypatch.setenv("REINHARDT_CACHE", str(cache))
-        code, out, _ = run(capsys, "set", "--n", "4")
+        code, out, _ = run(capsys, "table", "--max-n", "4")
         assert code == 0 and cache.exists()
-        assert out.splitlines()[1] == "4,4 6 8 10 16"
+        assert out.splitlines()[-1] == "4,4,0.2500,,"
+        with open(cache, "rb") as fh:
+            assert load_table(fh) == build_table(4)
+
+    @pytest.mark.parametrize(
+        "kind", ["corrupt", "foreign", "old-format", "short", "covering", "missing-dir", "env"]
+    )
+    @pytest.mark.parametrize("n", ["20", "90"])  # from the small sets, and one step past them
+    def test_set_touches_no_cache(self, capsys, tmp_path, monkeypatch, kind, n):
+        monkeypatch.delenv("REINHARDT_CACHE", raising=False)
+        expected = run(capsys, "set", "--n", n, "--no-cache")
+        assert expected[0] == 0 and expected[2] == ""
+        cache = tmp_path / "t.rdim"
+        if kind in ("corrupt", "short", "covering", "env"):
+            run(capsys, "table", "--max-n", "10" if kind == "short" else "100", "--cache", str(cache))
+        if kind in ("corrupt", "env"):
+            blob = bytearray(cache.read_bytes())
+            blob[12] ^= 0x10  # in record 0, so any read of the file fails
+            cache.write_bytes(bytes(blob))
+        elif kind == "foreign":
+            cache.write_bytes(b"not a table at all\n")
+        elif kind == "old-format":
+            cache.write_bytes(b"RDIM" + struct.pack("<HI", 3, 30) + b"\x01" * 64)
+        elif kind == "missing-dir":
+            cache = tmp_path / "missing" / "t.rdim"
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def no_cache(*args):
+            raise AssertionError("set read or wrote a cache")
+
+        for name in ("load_table", "save_table"):
+            monkeypatch.setattr(reinhardt.storage, name, no_cache)
+        if kind == "env":
+            monkeypatch.setenv("REINHARDT_CACHE", str(cache))
+            argv = ("set", "--n", n)
+        else:
+            argv = ("set", "--n", n, "--cache", str(cache))
+        assert run(capsys, *argv) == expected
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestSet:
@@ -504,7 +493,7 @@ class TestSet:
 
     def test_inline_threshold(self, capsys):
         code, _, err = run(capsys, "set", "--n", "4097", "--no-cache")
-        assert code == 1 and "inline builds stop" in err
+        assert code == 1 and "`set` prints at most S(4096) unless --force" in err
 
 
 class TestClassify:
@@ -564,8 +553,7 @@ class TestClassify:
             assert n_max == dimsets.MARKED_ORACLE_MAX_N, f"built to n={n_max}"
             return build_table(n_max)
 
-        for module in (reinhardt.cli, storage):
-            monkeypatch.setattr(module, "load_table", no_table)
+        monkeypatch.setattr(storage, "load_table", no_table)
         monkeypatch.setattr(reinhardt.cli, "build_table", no_table)
         for module in (classify, dimsets):
             monkeypatch.setattr(module, "build_table", base_only)

@@ -19,7 +19,8 @@ from reinhardt import (
     square_sums_bruteforce,
     two_block_dimensions,
 )
-from reinhardt.classify import MEMBERSHIP_MAX_N, _member, _reach
+from reinhardt import lemma
+from reinhardt.classify import MEMBERSHIP_MAX_N, _member
 from reinhardt.cli import BUILD_LIMIT
 from reinhardt.dimsets import (
     _step,
@@ -429,12 +430,12 @@ class TestRealizableMembership:
             assert 2 * row.reach > row.n * (row.n + 3), row.n
 
     def test_anchor_step_equals_the_sequence(self):
-        _reach.cache_clear()
-        _reach(100_001)  # one query memoizes a few anchors, not every row
-        assert _reach.cache_info().currsize < 100
+        lemma.reach.cache_clear()
+        lemma.reach(100_001)  # one query memoizes a few anchors, not every row
+        assert lemma.reach.cache_info().currsize < 100
         for row in growth_sequence(100_001):
-            assert _reach(row.n) == row.reach, row.n
-        _reach.cache_clear()
+            assert lemma.reach(row.n) == row.reach, row.n
+        lemma.reach.cache_clear()
 
     def test_reach_passes_the_largest_part_bound_to_the_guard(self):
         # the membership loop's 2j <= n needs 2 reach(n) > n(n+3) past the
@@ -442,13 +443,15 @@ class TestRealizableMembership:
         n = 100_000
         while n <= MEMBERSHIP_MAX_N:
             for m in (n, n + 1):
-                assert 2 * _reach(m) > m * (m + 3), m
+                assert 2 * lemma.reach(m) > m * (m + 3), m
             n += n // 100
 
     def test_growth_lemma_to_the_build_limit(self, table4097):
         # _member's shortcut: every value up to reach(n) is in S(n), so the
         # index of reach(n) lies in the run of ones below low[n]
-        wrong = [n for n in range(BUILD_LIMIT + 1) if (_reach(n) - n) // 2 >= table4097.low[n]]
+        wrong = [
+            n for n in range(BUILD_LIMIT + 1) if (lemma.reach(n) - n) // 2 >= table4097.low[n]
+        ]
         assert wrong == []
 
     @pytest.mark.parametrize("n, stride", [(1009, 1), (2003, 1), (4096, 16)])

@@ -58,6 +58,8 @@ def test_cli_imports_only_what_a_command_runs():
     assert not unused & set(after_import)
     assert not {"reinhardt.partitions", "reinhardt.sequences"} & set(after_import)
     assert not unused & set(after_set)
+    # `set` reads no cache: it loads neither the table format nor classify
+    assert not {"reinhardt.storage", "reinhardt.classify"} & set(after_set)
     assert not {"fractions", "decimal"} & set(after_sequence)
 
 
@@ -75,7 +77,7 @@ print(json.dumps([sorted(m for m in sys.modules if m.startswith("reinhardt")), c
 
 def test_classify_loads_no_growth_sequence_module():
     # n = 391 is past the fixed base, so the query needs reach(391), which
-    # classify computes itself
+    # classify takes from the growth lemma's module, not from the sequences
     src = os.path.dirname(os.path.dirname(reinhardt.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(

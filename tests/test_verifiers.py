@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+import reinhardt.partitions
 import reinhardt.verifiers
 from reinhardt import (
     verify_arms,
@@ -31,6 +34,28 @@ def bad64(table64):
     """The 64-table with the value 60 (index 10) removed from S(40)."""
     s = table64.sets[40]
     return _WrongTable(table64.sets[:40] + (DimSet(40, s.bits & ~(1 << 10)),) + table64.sets[41:])
+
+
+@pytest.fixture(scope="module")
+def square_sums_once():
+    """``iter_square_sums`` that walks the partitions of each n once and
+    then yields that walk's distinct square sums.  The arms and brute
+    oracles both collect what it yields into sets, so either serves the
+    other's walk."""
+    walk = reinhardt.partitions.iter_square_sums
+
+    @functools.cache
+    def distinct(n, max_part=None):
+        return frozenset(walk(n, max_part))
+
+    return lambda n, max_part=None: iter(distinct(n, max_part))
+
+
+@pytest.fixture
+def one_walk_per_n(monkeypatch, square_sums_once):
+    # `distinct_arm_values` and `square_sums_bruteforce` read the name from
+    # `reinhardt.partitions` when they run
+    monkeypatch.setattr(reinhardt.partitions, "iter_square_sums", square_sums_once)
 
 
 class TestBoundsSuite:
@@ -178,7 +203,7 @@ class TestArmsSuite:
         assert report.status == "pass"
         assert "plus one" in report.notes
 
-    def test_fails_on_a_wrong_table(self, bad64):
+    def test_fails_on_a_wrong_table(self, bad64, one_walk_per_n):
         report = verify_arms(1, 64, table=bad64)
         assert report.status == "fail"
         assert [n for n, _, _ in report.counterexamples] == [40]
@@ -188,7 +213,7 @@ class TestDpOracleSuite:
     def test_passes(self, table64):
         assert verify_dp_oracle(1, 30, table64).status == "pass"
 
-    def test_fails_on_a_wrong_table(self, bad64):
+    def test_fails_on_a_wrong_table(self, bad64, one_walk_per_n):
         report = verify_dp_oracle(1, 64, table=bad64)
         assert report.status == "fail"
         assert [ce[:2] for ce in report.counterexamples] == [(40, 60)]

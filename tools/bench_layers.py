@@ -26,10 +26,13 @@ the two medians cannot.  The layers are:
   each with its bytes;
 * one set on demand, ``load_table(fh, n).sets[n]`` from the n_max = 4096
   file, at each n in ``ON_DEMAND_N`` (bytes read);
+* the ``set`` command, ``reinhardt.cli.main(["set", "--n", n,
+  "--no-cache"])`` in-process at each n in ``ON_DEMAND_N``, its stdout
+  written to a null sink and the caches cleared as below;
 * membership, ``is_realizable(n, dim)`` for each (n, dim) in
-  ``MEMBERSHIP``, with every ``functools`` cache in ``dimsets`` and
-  ``classify`` cleared before each timed call, so each one pays for what
-  it builds;
+  ``MEMBERSHIP``, with every ``functools`` cache of every loaded
+  ``reinhardt.*`` module cleared before each timed call, so each one pays
+  for what it builds;
 * classify, ``reinhardt.cli.main(["classify", ...])`` in-process for each
   (n, dim) in ``CLASSIFY``, with no ``REINHARDT_CACHE`` and the caches
   cleared as above, with the exit code and the status line, or the first
@@ -129,6 +132,14 @@ import reinhardt
 
 op, n, reps, args = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
 best, result = float("inf"), {}
+
+def clear_caches():  # of every loaded reinhardt.* module, whatever it imports
+    for name, module in list(sys.modules.items()):
+        if name.startswith("reinhardt."):
+            for fn in list(vars(module).values()):
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+
 if op == "build":
     for _ in range(reps):
         started = time.perf_counter()
@@ -164,6 +175,15 @@ elif op == "set":  # one set on demand from the front of a larger file
             result["bytes"] = fh.tell()
             assert dimset.n == n
             del dimset
+elif op == "cli_set":  # `set --n n --no-cache` in-process, stdout to a null sink
+    from contextlib import redirect_stdout
+    from reinhardt import cli
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        for _ in range(reps):
+            clear_caches()
+            started = time.perf_counter()
+            result["exit"] = cli.main(["set", "--n", str(n), "--no-cache"])
+            best = min(best, time.perf_counter() - started)
 elif op.startswith("verify_"):  # a suite over n = int(args[0])..n
     suite = getattr(reinhardt, op)
     for _ in range(reps):
@@ -181,13 +201,11 @@ elif op.startswith("iter_"):  # drain a partition stream of n
         best = min(best, time.perf_counter() - started)
 elif op in ("member", "classify"):  # at (n, dim = args[0]), caches cleared
     from contextlib import redirect_stderr, redirect_stdout
-    from reinhardt import classify, dimsets
+    import reinhardt.classify  # loaded before the timed calls
     if op == "classify":
         from reinhardt import cli
     for _ in range(reps):
-        for fn in [*vars(dimsets).values(), *vars(classify).values()]:
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+        clear_caches()
         out, err = io.StringIO(), io.StringIO()
         started = time.perf_counter()
         if op == "member":
@@ -340,6 +358,8 @@ def measure(trees: dict[str, Path], sizes: list[int]) -> dict[str, dict]:
             layer("load_table", str(n), "load", n, f"{n}.rdim")
         for n in ON_DEMAND_N:
             layer("set_on_demand", str(n), "set", n, f"{SAVE_LOAD_N[-1]}.rdim")
+        for n in ON_DEMAND_N:
+            layer("set_command", str(n), "cli_set", n)
         for n, dim in MEMBERSHIP:
             layer("membership", f"{n}, {dim}", "member", n, str(dim))
         for n, dim in CLASSIFY:
