@@ -5,33 +5,29 @@ square-sum set), ``classify`` and ``witness`` (structural answers for a
 queried dimension), ``sequence`` (the inductive growth rows), and
 ``verify`` (the finite check suites).  CSV uses comma separators, LF
 line endings and always a header row; JSON output is a single top-level
-object with a ``rows`` array.  Only ``table`` reads or writes a table
-cache, by default at the path in the environment variable
-``REINHARDT_CACHE``.  ``set`` computes its one set from the small sets
-alone (see :mod:`reinhardt.lemma`), and ``classify`` reads and builds no
-table (see :mod:`reinhardt.classify`).
+object with a ``rows`` array.  No command reads or writes a table cache:
+``table`` takes each row's count, and ``set`` its one set, from the small
+sets alone (see :mod:`reinhardt.lemma`), and ``classify`` reads and
+builds no table (see :mod:`reinhardt.classify`).  ``--cache`` and
+``--no-cache`` are accepted by ``table`` and ``set`` and not read.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import sys
 from itertools import islice
 from types import SimpleNamespace
 from typing import Any, Iterable, NoReturn, Sequence, TextIO
 
-# Each command imports the rest of the package when it runs, so a process
+# Each command imports the package's modules when it runs, so a process
 # loads only what its command uses.
-from .dimsets import DimTable, build_table
-
-#: Largest table `table` builds inline without --force, where a covering
-#: cache serves any n, and largest n whose set `set` prints without it.
+#: Last row `table` prints, and largest n whose set `set` prints, without
+#: --force; also the largest table a verify suite builds.
 BUILD_LIMIT = 4096
 #: Last row `sequence` prints: its rows are held before they are written.
 SEQUENCE_LIMIT = 100_000
 
-CACHE_ENV_VAR = "REINHARDT_CACHE"
 _CHUNK = 4096  # values per write in `set`
 _CENTURIES = 64  # whole centuries of `set`'s dense run per write
 _DIGITS = [f"{d:02d}" for d in range(100)]  # the last two digits of a century's values
@@ -60,58 +56,6 @@ def _json_text(rows: Sequence[dict[str, Any]]) -> str:
     return json.dumps({"rows": list(rows)}, ensure_ascii=False) + "\n"
 
 
-def _load_or_build(n_max: int, args: SimpleNamespace) -> DimTable:
-    """The table for n = 0..n_max: read from the front of the cache
-    (``--cache``, else ``$REINHARDT_CACHE``, none under ``--no-cache``) if
-    that covers n_max, else built (refused above :data:`BUILD_LIMIT` unless
-    ``--force``) and saved to the cache.  An older format is rebuilt alike,
-    with one warning on stderr.  A cache that fails its read or save fails
-    with an error that names it, giving an OSError's reason only: its file
-    may be a temporary one."""
-    from .storage import OldFormatError, load_table
-
-    cache = os.environ.get(CACHE_ENV_VAR) if args.cache is None else args.cache
-    cache = None if args.no_cache else cache
-    try:
-        if cache and os.path.exists(cache):
-            try:
-                with open(cache, "rb") as fh:
-                    table = load_table(fh, n_max)
-            except OldFormatError as exc:
-                print(f"warning: cache {cache}: {exc}; rebuilding it", file=sys.stderr)
-            else:
-                if table.n_max >= n_max:
-                    return table
-        if n_max > BUILD_LIMIT and not args.force:
-            raise CliError(
-                f"no cached table covers n={n_max}; inline builds stop at n={BUILD_LIMIT}"
-                f" (pass --force, or set ${CACHE_ENV_VAR} to a cache"
-                f" written by `table --max-n {n_max} --force --cache PATH`)"
-            )
-        table = build_table(n_max)
-        if cache:
-            _save_cache(table, cache)
-    except (OSError, ValueError) as exc:  # only the cache's read and save raise these
-        raise CliError(f"cache {cache}: {getattr(exc, 'strerror', None) or exc}") from exc
-    return table
-
-
-def _save_cache(table: DimTable, cache: str) -> None:
-    """Save to a temporary file beside the cache and replace the cache only
-    once complete, so a failed save leaves any previous cache intact."""
-    from .storage import save_table
-
-    tmp = f"{cache}.{os.getpid()}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            save_table(table, fh)
-        os.replace(tmp, cache)
-    except BaseException:
-        os.remove(tmp)
-        raise
-
-
 def _open_out(path: str | None):
     if path in (None, "-"):
         return sys.stdout, False
@@ -119,15 +63,17 @@ def _open_out(path: str | None):
 
 
 def cmd_table(args: SimpleNamespace) -> int:
-    from .sequences import ratio_table
+    from .lemma import square_sum_counts
+    from .sequences import _ratio_row
 
-    if not 2 <= args.min_n <= args.max_n:
-        raise CliError(f"need 2 <= min_n <= max_n, got ({args.min_n}, {args.max_n})")
-    table = _load_or_build(args.max_n, args)
-    rows = [
-        (r.n, r.compact, r.compact_ratio, r.noncompact, r.noncompact_ratio)
-        for r in ratio_table(table, list(range(args.min_n, args.max_n + 1)))
-    ]
+    lo, hi = args.min_n, args.max_n
+    if not 2 <= lo <= hi:
+        raise CliError(f"need 2 <= min_n <= max_n, got ({lo}, {hi})")
+    if hi > BUILD_LIMIT and not args.force:
+        raise CliError(f"`table` prints rows to n={BUILD_LIMIT} unless --force is given")
+    counts = square_sum_counts(lo, hi)  # --cache and --no-cache are accepted and not read
+    # h(n) needs |S(n + 1)|, so the last row has none
+    rows = [_ratio_row(n, *pair) for n, pair in enumerate(zip(counts, [*counts[1:], None]), lo)]
     if args.format == "csv":
         header = ("n", "c", "c/n^2", "h", "h/n")
     else:
@@ -326,6 +272,11 @@ def cmd_sequence(args: SimpleNamespace) -> int:
 
 
 _FORMAT = ("--format", str, "csv", ("csv", "json"), "output format")
+#: accepted by `table` and `set` and not read: no command keeps a cache
+_NO_CACHE = (
+    ("--cache", str, None, None, "accepted; no command reads a cache"),
+    ("--no-cache", bool, False, None, "accepted; no command reads a cache"),
+)
 _REQUIRED = object()  # the default of an option that must be given
 
 #: command -> (help, options); an option is (flag, type, default or
@@ -338,9 +289,8 @@ _COMMANDS = {
             ("--min-n", int, 2, None, "first row"),
             _FORMAT,
             ("--out", str, None, None, "output path (default stdout)"),
-            ("--cache", str, None, None, f"table cache path (default ${CACHE_ENV_VAR})"),
-            ("--no-cache", bool, False, None, "neither read nor write a table cache"),
-            ("--force", bool, False, None, f"build past n={BUILD_LIMIT} when no cache covers n"),
+            *_NO_CACHE,
+            ("--force", bool, False, None, f"print rows past n={BUILD_LIMIT}"),
         ),
     ),
     "set": (
@@ -348,8 +298,7 @@ _COMMANDS = {
         (
             ("--n", int, _REQUIRED, None, "complex dimension"),
             _FORMAT,
-            ("--cache", str, None, None, "accepted; `set` reads no cache"),
-            ("--no-cache", bool, False, None, "accepted; `set` reads no cache"),
+            *_NO_CACHE,
             ("--force", bool, False, None, f"print S(n) past n={BUILD_LIMIT}"),
         ),
     ),

@@ -80,13 +80,23 @@ class RatioRow(NamedTuple):
     noncompact_ratio: str | None
 
 
+def _ratio_row(n: int, count: int, successor: int | None) -> RatioRow:
+    """The row of n from count = |S(n)| and successor = |S(n + 1)|, or None
+    at the table edge, where h(n) is omitted.  c and h are read as
+    ``dimsets.compact_count`` and ``noncompact_count`` define them."""
+    c = count - 1
+    if successor is None:
+        return RatioRow(n, c, format_ratio(c, n * n), None, None)
+    h = successor - count - 1
+    return RatioRow(n, c, format_ratio(c, n * n), h, format_ratio(h, n))
+
+
 def ratio_table(table: DimTable, ns: list[int]) -> list[RatioRow]:
-    """Counts plus the two growth ratios for each requested n.
+    """Counts plus the two growth ratios for each requested n, from
+    ``table.count`` (see :func:`_ratio_row`).
 
     Out-of-range entries are skipped with a notice; the noncompact count
-    is omitted at n = n_max since it needs the successor set.  c and h
-    are read from ``table.count`` as ``dimsets.compact_count`` and
-    ``noncompact_count`` define them.
+    is omitted at n = n_max since it needs the successor set.
     """
     rows: list[RatioRow] = []
     count = table.count
@@ -98,11 +108,5 @@ def ratio_table(table: DimTable, ns: list[int]) -> list[RatioRow]:
                 stacklevel=2,
             )
             continue
-        c = count[n] - 1
-        if n < table.n_max:
-            h = count[n + 1] - count[n] - 1
-            row = RatioRow(n, c, format_ratio(c, n * n), h, format_ratio(h, n))
-        else:
-            row = RatioRow(n, c, format_ratio(c, n * n), None, None)
-        rows.append(row)
+        rows.append(_ratio_row(n, count[n], count[n + 1] if n < table.n_max else None))
     return rows

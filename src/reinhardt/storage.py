@@ -27,9 +27,9 @@ low also seeds the next set's step, a wrong one gives that set whole or
 an error, never a wrong set.
 
 Format v4 replaced v3, which stored each set's tail, on purpose.  Files
-of versions 1 to 3 are not read: :class:`OldFormatError` says so, and the
-CLI rebuilds such a cache and replaces it.  Serialization reads an
-immutable table, so concurrent use needs no coordination.
+of versions 1 to 3 are not read: :class:`OldFormatError` says so.  No CLI
+command reads or writes a table file.  Serialization reads an immutable
+table, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations

@@ -46,7 +46,8 @@ def _layers(calls):
 
 def _layer_count(tool, sizes):
     return (
-        len(sizes) + 2 * len(tool.SAVE_LOAD_N) + 2 * len(tool.ON_DEMAND_N) + len(tool.MEMBERSHIP)
+        len(sizes) + 2 * len(tool.SAVE_LOAD_N) + 2 * len(tool.ON_DEMAND_N)
+        + len(tool.TABLE_WINDOWS) + len(tool.MEMBERSHIP)
         + len(tool.CLASSIFY) + len(tool.ENUMERATION) * len(tool.ENUMERATION_N)
         + len(tool.SUITES) + 2 + len(tool.STARTUP_ARGV)
     )
@@ -66,6 +67,7 @@ def test_two_trees_get_rounds_children_per_layer(tool, tmp_path):
     assert runs["a"]["rounds"] == tool.ROUNDS
     assert set(runs["b"]["build_table"]) == {"1000", "2000"}
     assert set(runs["b"]["set_command"]) == {str(n) for n in tool.ON_DEMAND_N}
+    assert set(runs["b"]["table_command"]) == {f"{a}..{b}" for a, b in tool.TABLE_WINDOWS}
     assert len(runs["b"]["startup"]) == 2 + len(tool.STARTUP_ARGV)
     # the stub's times grow with each call, so the tree that goes second
     # in a round reads higher: b reads lower in the rounds it leads
@@ -107,11 +109,24 @@ def test_one_tree_writes_its_label_and_keeps_other_runs(tool, tmp_path):
     assert build["minflt"] == round(100 * (tool.ROUNDS + 1) / 2) and "ratio" not in build
 
 
-def test_the_set_command_child_runs_against_a_tree(tmp_path):
-    # the real measuring child, not the stub: `set` in-process, caches cleared
+def _real_child(tmp_path, op, n, *args):
+    """The real measuring child, not the stub, run against this tree."""
     spec = importlib.util.spec_from_file_location("bench_layers_real", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     src = (TOOL.parents[1] / "src").resolve()
-    result = module._child(src, str(tmp_path), "cli_set", 30)
+    return module._child(src, str(tmp_path), op, n, *args)
+
+
+def test_the_set_command_child_runs_against_a_tree(tmp_path):
+    # `set` in-process, caches cleared
+    result = _real_child(tmp_path, "cli_set", 30)
     assert result["exit"] == 0 and result["s"] > 0 and result["maxrss_mib"] > 0
+
+
+def test_the_table_command_child_runs_against_a_tree(tmp_path):
+    # `table --min-n 2 --max-n 30 --cache t.rdim` in-process: this tree
+    # reads no cache, so the file is never made
+    result = _real_child(tmp_path, "cli_table", 30, "2", "t.rdim")
+    assert result["exit"] == 0 and result["s"] > 0 and result["maxrss_mib"] > 0
+    assert list(tmp_path.iterdir()) == []

@@ -10,7 +10,7 @@ import pytest
 import reinhardt.cli
 import reinhardt.storage
 import reinhardt.verifiers
-from reinhardt import build_table, load_table, save_table
+from reinhardt import DimTable, build_table, save_table
 from reinhardt.cli import main
 
 
@@ -70,8 +70,9 @@ class TestTable:
         assert code == 1 and "min_n" in err
 
     def test_force_guard(self, capsys):
-        code, _, err = run(capsys, "table", "--max-n", "5000", "--no-cache")
-        assert code == 1 and "--force" in err
+        code, out, err = run(capsys, "table", "--max-n", "5000", "--no-cache")
+        assert (code, out) == (1, "")
+        assert err == "error: `table` prints rows to n=4096 unless --force is given\n"
 
     def test_uncached_table_at_4096_runs_in_small_memory(self):
         # The table holds two ints per n and S(0..160); the tails took 108 MiB.
@@ -104,10 +105,12 @@ class TestBuildLimit:
         expected = [run(capsys, "classify", "--n", n, "--dim", d) for n, d in queries]
         assert [code for code, _, _ in expected] == [0, 0]
         monkeypatch.setattr(reinhardt.cli, "BUILD_LIMIT", 10)
-        code, out, err = run(capsys, "table", "--max-n", "11", "--no-cache")
-        assert (code, out) == (1, "")
-        assert "inline builds stop at n=10" in err and "--force" in err
-        # `set` builds no table: its limit is one on output size
+        assert run(capsys, "table", "--max-n", "11", "--no-cache") == (
+            1,
+            "",
+            "error: `table` prints rows to n=10 unless --force is given\n",
+        )
+        # neither `table` nor `set` builds a table; --force lifts either limit
         assert run(capsys, "set", "--n", "11", "--no-cache") == (
             1,
             "",
@@ -137,66 +140,12 @@ class TestBuildLimit:
             assert "builds the table to n=11; inline builds stop at n=10" in err
 
 
+def _save(path, table):
+    with open(path, "wb") as fh:
+        save_table(table, fh)
+
+
 class TestCache:
-    def test_write_then_reuse(self, capsys, tmp_path):
-        cache = tmp_path / "table.rdim"
-        code, first, _ = run(capsys, "table", "--max-n", "10", "--cache", str(cache))
-        assert code == 0 and cache.exists()
-        code, second, _ = run(capsys, "table", "--max-n", "10", "--cache", str(cache))
-        assert code == 0 and second == first
-
-    def test_failed_save_keeps_previous_cache(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "table.rdim"
-        run(capsys, "table", "--max-n", "10", "--cache", str(cache))
-        before = cache.read_bytes()
-
-        def failing_save(table, fh):
-            fh.write(b"partial")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(reinhardt.storage, "save_table", failing_save)
-        code, out, err = run(capsys, "table", "--max-n", "20", "--cache", str(cache))
-        assert (code, out, err) == (1, "", f"error: cache {cache}: disk full\n")
-        assert cache.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["table.rdim"]
-
-    def test_save_to_a_missing_directory_names_the_cache(self, capsys, tmp_path):
-        cache = tmp_path / "missing" / "x.rdim"
-        code, out, err = run(capsys, "table", "--max-n", "5", "--cache", str(cache))
-        assert (code, out) == (1, "")
-        assert err == f"error: cache {cache}: No such file or directory\n"
-        assert list(tmp_path.iterdir()) == []
-
-    def test_cache_larger_than_request_serves_query(self, capsys, tmp_path):
-        cache = tmp_path / "table.rdim"
-        run(capsys, "table", "--max-n", "30", "--cache", str(cache))
-        outs = {}
-        for fmt in ("csv", "json"):
-            code, outs[fmt], _ = run(
-                capsys, "table", "--max-n", "10", "--min-n", "10", "--format", fmt,
-                "--cache", str(cache),
-            )
-            assert code == 0
-        # h(10) still omitted at the requested top row, cache coverage aside
-        assert outs["csv"] == "n,c,c/n^2,h,h/n\n10,26,0.2600,,\n"
-        assert json.loads(outs["json"])["rows"] == [
-            {"n": 10, "c": 26, "c_over_n2": "0.2600", "h": None, "h_over_n": None}
-        ]
-
-    def test_corrupted_cache_fails_loudly(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "table.rdim"
-        run(capsys, "table", "--max-n", "10", "--cache", str(cache))
-        blob = bytearray(cache.read_bytes())
-        blob[-3] ^= 0x10
-        cache.write_bytes(bytes(blob))
-        code, out, err = run(capsys, "table", "--max-n", "10", "--cache", str(cache))
-        assert (code, out) == (1, "") and "checksum" in err
-        assert err.startswith(f"error: cache {cache}: record 10 checksum mismatch")
-        # the same error names a cache that came from the environment
-        monkeypatch.setenv("REINHARDT_CACHE", str(cache))
-        assert run(capsys, "table", "--max-n", "10") == (1, "", err)
-        assert cache.read_bytes() == blob and [p.name for p in tmp_path.iterdir()] == ["table.rdim"]
-
     def test_classify_ignores_env_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("REINHARDT_CACHE", raising=False)
         # 13 = 3^2 + 2^2 is below n^2 - 2: the membership rung decides it
@@ -204,80 +153,50 @@ class TestCache:
         expected = run(capsys, *argv)
         assert expected[0] == 0 and "status,compact_bad" in expected[1].splitlines()
         cache = tmp_path / "env.rdim"
-        run(capsys, "table", "--max-n", "6", "--cache", str(cache))
+        _save(cache, build_table(6))
         calls = []
         monkeypatch.setattr(reinhardt.storage, "load_table", lambda *args: calls.append(args))
         monkeypatch.setenv("REINHARDT_CACHE", str(cache))
         assert run(capsys, *argv) == expected and calls == []
         blob = bytearray(cache.read_bytes())
-        blob[-3] ^= 0x10  # `table` now fails on this file, classify is unaffected
+        blob[-3] ^= 0x10  # a file that fails its checksum is not read either
         cache.write_bytes(bytes(blob))
         assert run(capsys, *argv) == expected
         assert cache.read_bytes() == blob and [p.name for p in tmp_path.iterdir()] == ["env.rdim"]
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_old_format_cache_is_rebuilt_with_one_warning(
-        self, capsys, tmp_path, monkeypatch, version
-    ):
-        cache = tmp_path / "old.rdim"
-        # an older header over a body this version never reads
-        cache.write_bytes(b"RDIM" + struct.pack("<HI", version, 30) + b"\x01" * 64)
-        argv = ("table", "--max-n", "25", "--format", "json")
-        expected = run(capsys, *argv, "--no-cache")[1]
-        saved = []
-
-        def counting_save(table, fh):
-            saved.append(table.n_max)
-            save_table(table, fh)
-
-        monkeypatch.setattr(reinhardt.storage, "save_table", counting_save)
-        code, out, err = run(capsys, *argv, "--cache", str(cache))
-        assert code == 0 and out == expected and saved == [25]
-        (line,) = err.splitlines()
-        assert line.startswith("warning:") and f"version {version};" in line
-        with open(cache, "rb") as fh:
-            assert load_table(fh) == build_table(25)
-        assert [p.name for p in tmp_path.iterdir()] == ["old.rdim"]
-        assert run(capsys, *argv, "--cache", str(cache)) == (0, expected, "")
-        assert saved == [25]  # the v4 cache answers with no build
-
     @pytest.mark.parametrize(
-        "blob",
-        [b"RDIM" + struct.pack("<HI", 5, 30) + b"\x01" * 64, b"not a table at all\n"],
-        ids=["version-5", "not-rdim"],
+        "kind",
+        ["corrupt", "foreign", "old-format", "short", "covering", "missing-dir", "env", "resealed"],
     )
-    def test_newer_or_foreign_file_is_never_overwritten(self, capsys, tmp_path, blob):
-        cache = tmp_path / "other.rdim"
-        cache.write_bytes(blob)
-        code, out, err = run(capsys, "table", "--max-n", "10", "--cache", str(cache))
-        assert (code, out) == (1, "") and err.startswith("error:")
-        assert cache.read_bytes() == blob
-        assert [p.name for p in tmp_path.iterdir()] == ["other.rdim"]
-
-    def test_env_var_default(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "env.rdim"
-        monkeypatch.setenv("REINHARDT_CACHE", str(cache))
-        code, out, _ = run(capsys, "table", "--max-n", "4")
-        assert code == 0 and cache.exists()
-        assert out.splitlines()[-1] == "4,4,0.2500,,"
-        with open(cache, "rb") as fh:
-            assert load_table(fh) == build_table(4)
-
     @pytest.mark.parametrize(
-        "kind", ["corrupt", "foreign", "old-format", "short", "covering", "missing-dir", "env"]
+        "argv",
+        [
+            ("set", "--n", "20"),  # from the small sets
+            ("set", "--n", "90"),  # one step past them
+            ("table", "--min-n", "89", "--max-n", "100"),
+            ("table", "--min-n", "89", "--max-n", "100", "--format", "json"),
+        ],
+        ids=["20", "90", "table-csv", "table-json"],
     )
-    @pytest.mark.parametrize("n", ["20", "90"])  # from the small sets, and one step past them
-    def test_set_touches_no_cache(self, capsys, tmp_path, monkeypatch, kind, n):
+    def test_set_touches_no_cache(self, capsys, tmp_path, monkeypatch, kind, argv):
+        # no command reads or writes a cache, whatever file --cache or
+        # $REINHARDT_CACHE names: `resealed` stores count(90) one low behind
+        # valid CRCs, which a command that read it would print
         monkeypatch.delenv("REINHARDT_CACHE", raising=False)
-        expected = run(capsys, "set", "--n", n, "--no-cache")
+        expected = run(capsys, *argv, "--no-cache")
         assert expected[0] == 0 and expected[2] == ""
         cache = tmp_path / "t.rdim"
         if kind in ("corrupt", "short", "covering", "env"):
-            run(capsys, "table", "--max-n", "10" if kind == "short" else "100", "--cache", str(cache))
+            _save(cache, build_table(10 if kind == "short" else 100))
         if kind in ("corrupt", "env"):
             blob = bytearray(cache.read_bytes())
             blob[12] ^= 0x10  # in record 0, so any read of the file fails
             cache.write_bytes(bytes(blob))
+        elif kind == "resealed":
+            table = build_table(100)
+            count = list(table.count)
+            count[90] -= 1
+            _save(cache, DimTable(table.low, count))
         elif kind == "foreign":
             cache.write_bytes(b"not a table at all\n")
         elif kind == "old-format":
@@ -287,16 +206,15 @@ class TestCache:
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def no_cache(*args):
-            raise AssertionError("set read or wrote a cache")
+            raise AssertionError("a command read or wrote a cache")
 
         for name in ("load_table", "save_table"):
             monkeypatch.setattr(reinhardt.storage, name, no_cache)
         if kind == "env":
             monkeypatch.setenv("REINHARDT_CACHE", str(cache))
-            argv = ("set", "--n", n)
+            assert run(capsys, *argv) == expected
         else:
-            argv = ("set", "--n", n, "--cache", str(cache))
-        assert run(capsys, *argv) == expected
+            assert run(capsys, *argv, "--cache", str(cache)) == expected
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -554,7 +472,6 @@ class TestClassify:
             return build_table(n_max)
 
         monkeypatch.setattr(storage, "load_table", no_table)
-        monkeypatch.setattr(reinhardt.cli, "build_table", no_table)
         for module in (classify, dimsets):
             monkeypatch.setattr(module, "build_table", base_only)
         classify._small_squares.cache_clear()  # so the base is built under the patch

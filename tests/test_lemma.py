@@ -1,22 +1,26 @@
-"""S(n) from the growth lemma's start against the sequential build."""
+"""S(n) and |S(n)| from the growth lemma's start against the sequential build."""
 
 import pytest
 
 from reinhardt import lemma
 from reinhardt.dimsets import DimSet, _offsets, full_set_limit
-from reinhardt.lemma import square_sum_set
+from reinhardt.lemma import square_sum_counts, square_sum_set
 
 
 def test_one_step_from_r0_gives_every_row_to_4097(table4097):
     # the lemma's step, read against the build's (low, count) at every n:
     # a lemma that failed at some n would count an index missing there
+    assert square_sum_counts(0, 4097) == list(table4097.count)
+    # a window walks the anchor up from its first row's
+    for lo, hi in ((2, 2), (668, 779), (933, 957), (4000, 4097)):
+        assert square_sum_counts(lo, hi) == list(table4097.count[lo : hi + 1])
     k = full_set_limit(4097)
     full = [s.bits for s in table4097.sets[: k + 1]]
     offs = _offsets(4097)
     wrong = []
     for n in range(4098):
-        s = lemma._from_reach(n, full, offs)
-        if (s.low, len(s)) != (table4097.low[n], table4097.count[n]):
+        start, acc = lemma._from_reach(n, lemma.reach(n), full, offs)
+        if start + (acc ^ (acc + 1)).bit_length() - 1 != table4097.low[n]:
             wrong.append(n)
     assert wrong == []
 
@@ -35,11 +39,14 @@ def test_a_step_past_the_small_sets_is_an_error(table4097, monkeypatch):
     # J(1000) = 58: S(0..20) cannot give S(1000), and says so
     full = [s.bits for s in table4097.sets[:21]]
     with pytest.raises(ValueError, match=r"S\(1000\) from index \d+ reads past S\(20\)"):
-        lemma._from_reach(1000, full, _offsets(1000))
+        lemma._from_reach(1000, lemma.reach(1000), full, _offsets(1000))
     monkeypatch.setattr(lemma, "full_set_limit", lambda n: 10)
     with pytest.raises(ValueError, match=r"S\(100\) from index \d+ reads past S\(10\)"):
         square_sum_set(100)
+    with pytest.raises(ValueError, match=r"S\(100\) from index \d+ reads past S\(10\)"):
+        square_sum_counts(100, 100)
     assert square_sum_set(10) == table4097.sets[10]  # built in full, no step
+    assert square_sum_counts(10, 10) == [table4097.count[10]]  # steps within S(0..10)
 
 
 def test_small_and_edge_sets():
@@ -47,3 +54,7 @@ def test_small_and_edge_sets():
     assert list(square_sum_set(5)) == [5, 7, 9, 11, 13, 17, 25]
     with pytest.raises(ValueError, match="non-negative"):
         square_sum_set(-1)
+    assert square_sum_counts(0, 5) == [1, 1, 2, 3, 5, 7]
+    for lo, hi in ((-1, 5), (6, 5)):
+        with pytest.raises(ValueError, match="min_n <= max_n"):
+            square_sum_counts(lo, hi)

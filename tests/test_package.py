@@ -27,8 +27,8 @@ def test_unknown_name_raises_attribute_error():
 
 
 # Run in a fresh interpreter: prints the modules that `import reinhardt.cli`,
-# then one `set` command and then one `sequence` command load on top of what
-# the interpreter started with.
+# then one `set` command, one `table` command and one `sequence` command
+# load on top of what the interpreter started with.
 _PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -39,19 +39,24 @@ with redirect_stdout(io.StringIO()):
     code = reinhardt.cli.main(["set", "--n", "30", "--no-cache"])
 after_set = set(sys.modules) - before
 with redirect_stdout(io.StringIO()):
+    code |= reinhardt.cli.main(["table", "--min-n", "89", "--max-n", "100", "--cache", "t.rdim"])
+after_table = set(sys.modules) - before
+with redirect_stdout(io.StringIO()):
     code |= reinhardt.cli.main(["sequence", "--max-n", "20"])
 after_sequence = set(sys.modules) - before
-print(json.dumps([sorted(after_import), sorted(after_set), sorted(after_sequence), code]))
+print(json.dumps([sorted(after_import), sorted(after_set), sorted(after_table),
+                  sorted(after_sequence), code]))
 """
 
 
-def test_cli_imports_only_what_a_command_runs():
+def test_cli_imports_only_what_a_command_runs(tmp_path):
     src = os.path.dirname(os.path.dirname(reinhardt.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env, check=True, capture_output=True, text=True
+        [sys.executable, "-c", _PROBE],
+        cwd=tmp_path, env=env, check=True, capture_output=True, text=True,
     ).stdout
-    after_import, after_set, after_sequence, code = json.loads(out)
+    after_import, after_set, after_table, after_sequence, code = json.loads(out)
     assert code == 0
     unused = {"dataclasses", "inspect", "fractions", "reinhardt.classify", "reinhardt.verifiers"}
     unused |= {"argparse", "gettext", "locale"}  # argv is parsed from a table in `cli`
@@ -60,6 +65,11 @@ def test_cli_imports_only_what_a_command_runs():
     assert not unused & set(after_set)
     # `set` reads no cache: it loads neither the table format nor classify
     assert not {"reinhardt.storage", "reinhardt.classify"} & set(after_set)
+    # nor does `table`, which takes its rows from the growth lemma's step
+    assert not {"reinhardt.storage", "reinhardt.classify", "reinhardt.verifiers"} & set(
+        after_table
+    )
+    assert list(tmp_path.iterdir()) == []  # and writes no cache
     assert not {"fractions", "decimal"} & set(after_sequence)
 
 

@@ -29,6 +29,11 @@ the two medians cannot.  The layers are:
 * the ``set`` command, ``reinhardt.cli.main(["set", "--n", n,
   "--no-cache"])`` in-process at each n in ``ON_DEMAND_N``, its stdout
   written to a null sink and the caches cleared as below;
+* the ``table`` command, ``reinhardt.cli.main(["table", "--min-n", a,
+  "--max-n", b, "--cache", FILE])`` in-process for each window (a, b) in
+  ``TABLE_WINDOWS``, FILE being the n_max = 4096 file the save layer
+  wrote, so a tree that reads its cache times a warm load; stdout and
+  caches as for ``set``;
 * membership, ``is_realizable(n, dim)`` for each (n, dim) in
   ``MEMBERSHIP``, with every ``functools`` cache of every loaded
   ``reinhardt.*`` module cleared before each timed call, so each one pays
@@ -81,6 +86,9 @@ from pathlib import Path
 
 SAVE_LOAD_N = (1000, 4096)  # the last file also serves ON_DEMAND_N
 ON_DEMAND_N = (803, 4096)
+#: (min_n, max_n) of the `table` command: two of the windows perfbench's
+#: warm-lookups draws, and two whole tables
+TABLE_WINDOWS = ((668, 779), (933, 957), (2, 1004), (2, 4096))
 #: (n, dim) membership queries, both unrealizable: n^2 - 2 at n = 1000 and
 #: n^2 - 4 at n = 4000
 MEMBERSHIP = ((1000, 999998), (4000, 15999996))
@@ -175,14 +183,18 @@ elif op == "set":  # one set on demand from the front of a larger file
             result["bytes"] = fh.tell()
             assert dimset.n == n
             del dimset
-elif op == "cli_set":  # `set --n n --no-cache` in-process, stdout to a null sink
+elif op.startswith("cli_"):  # a command in-process, stdout to a null sink
     from contextlib import redirect_stdout
     from reinhardt import cli
+    if op == "cli_set":  # `set --n n --no-cache`
+        argv = ["set", "--n", str(n), "--no-cache"]
+    else:  # `table --min-n args[0] --max-n n --cache args[1]`
+        argv = ["table", "--min-n", args[0], "--max-n", str(n), "--cache", args[1]]
     with open(os.devnull, "w") as sink, redirect_stdout(sink):
         for _ in range(reps):
             clear_caches()
             started = time.perf_counter()
-            result["exit"] = cli.main(["set", "--n", str(n), "--no-cache"])
+            result["exit"] = cli.main(argv)
             best = min(best, time.perf_counter() - started)
 elif op.startswith("verify_"):  # a suite over n = int(args[0])..n
     suite = getattr(reinhardt, op)
@@ -360,6 +372,8 @@ def measure(trees: dict[str, Path], sizes: list[int]) -> dict[str, dict]:
             layer("set_on_demand", str(n), "set", n, f"{SAVE_LOAD_N[-1]}.rdim")
         for n in ON_DEMAND_N:
             layer("set_command", str(n), "cli_set", n)
+        for lo, hi in TABLE_WINDOWS:
+            layer("table_command", f"{lo}..{hi}", "cli_table", hi, str(lo), f"{SAVE_LOAD_N[-1]}.rdim")
         for n, dim in MEMBERSHIP:
             layer("membership", f"{n}, {dim}", "member", n, str(dim))
         for n, dim in CLASSIFY:
