@@ -73,7 +73,7 @@ def cmd_table(args: SimpleNamespace) -> int:
         raise CliError(f"`table` prints rows to n={BUILD_LIMIT} unless --force is given")
     counts = square_sum_counts(lo, hi)  # --cache and --no-cache are accepted and not read
     # h(n) needs |S(n + 1)|, so the last row has none
-    rows = [_ratio_row(n, *pair) for n, pair in enumerate(zip(counts, [*counts[1:], None]), lo)]
+    rows = list(map(_ratio_row, range(lo, hi + 1), counts, [*counts[1:], None]))
     if args.format == "csv":
         header = ("n", "c", "c/n^2", "h", "h/n")
     else:

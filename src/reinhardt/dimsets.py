@@ -224,16 +224,17 @@ def _offsets(n_max: int) -> list[int]:
     return [(d * d - d) // 2 for d in range(n_max + 1)]  # off_d, also top(d)
 
 
-def _step(n: int, reach: int, full, offs: list[int]) -> int:
+def _step(n: int, reach: int, full, offs: list[int], first: int = 0) -> int:
     """The bits of S(n) from index ``reach`` = low[n-1] up, bit i standing
     for index reach + i: the OR of the largest-part pieces, read from the
-    full sets ``full[j]`` = S(j), j <= J(n); see :func:`build_table`.  Its
-    loop sits near the start of its code object: under tracemalloc,
-    Python 3.11 finds an allocation's line by scanning from the start.
+    full sets ``full[j]`` = S(j), j <= J(n); see :func:`build_table`.
+    ``first`` > 0 leaves out the pieces j < ``first``.  Its loop sits near
+    the start of its code object: under tracemalloc, Python 3.11 finds an
+    allocation's line by scanning from the start.
     """
     big = 2 * (n + 2 * reach) > n * (n + 1)  # parts all below n/2 give <= n(n-1)/2
     acc = 0
-    for j in range(n):  # largest part n - j, the rest any partition of j
+    for j in range(first, n):  # largest part n - j, the rest any partition of j
         if big and (2 * j > n or offs[n - j] + offs[j] < reach):
             break
         s = offs[n - j] - reach

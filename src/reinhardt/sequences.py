@@ -14,8 +14,6 @@ defined inductively:
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
-from itertools import count, islice
 from typing import NamedTuple
 
 from .dimsets import DimTable
@@ -35,15 +33,17 @@ def growth_sequence(n_max: int) -> list[GrowthRow]:
     """Rows of (reach, threshold, anchor) for n = 0..n_max."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    return list(islice(_growth_walk(), n_max + 1))
+    # reach(n) has the parity of n (each row adds m^2 + m), so the halving is exact
+    return [
+        GrowthRow(n, reach, (reach + n + 4) // 2, anchor)
+        for n, (reach, anchor) in enumerate(zip(*_growth_walk(n_max)))
+    ]
 
 
-def _growth_walk() -> Iterator[GrowthRow]:
-    """The rows for n = 0, 1, 2, ..., without end."""
-    reach = [0]
-    yield GrowthRow(0, 0, 2, None)
-    k = 0
-    for n in count(1):
+def _growth_walk(n_max: int) -> tuple[list[int], list[int | None]]:
+    """reach(n) and anchor(n) for n = 0..n_max; the anchor is None at n = 0."""
+    reach, anchor, k = [0], [None], 0
+    for n in range(1, n_max + 1):
         # The kappa with threshold(kappa) <= n form a prefix, so walking up
         # from the previous anchor finds its end.  By induction on n:
         # reach(kappa) + kappa is even (each row adds m^2 + m, m = n - k),
@@ -54,8 +54,8 @@ def _growth_walk() -> Iterator[GrowthRow]:
         while k + 1 < n and reach[k + 1] + k + 1 + 4 <= 2 * n:
             k += 1
         reach.append((n - k) ** 2 + reach[k])
-        # reach(n) has the parity of n (each row adds m^2 + m), so the halving is exact
-        yield GrowthRow(n, reach[n], (reach[n] + n + 4) // 2, k)
+        anchor.append(k)
+    return reach, anchor
 
 
 def format_ratio(numerator: int, denominator: int) -> str:
@@ -66,10 +66,10 @@ def format_ratio(numerator: int, denominator: int) -> str:
     """
     if denominator <= 0:
         raise ValueError("denominator must be positive")
-    scaled, rem = divmod(numerator * 10**4, denominator)
-    if rem * 2 > denominator or (rem * 2 == denominator and scaled % 2 == 1):
+    scaled, rem = divmod(numerator * 10000, denominator)
+    if rem * 2 > denominator or (rem * 2 == denominator and scaled & 1):
         scaled += 1
-    return f"{scaled // 10**4}.{scaled % 10**4:04d}"
+    return "%d.%04d" % divmod(scaled, 10000)
 
 
 class RatioRow(NamedTuple):
@@ -80,15 +80,16 @@ class RatioRow(NamedTuple):
     noncompact_ratio: str | None
 
 
-def _ratio_row(n: int, count: int, successor: int | None) -> RatioRow:
-    """The row of n from count = |S(n)| and successor = |S(n + 1)|, or None
-    at the table edge, where h(n) is omitted.  c and h are read as
-    ``dimsets.compact_count`` and ``noncompact_count`` define them."""
+def _ratio_row(n: int, count: int, successor: int | None) -> tuple:
+    """The fields of n's :class:`RatioRow`, as a plain tuple, from count =
+    |S(n)| and successor = |S(n + 1)|, or None at the table edge, where
+    h(n) is omitted.  c and h are read as ``dimsets.compact_count`` and
+    ``noncompact_count`` define them."""
     c = count - 1
     if successor is None:
-        return RatioRow(n, c, format_ratio(c, n * n), None, None)
+        return n, c, format_ratio(c, n * n), None, None
     h = successor - count - 1
-    return RatioRow(n, c, format_ratio(c, n * n), h, format_ratio(h, n))
+    return n, c, format_ratio(c, n * n), h, format_ratio(h, n)
 
 
 def ratio_table(table: DimTable, ns: list[int]) -> list[RatioRow]:
@@ -108,5 +109,5 @@ def ratio_table(table: DimTable, ns: list[int]) -> list[RatioRow]:
                 stacklevel=2,
             )
             continue
-        rows.append(_ratio_row(n, count[n], count[n + 1] if n < table.n_max else None))
+        rows.append(RatioRow(*_ratio_row(n, count[n], count[n + 1] if n < table.n_max else None)))
     return rows

@@ -1,5 +1,8 @@
 """S(n) and |S(n)| from the growth lemma's start against the sequential build."""
 
+from functools import partial
+from itertools import accumulate
+
 import pytest
 
 from reinhardt import lemma
@@ -7,20 +10,29 @@ from reinhardt.dimsets import DimSet, _offsets, full_set_limit
 from reinhardt.lemma import square_sum_counts, square_sum_set
 
 
-def test_one_step_from_r0_gives_every_row_to_4097(table4097):
+def test_one_step_from_r0_gives_every_row_to_4097(table4097, monkeypatch):
     # the lemma's step, read against the build's (low, count) at every n:
-    # a lemma that failed at some n would count an index missing there
+    # a lemma that failed at some n would count an index missing there.
+    # Rows to K come from the small sets, rows to 471 from steps, and the
+    # rest are sized from the small sets' counts below n - j
     assert square_sum_counts(0, 4097) == list(table4097.count)
-    # a window walks the anchor up from its first row's
+    # a window starts its walk of b, and its sums, at its first row
     for lo, hi in ((2, 2), (668, 779), (933, 957), (4000, 4097)):
         assert square_sum_counts(lo, hi) == list(table4097.count[lo : hi + 1])
+    # 108 pieces join to 4097; in batches of 7 the per-row bytes are read 16 times
+    monkeypatch.setattr(lemma, "_sums", partial(lemma._sums, batch=7))
+    assert square_sum_counts(300, 4097) == list(table4097.count[300:])
     k = full_set_limit(4097)
     full = [s.bits for s in table4097.sets[: k + 1]]
     offs = _offsets(4097)
+    sizes = [0, *accumulate(bits.bit_count() for bits in full)]
     wrong = []
     for n in range(4098):
         start, acc = lemma._from_reach(n, lemma.reach(n), full, offs)
         if start + (acc ^ (acc + 1)).bit_length() - 1 != table4097.low[n]:
+            wrong.append(n)
+        # the step less its first pieces, which the rows past 471 do not take
+        if lemma._stepped(n, lemma.reach(n), full, offs, sizes) != table4097.count[n]:
             wrong.append(n)
     assert wrong == []
 
@@ -46,7 +58,7 @@ def test_a_step_past_the_small_sets_is_an_error(table4097, monkeypatch):
     with pytest.raises(ValueError, match=r"S\(100\) from index \d+ reads past S\(10\)"):
         square_sum_counts(100, 100)
     assert square_sum_set(10) == table4097.sets[10]  # built in full, no step
-    assert square_sum_counts(10, 10) == [table4097.count[10]]  # steps within S(0..10)
+    assert square_sum_counts(10, 10) == [table4097.count[10]]  # read from S(0..10)
 
 
 def test_small_and_edge_sets():
