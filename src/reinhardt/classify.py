@@ -34,8 +34,8 @@ from typing import NamedTuple
 from functools import lru_cache
 from math import isqrt
 
-from .dimsets import MARKED_ORACLE_MAX_N, build_table, marked_set_rows
-from .lemma import reach
+from .dimsets import MARKED_ORACLE_MAX_N, _offsets, marked_set_rows
+from .lemma import _small_sets, reach
 from .partitions import (
     MarkedPartition,
     _marked_unchecked,
@@ -291,7 +291,7 @@ def _marked_rows() -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _small_squares() -> tuple[int, ...]:
     """The base's S(n), as bits."""
-    return tuple(s.bits for s in build_table(MARKED_ORACLE_MAX_N).sets)
+    return tuple(_small_sets(MARKED_ORACLE_MAX_N, _offsets(MARKED_ORACLE_MAX_N)))
 
 
 def classify_dimension(n: int, dim: int, include_realizations: bool = True) -> Classification:

@@ -157,7 +157,7 @@ def verify_largest_part(
     at most n/2 stays at or below 3n^2/4.  Comparisons stay in integers
     (4N vs 3n^2).
     """
-    started = _checked("largest-part", n_lo, n_hi, 7, LARGEST_MAX_N)
+    started = _checked("lemma-largest", n_lo, n_hi, 7, LARGEST_MAX_N)
     table = _ensure_table(table, n_hi)
     ces: list[Counterexample] = []
     for n in range(n_lo, n_hi + 1):

@@ -46,7 +46,7 @@ def _layers(calls):
 
 def _layer_count(tool, sizes):
     return (
-        len(sizes) + 2 * len(tool.SAVE_LOAD_N) + 2 * len(tool.ON_DEMAND_N)
+        len(sizes) + 2 * len(tool.SAVE_LOAD_N) + len(tool.SET_N)
         + len(tool.TABLE_WINDOWS) + len(tool.MEMBERSHIP)
         + len(tool.CLASSIFY) + len(tool.ENUMERATION) * len(tool.ENUMERATION_N)
         + len(tool.SUITES) + 2 + len(tool.STARTUP_ARGV)
@@ -66,8 +66,10 @@ def test_two_trees_get_rounds_children_per_layer(tool, tmp_path):
     assert runs["a"]["interleaved_with"] == ["b"]
     assert runs["a"]["rounds"] == tool.ROUNDS
     assert set(runs["b"]["build_table"]) == {"1000", "2000"}
-    assert set(runs["b"]["set_command"]) == {str(n) for n in tool.ON_DEMAND_N}
+    assert set(runs["b"]["set_command"]) == {str(n) for n in tool.SET_N}
+    assert "set_on_demand" not in runs["b"]
     assert set(runs["b"]["table_command"]) == {f"{a}..{b}" for a, b in tool.TABLE_WINDOWS}
+    assert {"100000..100001", "1000000..1000001"} <= set(runs["b"]["table_command"])
     assert len(runs["b"]["startup"]) == 2 + len(tool.STARTUP_ARGV)
     # the stub's times grow with each call, so the tree that goes second
     # in a round reads higher: b reads lower in the rounds it leads
@@ -125,7 +127,7 @@ def test_the_set_command_child_runs_against_a_tree(tmp_path):
 
 
 def test_the_table_command_child_runs_against_a_tree(tmp_path):
-    # `table --min-n 2 --max-n 30 --cache t.rdim` in-process: this tree
+    # `table --min-n 2 --max-n 30 --cache t.rdim --force` in-process: this tree
     # reads no cache, so the file is never made
     result = _real_child(tmp_path, "cli_table", 30, "2", "t.rdim")
     assert result["exit"] == 0 and result["s"] > 0 and result["maxrss_mib"] > 0

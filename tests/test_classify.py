@@ -301,7 +301,7 @@ class TestLargeN:
 
     @pytest.mark.parametrize("dim, status", [(72892, "general_only"), (75056, "unrealizable")])
     def test_query_builds_no_set_above_the_base(self, monkeypatch, dim, status):
-        from reinhardt import classify, dimsets
+        from reinhardt import classify, dimsets, lemma
 
         stepped, built = [], []
 
@@ -309,14 +309,14 @@ class TestLargeN:
             stepped.append(n)
             return real_step(n, *args)
 
-        def build(n_max):
-            built.append(n_max)
-            return real_build(n_max)
+        def build(k, offs):
+            built.append(k)
+            return real_build(k, offs)
 
-        real_step, real_build = dimsets._step, dimsets.build_table
-        monkeypatch.setattr(dimsets, "_step", step)
-        for module in (classify, dimsets):
-            monkeypatch.setattr(module, "build_table", build)
+        real_step, real_build = dimsets._step, lemma._small_sets
+        for module in (dimsets, lemma):
+            monkeypatch.setattr(module, "_step", step)
+        monkeypatch.setattr(classify, "_small_sets", build)
         classify._small_squares.cache_clear()  # so the base is built under the patch
         assert classify_dimension(300, dim).status == status
         assert built == [MARKED_ORACLE_MAX_N]
@@ -324,6 +324,12 @@ class TestLargeN:
         stepped.clear()
         assert classify_dimension(300, dim).status == status
         assert (built, stepped) == ([MARKED_ORACLE_MAX_N], [])  # the base is kept
+
+    def test_base_is_the_built_table(self):
+        from reinhardt import build_table, classify
+
+        table = build_table(MARKED_ORACLE_MAX_N)
+        assert classify._small_squares() == tuple(s.bits for s in table.sets)
 
     @pytest.mark.parametrize("n, draws", [(10**5, 100), (10**7, 40)])
     def test_partitions_classify_one_sided(self, n, draws):

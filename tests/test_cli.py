@@ -465,18 +465,19 @@ class TestClassify:
         ],
     )
     def test_values_decided_by_n_read_no_table(self, capsys, monkeypatch, tmp_path, dim, status):
-        from reinhardt import classify, dimsets, storage
+        from reinhardt import classify, dimsets, lemma, storage
 
         def no_table(*args):
             raise AssertionError("classify read or built a table")
 
-        def base_only(n_max):
-            assert n_max == dimsets.MARKED_ORACLE_MAX_N, f"built to n={n_max}"
-            return build_table(n_max)
+        def base_only(k, offs):
+            assert k == dimsets.MARKED_ORACLE_MAX_N, f"built to n={k}"
+            return real_build(k, offs)
 
-        monkeypatch.setattr(storage, "load_table", no_table)
-        for module in (classify, dimsets):
-            monkeypatch.setattr(module, "build_table", base_only)
+        real_build = lemma._small_sets
+        for module, name in ((storage, "load_table"), (dimsets, "build_table")):
+            monkeypatch.setattr(module, name, no_table)
+        monkeypatch.setattr(classify, "_small_sets", base_only)
         classify._small_squares.cache_clear()  # so the base is built under the patch
         cache = tmp_path / "corrupt.rdim"
         cache.write_bytes(b"RDIM" + b"\xff" * 40)

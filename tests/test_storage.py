@@ -15,7 +15,6 @@ from reinhardt import (
     save_table,
 )
 from reinhardt.dimsets import full_set_limit
-from reinhardt.storage import OldFormatError
 
 HEADER, RECORD = 10, 20  # bytes: magic, version and n_max; low, count and CRC
 
@@ -113,9 +112,8 @@ class TestRoundTrip:
             low, count = struct.unpack_from("<QQ", data, _record_start(n))
             assert (low, count) == (dimset.low, len(dimset)) == (table.low[n], table.count[n])
 
-    def test_file_is_twenty_bytes_a_record(self, big_table):
-        table = load_table(io.BytesIO(_dump(big_table)), 1000)
-        assert len(_dump(table)) == 20030  # the tails took 2 743 974 bytes
+    def test_file_is_twenty_bytes_a_record(self):
+        assert len(_dump(build_table(1000))) == 20030  # the tails took 2 743 974 bytes
 
     def test_bytes_at_the_build_limit(self, table4097):
         # pins the build bit for bit one past the CLI's inline limit
@@ -142,9 +140,8 @@ class TestValidation:
     def test_only_older_versions_are_old_format_errors(self, version):
         data = bytearray(_dump(build_table(2)))
         data[4:6] = struct.pack("<H", version)
-        with pytest.raises(UnsupportedFormatError, match=f"version {version};") as err:
+        with pytest.raises(UnsupportedFormatError, match=f"version {version};"):
             load_table(io.BytesIO(bytes(data)))
-        assert isinstance(err.value, OldFormatError) == (version < 4)
 
     def test_single_bit_corruption_detected(self):
         data = bytearray(_dump(build_table(4)))
@@ -226,45 +223,11 @@ class TestValidation:
             load_table(io.BytesIO(data))
 
     def test_swapped_records_detected(self):
-        table = build_table(20)
-        data = bytearray(_dump(table))
+        data = bytearray(_dump(build_table(20)))
         seven, eight = slice(_record_start(7), _record_end(7)), slice(_record_end(7), _record_end(8))
         data[seven], data[eight] = data[eight], data[seven]
         with pytest.raises(TableCorruptionError, match="record 7 checksum"):
             load_table(io.BytesIO(bytes(data)))
-        assert load_table(io.BytesIO(bytes(data)), 6) == load_table(io.BytesIO(_dump(table)), 6)
-
-
-class TestPrefixRead:
-    @pytest.fixture(scope="class")
-    def table300(self):
-        return build_table(300)
-
-    @pytest.mark.parametrize("k", [0, 1, 7, 64, 300])
-    def test_prefix_equals_built_sets(self, table300, k):
-        loaded = load_table(io.BytesIO(_dump(table300)), k)
-        assert tuple(loaded.sets) == table300.sets[: k + 1]
-
-    @pytest.mark.parametrize("k", [0, 1, 7, 64, 299])
-    def test_read_stops_at_end_of_record(self, table300, k):
-        source = io.BytesIO(_dump(table300))
-        load_table(source, k)
-        assert source.tell() == 10 + 20 * (k + 1)
-
-    def test_request_beyond_file_returns_whole_table(self):
-        table = build_table(6)
-        assert load_table(io.BytesIO(_dump(table)), 40) == table
-
-    def test_full_read_checks_trailing_bytes(self):
-        data = _dump(build_table(6)) + b"\x00"
-        assert load_table(io.BytesIO(data), 5).n_max == 5
-        for n_max in (None, 6, 7):
-            with pytest.raises(TableCorruptionError, match="trailing"):
-                load_table(io.BytesIO(data), n_max)
-
-    def test_negative_request_refused(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            load_table(io.BytesIO(_dump(build_table(2))), -1)
 
 
 FUZZ_N_MAX = 12
@@ -280,8 +243,7 @@ _FIELD_STARTS = sorted(
 
 @st.composite
 def _corruptions(draw):
-    """One word flipped, or two words swapped, in the fuzz table's v4 bytes;
-    returns the bytes and the lowest offset touched."""
+    """One word flipped, or two words swapped, in the fuzz table's v4 bytes."""
     data = bytearray(_FUZZ_DATA)
     width = draw(st.sampled_from([1, 4, 8]))
     offsets = st.one_of(
@@ -292,16 +254,16 @@ def _corruptions(draw):
         span = int.from_bytes(data[first : first + width], "little")
         span ^= draw(st.integers(1, 2 ** (8 * width) - 1))
         data[first : first + width] = span.to_bytes(width, "little")
-        return bytes(data), first
+        return bytes(data)
     second = draw(offsets.filter(lambda j: abs(j - first) >= width))
     a, b = data[first : first + width], data[second : second + width]
     data[first : first + width], data[second : second + width] = b, a
-    return bytes(data), min(first, second)
+    return bytes(data)
 
 
-def _sets_or_none(data: bytes, n_max: int | None):
+def _sets_or_none(data: bytes):
     try:
-        return tuple(load_table(io.BytesIO(data), n_max).sets)
+        return tuple(load_table(io.BytesIO(data)).sets)
     except ValueError:  # corruption, an unknown format, or a set that rebuilds wrong
         return None
 
@@ -309,33 +271,23 @@ def _sets_or_none(data: bytes, n_max: int | None):
 class TestCorruptionFuzz:
     @settings(max_examples=400)
     @given(_corruptions())
-    def test_single_corruption_detected_or_harmless(self, case):
-        data, first_touched = case
-        assert _sets_or_none(data, None) in (None, tuple(_FUZZ_TABLE.sets))
-        for k in range(FUZZ_N_MAX + 1):
-            expected = _FUZZ_TABLE.sets[: k + 1]
-            got = _sets_or_none(data, k)
-            if first_touched >= _record_end(k):
-                assert got == expected  # the read never reached the change
-            else:
-                assert got in (None, expected)
+    def test_single_corruption_detected_or_harmless(self, data):
+        assert _sets_or_none(data) in (None, tuple(_FUZZ_TABLE.sets))
 
     def test_swapped_words_in_last_record_detected(self):
-        table = build_table(100)
-        data = bytearray(_dump(table))
+        data = bytearray(_dump(build_table(100)))
         start = _record_start(100)
         low, count = data[start : start + 8], data[start + 8 : start + 16]
         assert low != count
         data[start : start + 16] = count + low
         with pytest.raises(TableCorruptionError, match="record 100 checksum"):
             load_table(io.BytesIO(bytes(data)))
-        assert tuple(load_table(io.BytesIO(bytes(data)), 99).sets) == table.sets[:100]
 
     @pytest.mark.parametrize("n_max,records", [(100, range(101)), (1000, (0, 1, 500, 999, 1000))])
-    def test_every_single_byte_corruption_names_its_record(self, big_table, n_max, records):
+    def test_every_single_byte_corruption_names_its_record(self, n_max, records):
         # every byte of the header and of the given records, two flips each;
-        # each record's CRC is checked before the next record is read
-        data = _dump(load_table(io.BytesIO(_dump(big_table)), n_max))
+        # each record's CRC is checked before the next record's
+        data = _dump(build_table(n_max))
         positions = [*range(HEADER), *(p for n in records for p in range(_record_start(n), _record_end(n)))]
         missed = []
         for pos in positions:

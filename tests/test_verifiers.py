@@ -158,6 +158,12 @@ class TestLargestPartSuite:
         with pytest.raises(ValueError, match=r"need 7 <= n_lo <= n_hi, got \(6, 10\)"):
             verify_largest_part(6, 10)
 
+    def test_refusal_names_the_suite_as_the_cli_does(self):
+        # as `verify --suite lemma-largest --max-n 61` prints it
+        with pytest.raises(ValueError) as err:
+            verify_largest_part(7, 61)
+        assert str(err.value) == "lemma-largest suite is limited to n <= 60, got 61"
+
     @pytest.mark.parametrize("n", range(0, 41))
     def test_capped_maximum_equals_the_walk(self, n):
         for cap in range(1, n + 2):

@@ -24,16 +24,14 @@ the two medians cannot.  The layers are:
   child builds the table untimed, then writes it to a file of its tree)
   and ``load_table`` of that file (a child that only imports and loads),
   each with its bytes;
-* one set on demand, ``load_table(fh, n).sets[n]`` from the n_max = 4096
-  file, at each n in ``ON_DEMAND_N`` (bytes read);
 * the ``set`` command, ``reinhardt.cli.main(["set", "--n", n,
-  "--no-cache"])`` in-process at each n in ``ON_DEMAND_N``, its stdout
+  "--no-cache"])`` in-process at each n in ``SET_N``, its stdout
   written to a null sink and the caches cleared as below;
 * the ``table`` command, ``reinhardt.cli.main(["table", "--min-n", a,
-  "--max-n", b, "--cache", FILE])`` in-process for each window (a, b) in
-  ``TABLE_WINDOWS``, FILE being the n_max = 4096 file the save layer
-  wrote, so a tree that reads its cache times a warm load; stdout and
-  caches as for ``set``;
+  "--max-n", b, "--cache", FILE, "--force"])`` in-process for each
+  window (a, b) in ``TABLE_WINDOWS``, FILE being the n_max = 4096 file
+  the save layer wrote, so a tree that reads its cache times a warm load;
+  stdout and caches as for ``set``;
 * membership, ``is_realizable(n, dim)`` for each (n, dim) in
   ``MEMBERSHIP``, with every ``functools`` cache of every loaded
   ``reinhardt.*`` module cleared before each timed call, so each one pays
@@ -66,7 +64,8 @@ result is stored under ``runs[NAME]`` in the ``--out`` JSON file; runs
 already there under other names are kept.  Mind the sizes: a tree that
 expands every set, as the sources before format v3 do, needs about
 1.4 GB at n = 4096, and one that holds every tail (format v3) about
-0.5 GB at n = 8192.
+0.5 GB at n = 8192, and one whose ``table`` builds every row below its
+window cannot run the windows at n = 10^5 and 10^6.
 """
 
 from __future__ import annotations
@@ -84,11 +83,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-SAVE_LOAD_N = (1000, 4096)  # the last file also serves ON_DEMAND_N
-ON_DEMAND_N = (803, 4096)
+SAVE_LOAD_N = (1000, 4096)  # the last file also serves TABLE_WINDOWS
+SET_N = (803, 4096)
 #: (min_n, max_n) of the `table` command: two of the windows perfbench's
-#: warm-lookups draws, and two whole tables
-TABLE_WINDOWS = ((668, 779), (933, 957), (2, 1004), (2, 4096))
+#: warm-lookups draws, two whole tables, and c and h at n = 10^5 and 10^6
+TABLE_WINDOWS = (
+    (668, 779), (933, 957), (2, 1004), (2, 4096), (10**5, 10**5 + 1), (10**6, 10**6 + 1)
+)
 #: (n, dim) membership queries, both unrealizable: n^2 - 2 at n = 1000 and
 #: n^2 - 4 at n = 4000
 MEMBERSHIP = ((1000, 999998), (4000, 15999996))
@@ -173,23 +174,13 @@ elif op == "load":
             result["bytes"] = fh.tell()
             assert table.n_max == n
             del table
-elif op == "set":  # one set on demand from the front of a larger file
-    with open(args[0], "rb") as fh:
-        for _ in range(reps):
-            fh.seek(0)
-            started = time.perf_counter()
-            dimset = reinhardt.load_table(fh, n).sets[n]
-            best = min(best, time.perf_counter() - started)
-            result["bytes"] = fh.tell()
-            assert dimset.n == n
-            del dimset
 elif op.startswith("cli_"):  # a command in-process, stdout to a null sink
     from contextlib import redirect_stdout
     from reinhardt import cli
     if op == "cli_set":  # `set --n n --no-cache`
         argv = ["set", "--n", str(n), "--no-cache"]
-    else:  # `table --min-n args[0] --max-n n --cache args[1]`
-        argv = ["table", "--min-n", args[0], "--max-n", str(n), "--cache", args[1]]
+    else:  # `table --min-n args[0] --max-n n --cache args[1] --force`
+        argv = ["table", "--min-n", args[0], "--max-n", str(n), "--cache", args[1], "--force"]
     with open(os.devnull, "w") as sink, redirect_stdout(sink):
         for _ in range(reps):
             clear_caches()
@@ -368,9 +359,7 @@ def measure(trees: dict[str, Path], sizes: list[int]) -> dict[str, dict]:
         for n in SAVE_LOAD_N:
             layer("save_table", str(n), "save", n, f"{n}.rdim")
             layer("load_table", str(n), "load", n, f"{n}.rdim")
-        for n in ON_DEMAND_N:
-            layer("set_on_demand", str(n), "set", n, f"{SAVE_LOAD_N[-1]}.rdim")
-        for n in ON_DEMAND_N:
+        for n in SET_N:
             layer("set_command", str(n), "cli_set", n)
         for lo, hi in TABLE_WINDOWS:
             layer("table_command", f"{lo}..{hi}", "cli_table", hi, str(lo), f"{SAVE_LOAD_N[-1]}.rdim")
