@@ -34,8 +34,8 @@ from typing import NamedTuple
 from functools import lru_cache
 from math import isqrt
 
-from .dimsets import MARKED_ORACLE_MAX_N, _offsets, marked_set_rows
-from .lemma import _small_sets, reach
+from .dimsets import MARKED_ORACLE_MAX_N, _offsets, _small_sets, marked_set_rows
+from .lemma import reach
 from .partitions import (
     MarkedPartition,
     _marked_unchecked,
@@ -254,7 +254,7 @@ def _member(n: int, value: int, marked: bool) -> bool:
     A marked block d adds d^2 + 2d to the value, an unmarked one d^2.  For
     n <= :data:`MARKED_ORACLE_MAX_N` a fixed base answers.  Above it every
     value up to reach(n) is a square sum (the growth lemma: the tests check
-    it for every n <= 4096, and past that it rests on the paper's proof).
+    it for every n <= 10^5, and past that it rests on the paper's proof).
     reach(n) passes n(n+3)/2 (tested to n = 100 000 and on a grid up to the
     guard), and parts all below n/2 give at most sum d(d + 2) <= n(n+3)/2,
     so a value above reach(n) has a largest part p = n - j >= n/2: it is in

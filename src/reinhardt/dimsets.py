@@ -14,16 +14,16 @@ w = v + (n-i)^2 with index (w - n)/2 = j + ((n-i)^2 - (n-i))/2.
 
 Most of each set is a dense prefix, so a :class:`DimSet` is held as
 ``(low, tail)``: ``low`` is the length of its run of ones from index 0
-and ``tail`` the bits from there up.  Above that prefix a step of the
-build ORs only the small sets S(j) under each largest part n - j (see
-:func:`build_table`), so S(n) follows from ``low[n-1]`` and a few small
-sets.  A :class:`DimTable` therefore holds two numbers per n, the
-low and the set size, plus the small sets in full, and rebuilds any
-other set with one step when it is asked for.  The prefix is measured
-from the built sets, never taken from the growth-sequence lemma, so the
-lemma's check stays independent of the build.  The same largest-part
-argument, over the growth-sequence prefix, decides membership in S(n)
-and in G(n), the values of marked partitions, with no table
+and ``tail`` the bits from there up.  Above ``low[n-1]`` S(n) is the OR
+of only the small sets S(j) under each largest part n - j, so the build
+sizes most rows from the small sets' lows and counts alone (see
+:func:`build_table`).  A :class:`DimTable` therefore holds two numbers
+per n, the low and the set size, plus the small sets in full, and
+rebuilds any other set with one step when it is asked for.  The build
+never uses the growth-sequence lemma, so the lemma's check stays
+independent of it.  The same largest-part argument, over the
+growth-sequence prefix, decides membership in S(n) and in G(n), the
+values of marked partitions, with no table
 (:func:`~reinhardt.classify.is_realizable`).  Tables and sets are
 immutable once built and safe to share across threads.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from itertools import compress
+from itertools import accumulate, compress
 from math import isqrt
 from typing import Iterator
 
@@ -178,13 +178,12 @@ class SetSequence(Sequence):
     def __init__(self, low: tuple[int, ...], count: tuple[int, ...]) -> None:
         self._low, self._count = low, count
         self._offs = _offsets(len(low) - 1)
-        self._full = [1]  # S(0) = {0}
-        self._check(0, 1, 0)
-        for n in range(1, min(full_set_limit(len(low) - 1), len(low) - 1) + 1):
-            self._full.append(self[n].bits)  # a step and its check
+        self._full = _small_sets(min(full_set_limit(len(low) - 1), len(low) - 1), self._offs)
+        for n, bits in enumerate(self._full):
+            self._check(n, 0, bits)
 
     def _check(self, n: int, reach: int, acc: int) -> None:
-        lo, size = reach + (acc ^ (acc + 1)).bit_length() - 1, reach + acc.bit_count()
+        lo, size = reach + _run(acc), reach + acc.bit_count()
         if (lo, size) != (self._low[n], self._count[n]):
             raise ValueError(
                 f"S({n}) rebuilds with low {lo} and {size} values, but the table"
@@ -204,7 +203,7 @@ class SetSequence(Sequence):
         reach = self._low[n - 1]
         try:
             acc = _step(n, reach, self._full, self._offs)
-        except IndexError:  # only a low below the built one reads past S(K)
+        except ValueError:  # only a low below the built one reads past S(K)
             raise ValueError(f"S({n}) does not rebuild from the stored low {reach}") from None
         self._check(n, reach, acc)
         return DimSet.from_prefix_tail(n, lo, acc >> (lo - reach))
@@ -228,17 +227,23 @@ def _step(n: int, reach: int, full, offs: list[int], first: int = 0) -> int:
     """The bits of S(n) from index ``reach`` = low[n-1] up, bit i standing
     for index reach + i: the OR of the largest-part pieces, read from the
     full sets ``full[j]`` = S(j), j <= J(n); see :func:`build_table`.
-    ``first`` > 0 leaves out the pieces j < ``first``.  Its loop sits near
-    the start of its code object: under tracemalloc, Python 3.11 finds an
-    allocation's line by scanning from the start.
+    ``first`` > 0 leaves out the pieces j < ``first``.  Needing a set past
+    ``full`` raises :class:`ValueError`.  Its loop sits near the start of
+    its code object: under tracemalloc, Python 3.11 finds an allocation's
+    line by scanning from the start.
     """
     big = 2 * (n + 2 * reach) > n * (n + 1)  # parts all below n/2 give <= n(n-1)/2
     acc = 0
-    for j in range(first, n):  # largest part n - j, the rest any partition of j
-        if big and (2 * j > n or offs[n - j] + offs[j] < reach):
-            break
-        s = offs[n - j] - reach
-        acc |= full[j] << s if s >= 0 else full[j] >> -s
+    try:
+        for j in range(first, n):  # largest part n - j, the rest any partition of j
+            if big and (2 * j > n or offs[n - j] + offs[j] < reach):
+                break
+            s = offs[n - j] - reach
+            acc |= full[j] << s if s >= 0 else full[j] >> -s
+    except IndexError:
+        raise ValueError(
+            f"S({n}) from index {reach} reads past S({len(full) - 1}), the last small set"
+        ) from None
     return acc
 
 
@@ -257,25 +262,118 @@ def build_table(n_max: int) -> DimTable:
     of at least n/2, and j runs up from 0 while 2j <= n and
     f(n-j) >= reach (f falls as j rises to n/2).  Below that bound (34
     values of n, all at most 41) j takes every value below n, which is
-    the plain recurrence.  The result equals the plain recurrence bit for
-    bit.
+    the plain recurrence; the result equals it bit for bit.
 
-    So a step reads only ``low[n-1]`` and S(0..J(n)) (see
-    :func:`full_set_limit`), and the build holds O(n) ints besides the
-    set being built.  n_max = 0 gives the trivial table of only {0}.
+    S(0..K), K = :func:`full_set_limit` (n_max), are built so, a step
+    each; the rows above K are sized from them, or stepped
+    (:func:`_rows`).  n_max = 0 gives the trivial table of only {0}.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    offs, keep = _offsets(n_max), full_set_limit(n_max)
-    low, count, full = [1], [1], [1]  # S(0) = {0}
-    for n in range(1, n_max + 1):
-        reach = low[-1]
-        acc = _step(n, reach, full, offs)
-        low.append(reach + (acc ^ (acc + 1)).bit_length() - 1)
-        count.append(reach + acc.bit_count())
-        if n <= keep:
-            full.append(((acc + 1) << reach) - 1)
-    return DimTable(low, count)
+    return DimTable(*_rows(0, n_max, min(n_max, full_set_limit(n_max))))
+
+
+def _rows(min_n: int, max_n: int, k: int, start: int = 0) -> tuple[list[int], list[int]]:
+    """(low, count) of S(n) for n = min_n..max_n.  Rows n <= k are read
+    from the small sets S(0..k).  Row n > k starts at low[n - 1], or the
+    window's first at ``start``; every index below either is in S(n).
+
+    A step from the start puts piece j, S(j), at s_j = off(n - j) - start,
+    n - j below piece j - 1; piece b, the first with s_b <= 0, holds the
+    start.  The pieces below j end at most T(j + 1) - n above s_j,
+    T(m) = m(m + 1)/2.  Where that is below low(j), the run of S(j), for
+    every j <= b, and the start is in piece b's run, the step holds from
+    s_j to piece j - 1 just S(j)'s indices below n - j.  So |S(n)| =
+    off(n - b) + sum_{j <= b} |S(j) below n - j|, and low[n] = off(n - j*)
+    + low(j*), j* <= b the first piece not full (low(j*) + j* < n).  b
+    only rises over a stretch of rows, so :func:`_sums` sums a stretch at
+    once.  Other rows take a step (:func:`_stepped`).
+    """
+    offs = _offsets(max_n)
+    full = _small_sets(k, offs)
+    lows = [_run(s) for s in full]
+    sizes = [0, *accumulate(s.bit_count() for s in full)]  # |S(0)| + ... + |S(j - 1)|
+    worst = list(accumulate(((j + 1) * (j + 2) // 2 - low for j, low in enumerate(lows)), max))
+    rows = range(min_n, max_n + 1)
+    low, count = lows[min_n:], [s.bit_count() for s in full[min_n:]]
+    start = lows[k] if min_n <= k + 1 else start
+    stretches, b = [], -1  # (joins, sized rows) of each stretch of rows over which b only rises
+    for i, n in enumerate(rows[len(low) :], len(low)):
+        if b < 0 or offs[n - b + 1] <= start:  # b falls: a new stretch
+            b, (joins, sized) = -1, ([], [])  # (row, j) as b reaches j; rows to size
+            stretches.append((joins, sized))
+        while b < 0 or offs[n - b] > start:
+            b += 1
+            joins.append((i, b))
+        big = 2 * (n + 2 * start) > n * (n + 1)  # a largest-part step, as in _step
+        # each piece's spill lies in its run, and the start in piece b's run
+        if big and 0 < b < len(full) and n > worst[b] and start - offs[n - b] <= lows[b]:
+            js = b
+            while lows[js] + js >= n:  # piece js is full
+                js -= 1
+            sized.append(i)
+            count.append(offs[n - b])
+            start = offs[n - js] + lows[js]
+        else:
+            start, size = _stepped(n, start, full, offs, sizes)
+            count.append(size)
+        low.append(start)
+    for joins, sized in stretches:
+        if sized:  # joins past the last sized row count no row
+            i0, i1 = joins[0][0], sized[-1]
+            totals = _sums(full, [(i - i0, j) for i, j in joins if i <= i1], rows[i0 : i1 + 1])
+            for i in sized:
+                count[i] += totals[i - i0]
+    return low, count
+
+
+def _stepped(n: int, start: int, full, offs: list[int], sizes: list[int]) -> tuple[int, int]:
+    """(low, count) of S(n), n >= 1, by one step from ``start`` less its
+    first c pieces, which lie apart, above the rest (T(j + 1) < n, s_j >= 0):
+    they add ``sizes[c]`` = |S(0)| + ... + |S(c - 1)| to the count and
+    nothing to the low, unless the rest is one run, which may reach them."""
+    c = (isqrt(8 * n - 3) - 1) // 2 if 2 * (n + 2 * start) > n * (n + 1) else 0
+    while c and offs[n - c + 1] < start:
+        c -= 1
+    acc = _step(n, start, full, offs, c)
+    if c and not acc & (acc + 1):  # one run, which may reach piece c - 1
+        c, acc = 0, _step(n, start, full, offs)
+    return start + _run(acc), start + sizes[c] + acc.bit_count()
+
+
+def _small_sets(k: int, offs: list[int]) -> list[int]:
+    """The bits of S(0..k), each step from the run of ones of the set before."""
+    full = [1]  # S(0) = {0}
+    for m in range(1, k + 1):
+        low = _run(full[-1])
+        full.append(((_step(m, low, full, offs) + 1) << low) - 1)
+    return full
+
+
+def _sums(full: list[int], joins: list[tuple[int, int]], rows: range, batch: int = 255) -> list:
+    """For the row i of each n in ``rows``, the sum of |S(j) below n - j|
+    over the joins (i0, j) with i0 <= i.  From row i to i + 1 it rises by
+    the number of those j with bit n - j of S(j) set: each join's bits
+    from its row on become bytes 0 and 1 of one int, shifted to its row,
+    and the ints add, ``batch`` <= 255 at a time, so that no byte carries
+    into the next."""
+    size, flags = len(rows), bytes.maketrans(b"01", b"\0\1")
+    steps = [0] * size
+    for i, j in joins:
+        steps[i] += (full[j] & ((1 << (rows[i] - j)) - 1)).bit_count()
+    for k in range(0, len(joins), batch):
+        added = 0
+        for i, j in joins[k : k + batch]:
+            bits = full[j] >> (rows[i] - j) & ((1 << (size - i - 1)) - 1)  # bit r: row i + 1 + r
+            per_row = bin(bits)[:1:-1].encode().translate(flags)  # byte r: bit r
+            added += int.from_bytes(per_row, "little") << 8 * (i + 1)
+        steps = list(map(int.__add__, steps, added.to_bytes(size, "little")))
+    return list(accumulate(steps))
+
+
+def _run(bits: int) -> int:
+    """The length of the run of ones from bit 0."""
+    return (bits ^ (bits + 1)).bit_length() - 1
 
 
 def marked_set_rows(n_max: int) -> tuple[tuple[int, ...], ...]:

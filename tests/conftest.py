@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from reinhardt import build_table
+from reinhardt.dimsets import DimTable, _offsets, _step, full_set_limit
 from reinhardt.partitions import iter_partition_tuples
 
 # Property tests draw the same examples on every run, and a slow example
@@ -45,11 +46,28 @@ def smooth_bounded_oracle():
     return sets
 
 
+def step_build(n_max: int) -> DimTable:
+    """Oracle: the table by one largest-part step per row, each from
+    low[n - 1], keeping S(0..K) in full for the steps above K.  It sizes
+    no row, so it shares only :func:`~reinhardt.dimsets._step` with
+    ``build_table``; its work grows as n^4."""
+    offs, keep = _offsets(n_max), full_set_limit(n_max)
+    low, count, full = [1], [1], [1]  # S(0) = {0}
+    for n in range(1, n_max + 1):
+        reach = low[-1]
+        acc = _step(n, reach, full, offs)
+        low.append(reach + (acc ^ (acc + 1)).bit_length() - 1)
+        count.append(reach + acc.bit_count())
+        if n <= keep:
+            full.append(((acc + 1) << reach) - 1)
+    return DimTable(low, count)
+
+
 @pytest.fixture(scope="session")
 def table4097():
     """The table one past the CLI's build limit, so S(n + 1) is there for
-    every n the CLI builds."""
-    return build_table(4097)
+    every n the CLI builds, from the step oracle (:func:`step_build`)."""
+    return step_build(4097)
 
 
 @pytest.fixture(scope="session")

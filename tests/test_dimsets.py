@@ -1,6 +1,8 @@
 
+import hashlib
 import random
 from bisect import bisect_right
+from itertools import accumulate
 from math import isqrt
 
 import pytest
@@ -19,11 +21,13 @@ from reinhardt import (
     square_sums_bruteforce,
     two_block_dimensions,
 )
-from reinhardt import lemma
+from reinhardt import lemma, sequences
 from reinhardt.classify import MEMBERSHIP_MAX_N, _member
 from reinhardt.cli import BUILD_LIMIT
 from reinhardt.dimsets import (
+    _offsets,
     _step,
+    _stepped,
     full_set_limit,
     marked_set_rows,
     set_bit_length,
@@ -159,6 +163,46 @@ class TestBuild:
                 wrong.append(n)
         assert wrong == []
         assert full_set_limit(4096) == 160 >= 2 * isqrt(4096) + 5
+
+    def test_equals_the_step_build_to_4097(self, table4097):
+        # table4097 takes a step at every row (conftest.step_build); the
+        # build sizes most rows above K from the small sets' counts
+        built = build_table(4097)
+        wrong = [
+            n
+            for n in range(4098)
+            if (built.low[n], built.count[n]) != (table4097.low[n], table4097.count[n])
+        ]
+        # the step of a row it cannot size, less the pieces apart at its
+        # top, from low[n - 1] at every n (at n = 2 what is left is one run)
+        full = [s.bits for s in table4097.sets[: full_set_limit(4097) + 1]]
+        offs, sizes = _offsets(4097), [0, *accumulate(bits.bit_count() for bits in full)]
+        for n in range(1, 4098):
+            start = table4097.low[n - 1]
+            if _stepped(n, start, full, offs, sizes) != (table4097.low[n], table4097.count[n]):
+                wrong.append(n)
+        assert wrong == []
+
+    def test_builds_without_the_growth_lemma(self, table4097, monkeypatch):
+        # lemma.square_sum_counts runs the build's own row loop, from r0 at
+        # a window's first row, so comparing the two checks only that start.
+        # The build's independent checks are the step build to 4097, the
+        # plain recurrence to 1001, the full scan to 1500 and the digests
+        def no_lemma(*args):
+            raise AssertionError("the build used the growth lemma")
+
+        monkeypatch.setattr(lemma, "reach", no_lemma)
+        monkeypatch.setattr(sequences, "_growth_walk", no_lemma)
+        assert build_table(4097) == table4097
+
+    @pytest.mark.parametrize(
+        "n_max, digest", [(16384, "177c497215831660"), (32768, "d3b404d3e4ace2f4")]
+    )
+    def test_digests_of_the_step_build(self, n_max, digest):
+        # sha256(repr((low, count))) as the step build gave them (482 s at 32768)
+        table = build_table(n_max)
+        data = repr((list(table.low), list(table.count))).encode()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
     def test_a_table_rebuilds_its_sets_and_checks_them(self, table300):
         assert DimTable(table300.low, table300.count) == table300
@@ -452,6 +496,13 @@ class TestRealizableMembership:
         wrong = [
             n for n in range(BUILD_LIMIT + 1) if (lemma.reach(n) - n) // 2 >= table4097.low[n]
         ]
+        assert wrong == []
+
+    def test_growth_lemma_to_100000(self):
+        # as above, past the build limit, on the build, which uses no lemma
+        table = build_table(100_000)
+        rows = growth_sequence(100_000)
+        wrong = [row.n for row in rows if (row.reach - row.n) // 2 >= table.low[row.n]]
         assert wrong == []
 
     @pytest.mark.parametrize("n, stride", [(1009, 1), (2003, 1), (4096, 16)])

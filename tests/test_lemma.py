@@ -5,22 +5,22 @@ from itertools import accumulate
 
 import pytest
 
-from reinhardt import lemma
+from reinhardt import dimsets, lemma
 from reinhardt.dimsets import DimSet, _offsets, full_set_limit
 from reinhardt.lemma import square_sum_counts, square_sum_set
 
 
 def test_one_step_from_r0_gives_every_row_to_4097(table4097, monkeypatch):
-    # the lemma's step, read against the build's (low, count) at every n:
-    # a lemma that failed at some n would count an index missing there.
-    # Rows to K come from the small sets, rows to 471 from steps, and the
-    # rest are sized from the small sets' counts below n - j
+    # the lemma's start, read against the step build's (low, count) at
+    # every n: a lemma that failed at some n would count an index missing
+    # there.  square_sum_counts runs build_table's row loop, so it differs
+    # from the build only in a window's first row, started at r0
     assert square_sum_counts(0, 4097) == list(table4097.count)
-    # a window starts its walk of b, and its sums, at its first row
     for lo, hi in ((2, 2), (668, 779), (933, 957), (4000, 4097)):
         assert square_sum_counts(lo, hi) == list(table4097.count[lo : hi + 1])
-    # 108 pieces join to 4097; in batches of 7 the per-row bytes are read 16 times
-    monkeypatch.setattr(lemma, "_sums", partial(lemma._sums, batch=7))
+    # b's last stretch, from 458, joins 110 pieces; in batches of 7 their
+    # per-row bytes are read 16 times
+    monkeypatch.setattr(dimsets, "_sums", partial(dimsets._sums, batch=7))
     assert square_sum_counts(300, 4097) == list(table4097.count[300:])
     k = full_set_limit(4097)
     full = [s.bits for s in table4097.sets[: k + 1]]
@@ -31,10 +31,25 @@ def test_one_step_from_r0_gives_every_row_to_4097(table4097, monkeypatch):
         start, acc = lemma._from_reach(n, lemma.reach(n), full, offs)
         if start + (acc ^ (acc + 1)).bit_length() - 1 != table4097.low[n]:
             wrong.append(n)
-        # the step less its first pieces, which the rows past 471 do not take
-        if lemma._stepped(n, lemma.reach(n), full, offs, sizes) != table4097.count[n]:
+        # the step less its first pieces, as the rows the build cannot size
+        # take it (for n >= 1)
+        pair = (table4097.low[n], table4097.count[n])
+        if n and dimsets._stepped(n, start, full, offs, sizes) != pair:
             wrong.append(n)
     assert wrong == []
+
+
+def test_only_rows_to_471_take_a_step(monkeypatch):
+    # a window's first row starts at r0, which can lie far below low[n]:
+    # b falls at the next row and starts a new stretch, so that row and
+    # the rest of the window are sized too
+    stepped, real = [], dimsets._stepped
+    monkeypatch.setattr(dimsets, "_stepped", lambda n, *args: stepped.append(n) or real(n, *args))
+    square_sum_counts(2, 4096)
+    assert max(stepped) == 471
+    stepped.clear()
+    square_sum_counts(30_000, 30_040)
+    assert stepped == []
 
 
 @pytest.mark.parametrize(
