@@ -23,7 +23,7 @@ from typing import Any, Iterable, NoReturn, Sequence, TextIO
 # Each command imports the package's modules when it runs, so a process
 # loads only what its command uses.
 #: Last row `table` prints, and largest n whose set `set` prints, without
-#: --force; also the largest table a verify suite builds.
+#: --force.  The verify suites keep their own limits (see `verifiers`).
 BUILD_LIMIT = 4096
 #: Last row `sequence` prints: its rows are held before they are written.
 SEQUENCE_LIMIT = 100_000
@@ -217,28 +217,22 @@ def cmd_witness(args: SimpleNamespace) -> int:
     return 0
 
 
-#: suite -> (the function in `verifiers`, its arguments before max_n, how
-#: far past max_n it builds a table, or None if it has its own limit, help)
+#: suite -> (the function in `verifiers`, its arguments before max_n, help)
 _SUITES = {
-    "bounds": ("verify_bounds", (2,), None, "value bounds and parity"),
-    "lemma-largest": ("verify_largest_part", (7,), None, "large values need a big block"),
-    "numh": ("verify_noncompact_growth", (2,), 1, "noncompact growth (report-only)"),
-    "arms": ("verify_arms", (1,), None, "Young-diagram arm totals"),
-    "brute": ("verify_dp_oracle", (1,), None, "recurrence vs enumeration"),
-    "prop7": ("verify_two_block_closed_form", (2,), None, "two-block closed form vs enumeration"),
-    "sequences": ("verify_growth_sequence", (), 0, "growth-sequence invariants"),
+    "bounds": ("verify_bounds", (2,), "value bounds and parity"),
+    "lemma-largest": ("verify_largest_part", (7,), "large values need a big block"),
+    "numh": ("verify_noncompact_growth", (2,), "noncompact growth (report-only)"),
+    "arms": ("verify_arms", (1,), "Young-diagram arm totals"),
+    "brute": ("verify_dp_oracle", (1,), "recurrence vs enumeration"),
+    "prop7": ("verify_two_block_closed_form", (2,), "two-block closed form vs enumeration"),
+    "sequences": ("verify_growth_sequence", (), "growth-sequence invariants"),
 }
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
     from . import verifiers
 
-    name, lead, past, _ = _SUITES[args.suite]
-    if past is not None and args.max_n + past > BUILD_LIMIT:
-        raise CliError(
-            f"suite {args.suite} builds the table to n={args.max_n + past};"
-            f" inline builds stop at n={BUILD_LIMIT}"
-        )
+    name, lead, _ = _SUITES[args.suite]
     report = getattr(verifiers, name)(*lead, args.max_n)
     record = {
         "suite": report.suite,
@@ -326,7 +320,7 @@ _COMMANDS = {
                 str,
                 _REQUIRED,
                 tuple(sorted(_SUITES)),
-                "; ".join(f"{suite}: {entry[3]}" for suite, entry in _SUITES.items()),
+                "; ".join(f"{suite}: {entry[2]}" for suite, entry in _SUITES.items()),
             ),
             ("--max-n", int, _REQUIRED, None, "last n checked"),
             _FORMAT,

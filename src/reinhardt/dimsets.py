@@ -178,7 +178,7 @@ class SetSequence(Sequence):
     def __init__(self, low: tuple[int, ...], count: tuple[int, ...]) -> None:
         self._low, self._count = low, count
         self._offs = _offsets(len(low) - 1)
-        self._full = _small_sets(min(full_set_limit(len(low) - 1), len(low) - 1), self._offs)
+        self._full = _small_sets(full_set_limit(len(low) - 1), self._offs)
         for n, bits in enumerate(self._full):
             self._check(n, 0, bits)
 
@@ -213,10 +213,10 @@ class SetSequence(Sequence):
 
 
 def full_set_limit(n_max: int) -> int:
-    """K = 2 isqrt(n_max) + 32: a table keeps S(0..K) in full.  A step
-    at n reads S(j) for j <= J(n): every j < n for n <= 41, and above
-    that J(n) <= 2 isqrt(n) + 5 (checked to 4096; J(1000) = 58)."""
-    return 2 * isqrt(n_max) + 32
+    """K = min(n_max, 2 isqrt(n_max) + 32): a table keeps S(0..K) in
+    full.  A step at n reads S(j) for j <= J(n): every j < n for n <= 41,
+    and above that J(n) <= 2 isqrt(n) + 5 (checked to 4096; J(1000) = 58)."""
+    return min(n_max, 2 * isqrt(n_max) + 32)
 
 
 def _offsets(n_max: int) -> list[int]:
@@ -270,7 +270,7 @@ def build_table(n_max: int) -> DimTable:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    return DimTable(*_rows(0, n_max, min(n_max, full_set_limit(n_max))))
+    return DimTable(*_rows(0, n_max, full_set_limit(n_max)))
 
 
 def _rows(min_n: int, max_n: int, k: int, start: int = 0) -> tuple[list[int], list[int]]:
@@ -282,12 +282,21 @@ def _rows(min_n: int, max_n: int, k: int, start: int = 0) -> tuple[list[int], li
     n - j below piece j - 1; piece b, the first with s_b <= 0, holds the
     start.  The pieces below j end at most T(j + 1) - n above s_j,
     T(m) = m(m + 1)/2.  Where that is below low(j), the run of S(j), for
-    every j <= b, and the start is in piece b's run, the step holds from
-    s_j to piece j - 1 just S(j)'s indices below n - j.  So |S(n)| =
-    off(n - b) + sum_{j <= b} |S(j) below n - j|, and low[n] = off(n - j*)
-    + low(j*), j* <= b the first piece not full (low(j*) + j* < n).  b
-    only rises over a stretch of rows, so :func:`_sums` sums a stretch at
-    once.  Other rows take a step (:func:`_stepped`).
+    every j <= b, the step holds from s_j to piece j - 1 just S(j)'s
+    indices below n - j.  So |S(n)| = off(n - b) + sum_{j <= b} |S(j)
+    below n - j|, and low[n] = off(n - j*) + low(j*), j* <= b the first
+    piece not full (low(j*) + j* < n).  b only rises over a stretch of
+    rows, so :func:`_sums` sums a stretch at once.  Other rows take a
+    step (:func:`_stepped`).
+
+    The sum also needs the start in piece b's run, and has it.  Else
+    g = off(n - b) + low(b) < start is in S(n) and in no piece j <= n/2
+    (b lacks it, j < b begin above the start, j > b end below g), so its
+    parts are all below n/2: g <= n(n - 3)/4 < start - n/2, as a step
+    starts above n(n - 1)/4.  With start < off(n - b + 1) = off(n - b) +
+    n - b that gives T(b + 1) - n < low(b) < n/2 - b, so b^2 + 5b + 2 <
+    3n, which puts off(n - b) above n(n - 3)/4 >= g (from n = 27 on as
+    b < n/4; below, by trying each b), a contradiction.
     """
     offs = _offsets(max_n)
     full = _small_sets(k, offs)
@@ -306,8 +315,7 @@ def _rows(min_n: int, max_n: int, k: int, start: int = 0) -> tuple[list[int], li
             b += 1
             joins.append((i, b))
         big = 2 * (n + 2 * start) > n * (n + 1)  # a largest-part step, as in _step
-        # each piece's spill lies in its run, and the start in piece b's run
-        if big and 0 < b < len(full) and n > worst[b] and start - offs[n - b] <= lows[b]:
+        if big and 0 < b < len(full) and n > worst[b]:  # each piece's spill lies in its run
             js = b
             while lows[js] + js >= n:  # piece js is full
                 js -= 1

@@ -33,16 +33,23 @@ def reach(n: int) -> int:
     return (n - lo) ** 2 + reach(lo) if lo else n * n
 
 
+def r0(n: int) -> int:
+    """The growth lemma's start: every index below (reach(n) - n)/2 + 1 is in S(n)."""
+    return (reach(n) - n) // 2 + 1
+
+
 def square_sum_set(n: int) -> DimSet:
-    """S(n): S(K) from the small sets S(0..K), K = min(n, full_set_limit(n)),
-    when n = K, else one step from r0(n) over them."""
+    """S(n): S(K) from the small sets S(0..K), K = full_set_limit(n), when
+    n = K, else one step (:func:`~reinhardt.dimsets._step`) from r0(n)
+    over them."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    k, offs = min(n, full_set_limit(n)), _offsets(n)
+    k, offs = full_set_limit(n), _offsets(n)
     full = _small_sets(k, offs)
     if n == k:
         return DimSet(n, full[n])
-    start, acc = _from_reach(n, reach(n), full, offs)
+    start = r0(n)
+    acc = _step(n, start, full, offs)
     low = start + _run(acc)
     return DimSet.from_prefix_tail(n, low, acc >> (low - start))
 
@@ -50,17 +57,9 @@ def square_sum_set(n: int) -> DimSet:
 def square_sum_counts(min_n: int, max_n: int) -> list[int]:
     """|S(n)| for n = min_n..max_n: the build's rows
     (:func:`~reinhardt.dimsets._rows`) from S(0..K),
-    K = min(max_n, full_set_limit(max_n)), with a window's first row past
-    K + 1 started at r0(min_n), so no row below the window is built.
-    Comparing these counts with the build's checks only that start."""
+    K = full_set_limit(max_n), with a window's first row past K + 1
+    started at r0(min_n), so no row below the window is built.  Comparing
+    these counts with the build's checks only that start."""
     if not 0 <= min_n <= max_n:
         raise ValueError(f"need 0 <= min_n <= max_n, got ({min_n}, {max_n})")
-    k = min(max_n, full_set_limit(max_n))
-    return _rows(min_n, max_n, k, (reach(min_n) - min_n) // 2 + 1)[1]
-
-
-def _from_reach(n: int, reach_n: int, full, offs: list[int]) -> tuple[int, int]:
-    """(r0(n), the bits of S(n) from index r0(n) up), reach_n = reach(n), by
-    one step over the full sets ``full[j]`` = S(j) (:func:`_step`)."""
-    start = (reach_n - n) // 2 + 1
-    return start, _step(n, start, full, offs)
+    return _rows(min_n, max_n, full_set_limit(max_n), r0(min_n))[1]

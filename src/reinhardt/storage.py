@@ -19,10 +19,10 @@ a load names the first bad record, and swapped records or words fail.
 The chain leaves the stored CRCs out: a CRC-32 over some bytes and
 their own CRC always ends in the same state (the residue 0x2144DF1C),
 so a chain through them would restart at every record and let whole
-records swap places unseen.  A stored low or count that the recurrence
-disagrees with behind valid CRCs is caught when its set is rebuilt,
-which for S(0..K) is at load; as a low also seeds the next set's step,
-a wrong one gives that set whole or an error, never a wrong set.
+records swap places unseen.  A low or count that the build disagrees
+with behind valid CRCs fails the load: rows 0..K as S(0..K) are rebuilt
+(a :class:`ValueError` naming S(n)), the rows above against the build's
+own (:func:`~reinhardt.dimsets._rows`), naming the first bad record.
 
 Format v4 replaced v3, which stored each set's tail, on purpose.  Files
 of versions 1 to 3 are not read: :class:`UnsupportedFormatError` names
@@ -37,7 +37,7 @@ import struct
 import zlib
 from typing import BinaryIO
 
-from .dimsets import DimTable, set_bit_length
+from .dimsets import DimTable, _rows, full_set_limit, set_bit_length
 
 MAGIC = b"RDIM"
 VERSION = 4
@@ -72,7 +72,7 @@ def save_table(table: DimTable, sink: BinaryIO) -> int:
 def load_table(source: BinaryIO) -> DimTable:
     """Read and validate a table written by :func:`save_table`: the stream
     whole, then the magic, the version, each record's CRC and range in
-    order, and that no byte follows the last record."""
+    order, that no byte follows the last record, and each row (above)."""
     data = source.read()
     magic = data[: len(MAGIC)]
     if magic != MAGIC:
@@ -111,4 +111,12 @@ def load_table(source: BinaryIO) -> DimTable:
         count.append(size)
     if len(data) > end:
         raise TableCorruptionError("trailing bytes after the last record")
-    return DimTable(low, count)
+    table = DimTable(low, count)  # rebuilds S(0..K) and checks their rows
+    for n, row in enumerate(zip(*_rows(0, n_max, full_set_limit(n_max)))):
+        if row != (low[n], count[n]):
+            raise TableCorruptionError(
+                f"record {n} stores low {low[n]} and count {count[n]}, but the build"
+                f" gives low {row[0]} and count {row[1]}",
+                record_index=n,
+            )
+    return table

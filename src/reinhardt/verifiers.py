@@ -7,6 +7,9 @@ suites that probe asymptotic statements at finite n are report-only, and
 conflating the two would overstate what a finite scan can show.  Every
 suite is deterministic: the same range yields the same report (modulo
 elapsed time), and every recorded counterexample re-fails on its own.
+Before any work a suite refuses a range past its own limit, or one that
+needs a table built past n = :data:`TABLE_MAX_N`; a table passed in is
+used as it is.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .sequences import growth_sequence
 #: runtime guards (partition counts explode), not mathematical bounds.
 BOUNDS_MAX_N = 40
 LARGEST_MAX_N = 60
+#: The largest table a suite builds: `numh` reads one row past its range.
+TABLE_MAX_N = 100_000
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -59,13 +64,8 @@ def _finish(
     report_only: bool = False,
     notes: str = "",
 ) -> CheckReport:
-    if report_only:
-        status = STATUS_REPORT_ONLY
-    else:
-        status = STATUS_FAIL if ces else STATUS_PASS
-    return CheckReport(
-        suite, n_lo, n_hi, status, tuple(ces), time.perf_counter() - started, notes
-    )
+    status = STATUS_REPORT_ONLY if report_only else STATUS_FAIL if ces else STATUS_PASS
+    return CheckReport(suite, n_lo, n_hi, status, tuple(ces), time.perf_counter() - started, notes)
 
 
 def _checked(suite: str, n_lo: int, n_hi: int, lowest: int, limit: int | None = None) -> float:
@@ -79,9 +79,12 @@ def _checked(suite: str, n_lo: int, n_hi: int, lowest: int, limit: int | None = 
 
 
 def _ensure_table(table: DimTable | None, n_needed: int) -> DimTable:
-    if table is None or table.n_max < n_needed:
-        return build_table(n_needed)
-    return table
+    """``table`` if it reaches n_needed, else one built to n <= :data:`TABLE_MAX_N`."""
+    if table is not None and table.n_max >= n_needed:
+        return table
+    if n_needed > TABLE_MAX_N:
+        raise ValueError(f"suites build tables to n={TABLE_MAX_N}, this one needs n={n_needed}")
+    return build_table(n_needed)
 
 
 def verify_bounds(n_lo: int, n_hi: int) -> CheckReport:
@@ -115,9 +118,7 @@ def verify_bounds(n_lo: int, n_hi: int) -> CheckReport:
     return _finish("bounds", n_lo, n_hi, ces, started)
 
 
-def _bounds_failures(
-    n: int, parts: tuple[int, ...], base: int, ces: list[Counterexample]
-) -> None:
+def _bounds_failures(n: int, parts: tuple[int, ...], base: int, ces: list[Counterexample]) -> None:
     """Append every bound that one partition of n with square sum ``base``
     breaks, for each mark count q = 0..k."""
     nn = n * n
@@ -146,9 +147,7 @@ def _bounds_failures(
             ces.append((n, hi_val, f"reaches n^2 with {k} >= 3 blocks via {parts}"))
 
 
-def verify_largest_part(
-    n_lo: int, n_hi: int, table: DimTable | None = None
-) -> CheckReport:
+def verify_largest_part(n_lo: int, n_hi: int, table: DimTable | None = None) -> CheckReport:
     """Large square sums force a block bigger than n/2.
 
     Checks, for each n in range: (a) every achievable square sum above
@@ -188,9 +187,7 @@ def _max_square_sum(n: int, cap: int) -> int:
     return top[n]
 
 
-def verify_noncompact_growth(
-    n_lo: int, n_hi: int, table: DimTable | None = None
-) -> CheckReport:
+def verify_noncompact_growth(n_lo: int, n_hi: int, table: DimTable | None = None) -> CheckReport:
     """Report-only probe of the noncompact-count growth inequality.
 
     For each n, pick the k >= 1 with k^2+3k+1 <= 2n < (k+1)^2+3(k+1)+1
@@ -217,9 +214,7 @@ def verify_noncompact_growth(
         "observational: the inequality is only derived for large n; "
         f"{skipped} row(s) skipped with no admissible k"
     )
-    return _finish(
-        "numh", n_lo, n_hi, observations, started, report_only=True, notes=notes
-    )
+    return _finish("numh", n_lo, n_hi, observations, started, report_only=True, notes=notes)
 
 
 def _growth_anchor_index(n: int) -> int | None:
@@ -298,20 +293,16 @@ def verify_growth_sequence(n_max: int, table: DimTable | None = None) -> CheckRe
         n = row.n
         if (row.reach - n) % 2:
             ces.append((n, row.reach, "reach parity differs from n"))
-        if n >= 1 and n + 1 <= n_max:
-            nxt = rows[n + 1].anchor
-            cur = row.anchor
-            if nxt < cur:
-                ces.append((n, nxt, "anchor decreased"))
+        if 1 <= n < n_max and rows[n + 1].anchor < row.anchor:
+            ces.append((n, rows[n + 1].anchor, "anchor decreased"))
         if n >= 4 and row.reach < 2 * n:
             ces.append((n, row.reach, "reach below 2n"))
         span = (row.reach - n) // 2
         low = table.low[n]  # indices 0..span must lie in the run of ones
         if low <= span:
             ces.append((n, n + 2 * low, "guaranteed interval value missing from the set"))
-        if 2 <= n <= table.n_max:
-            if compact_count(table, n) < span:
-                ces.append((n, span, "compact count below (reach - n)/2"))
+        if n >= 2 and compact_count(table, n) < span:  # the table reaches n_max
+            ces.append((n, span, "compact count below (reach - n)/2"))
     if n_max >= 18 and rows[18].anchor != 7:
         ces.append((18, rows[18].anchor or -1, "anchor(18) != 7"))
     return _finish("sequences", 0, n_max, ces, started)

@@ -132,3 +132,10 @@ def test_the_table_command_child_runs_against_a_tree(tmp_path):
     result = _real_child(tmp_path, "cli_table", 30, "2", "t.rdim")
     assert result["exit"] == 0 and result["s"] > 0 and result["maxrss_mib"] > 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_suite_child_runs_a_suite_with_or_without_n_lo(tmp_path):
+    # a report-only suite over 2..30, and the growth suite over 0..30
+    for op, args in (("verify_noncompact_growth", ("2",)), ("verify_growth_sequence", ())):
+        result = _real_child(tmp_path, op, 30, *args)
+        assert result["s"] > 0 and result["maxrss_mib"] > 0

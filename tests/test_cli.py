@@ -125,19 +125,29 @@ class TestBuildLimit:
         assert [run(capsys, "classify", "--n", n, "--dim", d) for n, d in queries] == expected
 
     def test_verify_suites_that_build_obey_the_limit(self, capsys, monkeypatch):
+        # the suites' own limit, not BUILD_LIMIT: sequences builds the table
+        # to max_n, numh to max_n + 1, and past the limit neither builds
+        limit = reinhardt.verifiers.TABLE_MAX_N
+        assert limit == 100_000
         monkeypatch.setattr(reinhardt.cli, "BUILD_LIMIT", 10)
-        # sequences builds the table to max_n, numh to max_n + 1
-        for suite, max_n in (("sequences", "10"), ("numh", "9")):
+        for suite, max_n in (("sequences", "11"), ("numh", "10")):
             assert run(capsys, "verify", "--suite", suite, "--max-n", max_n)[0] == 0
 
         def no_build(n_max):
             raise AssertionError(f"built to n={n_max}")
 
         monkeypatch.setattr(reinhardt.verifiers, "build_table", no_build)
-        for suite, max_n in (("sequences", "11"), ("numh", "10")):
-            code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
-            assert (code, out) == (1, "")
-            assert "builds the table to n=11; inline builds stop at n=10" in err
+        for suite, max_n in (("sequences", limit + 1), ("numh", limit)):
+            assert run(capsys, "verify", "--suite", suite, "--max-n", str(max_n)) == (
+                1,
+                "",
+                f"error: suites build tables to n={limit}, this one needs n={limit + 1}\n",
+            )
+
+    def test_sequences_runs_to_the_limit(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "sequences", "--max-n", "100000")
+        assert (code, err) == (0, "")
+        assert {"n_hi,100000", "status,pass"} <= set(out.splitlines())
 
 
 def _save(path, table):

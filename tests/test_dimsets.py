@@ -21,7 +21,7 @@ from reinhardt import (
     square_sums_bruteforce,
     two_block_dimensions,
 )
-from reinhardt import lemma, sequences
+from reinhardt import dimsets, lemma, sequences
 from reinhardt.classify import MEMBERSHIP_MAX_N, _member
 from reinhardt.cli import BUILD_LIMIT
 from reinhardt.dimsets import (
@@ -182,6 +182,29 @@ class TestBuild:
             if _stepped(n, start, full, offs, sizes) != (table4097.low[n], table4097.count[n]):
                 wrong.append(n)
         assert wrong == []
+
+    def test_rows_from_any_start_up_to_low(self, table4097, monkeypatch):
+        # a row of _rows from any start below which S(n) is whole: r0(n),
+        # low[n - 1], low[n] and seeded starts between, at every 9th n past
+        # K + 1, against the step build.  Its docstring argues that the
+        # start always lies in piece b's run; every row past 471 is sized
+        k, offs = full_set_limit(4097), _offsets(4097)
+        full = [s.bits for s in table4097.sets[: k + 1]]  # as the row loop rebuilds them
+        monkeypatch.setattr(dimsets, "_offsets", lambda m: offs[: m + 1])
+        monkeypatch.setattr(dimsets, "_small_sets", lambda m, _: full[: m + 1])
+        stepped, real = [], dimsets._stepped
+        monkeypatch.setattr(dimsets, "_stepped", lambda n, *args: stepped.append(n) or real(n, *args))
+        low, count = table4097.low, table4097.count
+        wrong, pairs = [], 0
+        for n in range(k + 2, 4098, 9):
+            starts = {lemma.r0(n), low[n - 1], low[n]}
+            starts.update(random.Random(n).sample(range(min(starts), low[n]), 3))
+            for start in starts:
+                pairs += 1
+                if dimsets._rows(n, n, k, start) != ([low[n]], [count[n]]):
+                    wrong.append((n, start))
+        assert wrong == [] and pairs > 2000
+        assert max(stepped) <= 471
 
     def test_builds_without_the_growth_lemma(self, table4097, monkeypatch):
         # lemma.square_sum_counts runs the build's own row loop, from r0 at

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reinhardt import (
+    DimTable,
     TableCorruptionError,
     UnsupportedFormatError,
     build_table,
+    compact_count,
     load_table,
+    noncompact_count,
     save_table,
 )
 from reinhardt.dimsets import full_set_limit
@@ -172,8 +175,8 @@ class TestValidation:
     @pytest.mark.parametrize("field", [0, 8], ids=["low", "count"])
     @pytest.mark.parametrize("n", [30, 90])
     def test_recurrence_mismatch_detected_when_the_set_is_rebuilt(self, field, n):
-        # n_max = 100 keeps S(0..52) in full, so S(30) is rebuilt at load
-        # and S(90) only when it is asked for
+        # n_max = 100 keeps S(0..52) in full, so S(30) is rebuilt at load,
+        # and the row of 90 is checked at load against the build's rows
         table = build_table(100)
         assert full_set_limit(100) == 52
         data = bytearray(_dump(table))
@@ -184,23 +187,29 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds"):
                 load_table(io.BytesIO(bytes(data)))
             return
-        loaded = load_table(io.BytesIO(bytes(data)))
-        assert loaded.sets[n - 1] == table.sets[n - 1]
+        with pytest.raises(TableCorruptionError, match=f"record {n} stores") as err:
+            load_table(io.BytesIO(bytes(data)))
+        assert err.value.record_index == n
+        # a table made from such rows directly rebuilds S(90) only when it
+        # is asked for, and checks it then
+        low, count = list(table.low), list(table.count)
+        (count if field else low)[n] = stored - 1
+        made = DimTable(low, count)
+        assert made.sets[n - 1] == table.sets[n - 1]
         with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds with low {table.low[n]}"):
-            loaded.sets[n]
+            made.sets[n]
         if field:
             return
         # a stored low seeds the next step: raised up to low[n+1] the step
         # still rebuilds S(n+1), raised past it S(n+1) rebuilds too high,
         # and cut to 1 the step needs sets the table does not keep
-        for low, error in [
+        for value, error in [
             (1, "does not rebuild from"),
             (stored + 1, None),
             (table.low[n + 1] + 1, "rebuilds with low"),
         ]:
-            _put(data, n, 0, low)
-            _reseal(data)
-            loaded = load_table(io.BytesIO(bytes(data)))
+            low[n] = value
+            loaded = DimTable(low, count)
             with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds with low {table.low[n]}"):
                 loaded.sets[n]
             if error is None:
@@ -208,6 +217,21 @@ class TestValidation:
             else:
                 with pytest.raises(ValueError, match=f"S\\({n + 1}\\) {error}"):
                     loaded.sets[n + 1]
+
+    def test_count_above_k_behind_valid_crcs_fails_the_load(self):
+        # n_max = 200 keeps S(0..60) in full; a count of 150 lowered by 2
+        # would serve c(150) and h(149) 2 low, and only S(150) would raise
+        table = build_table(200)
+        assert full_set_limit(200) == 60
+        data = bytearray(_dump(table))
+        _put(data, 150, 8, table.count[150] - 2)
+        _reseal(data)
+        with pytest.raises(TableCorruptionError, match="record 150 stores low") as err:
+            load_table(io.BytesIO(bytes(data)))
+        assert err.value.record_index == 150
+        made = DimTable(table.low, [*table.count[:150], table.count[150] - 2, *table.count[151:]])
+        assert (compact_count(made, 150), compact_count(table, 150)) == (9165, 9167)
+        assert (noncompact_count(made, 149), noncompact_count(table, 149)) == (125, 127)
 
     def test_truncation_names_first_incomplete_record(self):
         data = _dump(build_table(4))

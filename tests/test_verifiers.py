@@ -258,6 +258,21 @@ class TestGrowthSequenceSuite:
         assert [ce[:2] for ce in report.counterexamples] == [(40, 60)]
 
 
+class TestTableLimit:
+    def test_a_covering_table_runs_past_the_limit(self, monkeypatch, table64):
+        def no_build(n_max):
+            raise AssertionError(f"built to n={n_max}")
+
+        monkeypatch.setattr(reinhardt.verifiers, "TABLE_MAX_N", 40)
+        monkeypatch.setattr(reinhardt.verifiers, "build_table", no_build)
+        assert verify_growth_sequence(64, table64).status == "pass"
+        assert verify_noncompact_growth(2, 63, table64).status == "report-only"
+        # without one, a table past the limit is refused before it is built
+        for suite, args in ((verify_growth_sequence, (41,)), (verify_noncompact_growth, (2, 40))):
+            with pytest.raises(ValueError, match="suites build tables to n=40, this one needs n=41"):
+                suite(*args)
+
+
 class TestReportShape:
     def test_deterministic_modulo_elapsed(self, table64):
         a = verify_arms(1, 12, table64)

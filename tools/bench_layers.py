@@ -112,9 +112,11 @@ ENUMERATION = ("iter_partition_tuples", "iter_square_sums")
 ENUMERATION_N = (40, 50, 60)
 ROUNDS = 20  # children per tree and layer; even, so each tree leads in half
 REPEATS = 5  # timed runs per child; the best is kept
-#: (suite function, n_lo, n_hi): the enumeration-heavy suites at the range
-#: perfbench's small-n-queries runs them and at a larger one: their largest,
-#: or n = 50 for the enumeration oracle, which takes about a minute at 80
+#: (suite function, n_lo or None for a suite over 0..n_hi, n_hi): the
+#: enumeration-heavy suites at the range perfbench's small-n-queries runs
+#: them and at a larger one: their largest, or n = 50 for the enumeration
+#: oracle, which takes about a minute at 80; and the two suites that build
+#: a table, at the largest range that table may have
 SUITES = (
     ("verify_bounds", 2, 30),
     ("verify_bounds", 2, 40),
@@ -122,6 +124,8 @@ SUITES = (
     ("verify_largest_part", 7, 60),
     ("verify_dp_oracle", 1, 30),
     ("verify_dp_oracle", 1, 50),
+    ("verify_noncompact_growth", 2, 99_999),
+    ("verify_growth_sequence", None, 100_000),
 )
 #: one small argv per subcommand, so start-up dominates each child, and
 #: one `set` whose output, S(801), is about 2 MB of dense run
@@ -187,13 +191,13 @@ elif op.startswith("cli_"):  # a command in-process, stdout to a null sink
             started = time.perf_counter()
             result["exit"] = cli.main(argv)
             best = min(best, time.perf_counter() - started)
-elif op.startswith("verify_"):  # a suite over n = int(args[0])..n
+elif op.startswith("verify_"):  # a suite over n = int(args[0])..n, or 0..n
     suite = getattr(reinhardt, op)
     for _ in range(reps):
         started = time.perf_counter()
-        report = suite(int(args[0]), n)
+        report = suite(*map(int, args), n)
         best = min(best, time.perf_counter() - started)
-        assert report.status == "pass", report
+        assert report.status in ("pass", "report-only"), report
 elif op.startswith("iter_"):  # drain a partition stream of n
     from collections import deque
     from reinhardt import partitions
@@ -371,7 +375,8 @@ def measure(trees: dict[str, Path], sizes: list[int]) -> dict[str, dict]:
             for n in ENUMERATION_N:
                 layer("enumeration", f"{op}({n})", op, n)
         for name, lo, hi in SUITES:
-            layer("suites", f"{name}({lo}, {hi})", name, hi, str(lo))
+            lead = () if lo is None else (str(lo),)
+            layer("suites", f"{name}({', '.join((*lead, str(hi)))})", name, hi, *lead)
         probes = {"pass": ("-c", "pass"), "import reinhardt.cli": ("-c", "import reinhardt.cli")}
         probes.update((cmd, ("-m", "reinhardt.cli", *a)) for cmd, a in STARTUP_ARGV.items())
         for name, argv in probes.items():
