@@ -143,11 +143,11 @@ class DimTable(Frozen):
 
     ``low[n]`` is the run of ones from index 0 in S(n) and ``count[n]``
     its size; :func:`compact_count` and :func:`noncompact_count` read the
-    counts.  The sets S(0..K), K = :func:`full_set_limit` (n_max), are
-    rebuilt in full when the table is made, and ``sets[n]`` above K is
-    rebuilt from them and from ``low[n-1]`` with one step of the build
-    on each access.  A rebuilt set whose low or size differs from
-    the stored pair raises :class:`ValueError` naming its n.
+    counts.  It keeps S(0..K), K = :func:`full_set_limit` (n_max), in full:
+    a built table shares the build's; ``DimTable(low, count)`` rebuilds and
+    checks them.  ``sets[n]`` above K is rebuilt from them and ``low[n-1]``
+    with one step of the build on each access; a rebuilt set whose low or
+    size differs from the stored pair raises :class:`ValueError` naming n.
     """
 
     __slots__ = ("low", "count", "sets")
@@ -159,9 +159,22 @@ class DimTable(Frozen):
         low, count = tuple(low), tuple(count)
         if not low or len(low) != len(count):
             raise ValueError("a table needs one low and one count per n, from n = 0")
+        offs = _offsets(len(low) - 1)
+        self._set(low, count, _small_sets(full_set_limit(len(low) - 1), offs), offs)
+        for n, bits in enumerate(self.sets._full):
+            self.sets._check(n, 0, bits)
+
+    @classmethod
+    def _built(cls, low: list[int], count: list[int], full, offs: list[int]) -> "DimTable":
+        """The table of the rows :func:`_rows` sized from ``full`` = S(0..K), which it shares."""
+        self = object.__new__(cls)
+        self._set(tuple(low), tuple(count), full, offs)
+        return self
+
+    def _set(self, low: tuple[int, ...], count: tuple[int, ...], full, offs: list[int]) -> None:
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "count", count)
-        object.__setattr__(self, "sets", SetSequence(low, count))
+        object.__setattr__(self, "sets", SetSequence(low, count, full, offs))
 
     def _key(self) -> tuple:
         return self.low, self.count
@@ -175,12 +188,8 @@ class SetSequence(Sequence):
     """``table.sets``: S(n) for n = 0..n_max, each rebuilt on access
     (see :class:`DimTable`); slices give tuples of sets."""
 
-    def __init__(self, low: tuple[int, ...], count: tuple[int, ...]) -> None:
-        self._low, self._count = low, count
-        self._offs = _offsets(len(low) - 1)
-        self._full = _small_sets(full_set_limit(len(low) - 1), self._offs)
-        for n, bits in enumerate(self._full):
-            self._check(n, 0, bits)
+    def __init__(self, low: tuple[int, ...], count: tuple[int, ...], full, offs: list[int]) -> None:
+        self._low, self._count, self._full, self._offs = low, count, full, offs
 
     def _check(self, n: int, reach: int, acc: int) -> None:
         lo, size = reach + _run(acc), reach + acc.bit_count()
@@ -265,18 +274,20 @@ def build_table(n_max: int) -> DimTable:
     the plain recurrence; the result equals it bit for bit.
 
     S(0..K), K = :func:`full_set_limit` (n_max), are built so, a step
-    each; the rows above K are sized from them, or stepped
-    (:func:`_rows`).  n_max = 0 gives the trivial table of only {0}.
+    each, and kept by the table; the rows above K are sized from them, or
+    stepped (:func:`_rows`).  n_max = 0 gives the trivial table of {0}.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    return DimTable(*_rows(0, n_max, full_set_limit(n_max)))
+    offs = _offsets(n_max)
+    full = _small_sets(full_set_limit(n_max), offs)
+    return DimTable._built(*_rows(0, n_max, full, offs), full, offs)
 
 
-def _rows(min_n: int, max_n: int, k: int, start: int = 0) -> tuple[list[int], list[int]]:
-    """(low, count) of S(n) for n = min_n..max_n.  Rows n <= k are read
-    from the small sets S(0..k).  Row n > k starts at low[n - 1], or the
-    window's first at ``start``; every index below either is in S(n).
+def _rows(min_n: int, max_n: int, full, offs: list[int], start: int = 0) -> tuple[list, list]:
+    """(low, count) of S(n) for n = min_n..max_n from ``full`` = S(0..k)
+    and ``offs`` = :func:`_offsets` (max_n).  Row n > k starts at low[n - 1],
+    or the window's first at ``start``; every index below either is in S(n).
 
     A step from the start puts piece j, S(j), at s_j = off(n - j) - start,
     n - j below piece j - 1; piece b, the first with s_b <= 0, holds the
@@ -298,14 +309,12 @@ def _rows(min_n: int, max_n: int, k: int, start: int = 0) -> tuple[list[int], li
     3n, which puts off(n - b) above n(n - 3)/4 >= g (from n = 27 on as
     b < n/4; below, by trying each b), a contradiction.
     """
-    offs = _offsets(max_n)
-    full = _small_sets(k, offs)
     lows = [_run(s) for s in full]
     sizes = [0, *accumulate(s.bit_count() for s in full)]  # |S(0)| + ... + |S(j - 1)|
     worst = list(accumulate(((j + 1) * (j + 2) // 2 - low for j, low in enumerate(lows)), max))
     rows = range(min_n, max_n + 1)
     low, count = lows[min_n:], [s.bit_count() for s in full[min_n:]]
-    start = lows[k] if min_n <= k + 1 else start
+    start = lows[-1] if min_n <= len(full) else start
     stretches, b = [], -1  # (joins, sized rows) of each stretch of rows over which b only rises
     for i, n in enumerate(rows[len(low) :], len(low)):
         if b < 0 or offs[n - b + 1] <= start:  # b falls: a new stretch

@@ -55,11 +55,11 @@ def square_sum_set(n: int) -> DimSet:
 
 
 def square_sum_counts(min_n: int, max_n: int) -> list[int]:
-    """|S(n)| for n = min_n..max_n: the build's rows
-    (:func:`~reinhardt.dimsets._rows`) from S(0..K),
-    K = full_set_limit(max_n), with a window's first row past K + 1
-    started at r0(min_n), so no row below the window is built.  Comparing
-    these counts with the build's checks only that start."""
+    """|S(n)| for n = min_n..max_n: the build's rows (:func:`~reinhardt.dimsets._rows`)
+    from S(0..K), K = full_set_limit(max_n), with a window's first row past
+    K + 1 started at r0(min_n), so no row below the window is built.
+    Comparing these counts with the build's checks only that start."""
     if not 0 <= min_n <= max_n:
         raise ValueError(f"need 0 <= min_n <= max_n, got ({min_n}, {max_n})")
-    return _rows(min_n, max_n, full_set_limit(max_n), r0(min_n))[1]
+    offs = _offsets(max_n)
+    return _rows(min_n, max_n, _small_sets(full_set_limit(max_n), offs), offs, r0(min_n))[1]

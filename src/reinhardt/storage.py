@@ -19,10 +19,9 @@ a load names the first bad record, and swapped records or words fail.
 The chain leaves the stored CRCs out: a CRC-32 over some bytes and
 their own CRC always ends in the same state (the residue 0x2144DF1C),
 so a chain through them would restart at every record and let whole
-records swap places unseen.  A low or count that the build disagrees
-with behind valid CRCs fails the load: rows 0..K as S(0..K) are rebuilt
-(a :class:`ValueError` naming S(n)), the rows above against the build's
-own (:func:`~reinhardt.dimsets._rows`), naming the first bad record.
+records swap places unseen.  A load then compares every record with
+:func:`~reinhardt.dimsets.build_table` (n_max), which it returns: behind
+valid CRCs, the first that differs raises :class:`TableCorruptionError`.
 
 Format v4 replaced v3, which stored each set's tail, on purpose.  Files
 of versions 1 to 3 are not read: :class:`UnsupportedFormatError` names
@@ -37,7 +36,7 @@ import struct
 import zlib
 from typing import BinaryIO
 
-from .dimsets import DimTable, _rows, full_set_limit, set_bit_length
+from .dimsets import DimTable, build_table, set_bit_length
 
 MAGIC = b"RDIM"
 VERSION = 4
@@ -86,19 +85,16 @@ def load_table(source: BinaryIO) -> DimTable:
             f"table format version {version}; only version {VERSION} is read"
         )
     crc = zlib.crc32(data[:end])
-    low, count = [], []
+    rows = []
     for n in range(n_max + 1):
         start, end = end, end + _RECORD.size
         if len(data) < end:
-            raise TableCorruptionError(
-                f"truncated stream while reading record of record {n}", record_index=n
-            )
+            raise TableCorruptionError(f"truncated stream while reading record {n}", record_index=n)
         lo, size, stored = _RECORD.unpack_from(data, start)
         crc = zlib.crc32(data[start : start + 16], crc)
         if stored != crc:
             raise TableCorruptionError(
-                f"record {n} checksum mismatch: stored {stored:#010x},"
-                f" computed {crc:#010x}",
+                f"record {n} checksum mismatch: stored {stored:#010x}, computed {crc:#010x}",
                 record_index=n,
             )
         if not 1 <= lo <= size <= set_bit_length(n):
@@ -107,16 +103,15 @@ def load_table(source: BinaryIO) -> DimTable:
                 f" outside 1 <= low <= count <= {set_bit_length(n)}",
                 record_index=n,
             )
-        low.append(lo)
-        count.append(size)
+        rows.append((lo, size))
     if len(data) > end:
         raise TableCorruptionError("trailing bytes after the last record")
-    table = DimTable(low, count)  # rebuilds S(0..K) and checks their rows
-    for n, row in enumerate(zip(*_rows(0, n_max, full_set_limit(n_max)))):
-        if row != (low[n], count[n]):
+    table = build_table(n_max)
+    for n, (row, built) in enumerate(zip(rows, zip(table.low, table.count))):
+        if row != built:
             raise TableCorruptionError(
-                f"record {n} stores low {low[n]} and count {count[n]}, but the build"
-                f" gives low {row[0]} and count {row[1]}",
+                f"record {n} stores low {row[0]} and count {row[1]}, but the build"
+                f" gives low {built[0]} and count {built[1]}",
                 record_index=n,
             )
     return table

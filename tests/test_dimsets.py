@@ -189,9 +189,7 @@ class TestBuild:
         # K + 1, against the step build.  Its docstring argues that the
         # start always lies in piece b's run; every row past 471 is sized
         k, offs = full_set_limit(4097), _offsets(4097)
-        full = [s.bits for s in table4097.sets[: k + 1]]  # as the row loop rebuilds them
-        monkeypatch.setattr(dimsets, "_offsets", lambda m: offs[: m + 1])
-        monkeypatch.setattr(dimsets, "_small_sets", lambda m, _: full[: m + 1])
+        full = [s.bits for s in table4097.sets[: k + 1]]
         stepped, real = [], dimsets._stepped
         monkeypatch.setattr(dimsets, "_stepped", lambda n, *args: stepped.append(n) or real(n, *args))
         low, count = table4097.low, table4097.count
@@ -201,7 +199,8 @@ class TestBuild:
             starts.update(random.Random(n).sample(range(min(starts), low[n]), 3))
             for start in starts:
                 pairs += 1
-                if dimsets._rows(n, n, k, start) != ([low[n]], [count[n]]):
+                row = dimsets._rows(n, n, full, offs[: n + 1], start)
+                if row != ([low[n]], [count[n]]):
                     wrong.append((n, start))
         assert wrong == [] and pairs > 2000
         assert max(stepped) <= 471

@@ -17,6 +17,7 @@ from reinhardt import (
     noncompact_count,
     save_table,
 )
+from reinhardt import dimsets
 from reinhardt.dimsets import full_set_limit
 
 HEADER, RECORD = 10, 20  # bytes: magic, version and n_max; low, count and CRC
@@ -127,6 +128,22 @@ class TestRoundTrip:
             == "85062e03e07c6734df467447956ecb6c25a840771643812875c4a8d6a504300e"
         )
 
+    def test_one_pass_of_the_small_sets_per_table(self, monkeypatch):
+        # the build hands its S(0..K) to its table, and a load returns the
+        # build it checks the records against; a table made directly
+        # rebuilds them once to check its rows
+        calls, real = [], dimsets._small_sets
+        monkeypatch.setattr(dimsets, "_small_sets", lambda k, o: calls.append(k) or real(k, o))
+        table = build_table(1000)
+        assert calls == [full_set_limit(1000)]
+        data = _dump(table)
+        calls.clear()
+        assert load_table(io.BytesIO(data)) == table
+        assert calls == [full_set_limit(1000)]
+        calls.clear()
+        assert DimTable(table.low, table.count) == table
+        assert calls == [full_set_limit(1000)]
+
 
 class TestValidation:
     def test_bad_magic(self):
@@ -175,25 +192,25 @@ class TestValidation:
     @pytest.mark.parametrize("field", [0, 8], ids=["low", "count"])
     @pytest.mark.parametrize("n", [30, 90])
     def test_recurrence_mismatch_detected_when_the_set_is_rebuilt(self, field, n):
-        # n_max = 100 keeps S(0..52) in full, so S(30) is rebuilt at load,
-        # and the row of 90 is checked at load against the build's rows
+        # n_max = 100 keeps S(0..52) in full; the load checks every row,
+        # S(30)'s and S(90)'s alike, against the build's rows
         table = build_table(100)
         assert full_set_limit(100) == 52
         data = bytearray(_dump(table))
         stored = struct.unpack_from("<Q", data, _record_start(n) + field)[0]
         _put(data, n, field, stored - 1)
         _reseal(data)
-        if n <= 52:
-            with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds"):
-                load_table(io.BytesIO(bytes(data)))
-            return
         with pytest.raises(TableCorruptionError, match=f"record {n} stores") as err:
             load_table(io.BytesIO(bytes(data)))
         assert err.value.record_index == n
-        # a table made from such rows directly rebuilds S(90) only when it
-        # is asked for, and checks it then
+        # a table made from such rows directly rebuilds S(30) when it is
+        # made, and S(90) only when it is asked for, and checks each then
         low, count = list(table.low), list(table.count)
         (count if field else low)[n] = stored - 1
+        if n <= 52:
+            with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds"):
+                DimTable(low, count)
+            return
         made = DimTable(low, count)
         assert made.sets[n - 1] == table.sets[n - 1]
         with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds with low {table.low[n]}"):
@@ -238,8 +255,12 @@ class TestValidation:
         with pytest.raises(TableCorruptionError) as err:
             load_table(io.BytesIO(data[:20]))
         assert err.value.record_index == 0
-        with pytest.raises(TableCorruptionError, match="truncated"):
+        assert str(err.value) == "truncated stream while reading record 0"
+        with pytest.raises(TableCorruptionError) as err:
             load_table(io.BytesIO(data[:-4]))
+        assert (str(err.value), err.value.record_index) == (
+            "truncated stream while reading record 4", 4
+        )
 
     def test_trailing_garbage(self):
         data = _dump(build_table(2)) + b"\x00"

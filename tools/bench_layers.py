@@ -20,7 +20,7 @@ the two medians cannot.  The layers are:
 
 * ``build_table(n)`` for each n in ``--sizes``, and the build's growth
   exponent from n = 1000 to each larger size (from the medians);
-* ``save_table`` of the n_max = 1000 and 4096 tables to memory (the
+* ``save_table`` of the n_max = 1000, 4096 and 32768 tables to memory (the
   child builds the table untimed, then writes it to a file of its tree)
   and ``load_table`` of that file (a child that only imports and loads),
   each with its bytes;
@@ -83,7 +83,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-SAVE_LOAD_N = (1000, 4096)  # the last file also serves TABLE_WINDOWS
+SAVE_LOAD_N = (1000, 4096, 32768)
+TABLE_FILE_N = 4096  # the save layer's file of this n_max also serves TABLE_WINDOWS
 SET_N = (803, 4096)
 #: (min_n, max_n) of the `table` command: two of the windows perfbench's
 #: warm-lookups draws, two whole tables, and c and h at n = 10^5 and 10^6
@@ -366,7 +367,7 @@ def measure(trees: dict[str, Path], sizes: list[int]) -> dict[str, dict]:
         for n in SET_N:
             layer("set_command", str(n), "cli_set", n)
         for lo, hi in TABLE_WINDOWS:
-            layer("table_command", f"{lo}..{hi}", "cli_table", hi, str(lo), f"{SAVE_LOAD_N[-1]}.rdim")
+            layer("table_command", f"{lo}..{hi}", "cli_table", hi, str(lo), f"{TABLE_FILE_N}.rdim")
         for n, dim in MEMBERSHIP:
             layer("membership", f"{n}, {dim}", "member", n, str(dim))
         for n, dim in CLASSIFY:
