@@ -34,7 +34,7 @@ from typing import NamedTuple
 from functools import lru_cache
 from math import isqrt
 
-from .dimsets import MARKED_ORACLE_MAX_N, _offsets, _small_sets, marked_set_rows
+from .dimsets import MARKED_ORACLE_MAX_N, _small_sets, marked_set_rows
 from .lemma import reach
 from .partitions import (
     MarkedPartition,
@@ -291,7 +291,7 @@ def _marked_rows() -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _small_squares() -> tuple[int, ...]:
     """The base's S(n), as bits."""
-    return tuple(_small_sets(MARKED_ORACLE_MAX_N, _offsets(MARKED_ORACLE_MAX_N)))
+    return tuple(_small_sets(MARKED_ORACLE_MAX_N))
 
 
 def classify_dimension(n: int, dim: int, include_realizations: bool = True) -> Classification:

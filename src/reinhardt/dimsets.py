@@ -159,22 +159,21 @@ class DimTable(Frozen):
         low, count = tuple(low), tuple(count)
         if not low or len(low) != len(count):
             raise ValueError("a table needs one low and one count per n, from n = 0")
-        offs = _offsets(len(low) - 1)
-        self._set(low, count, _small_sets(full_set_limit(len(low) - 1), offs), offs)
+        self._set(low, count, _small_sets(full_set_limit(len(low) - 1)))
         for n, bits in enumerate(self.sets._full):
             self.sets._check(n, 0, bits)
 
     @classmethod
-    def _built(cls, low: list[int], count: list[int], full, offs: list[int]) -> "DimTable":
+    def _built(cls, low: list[int], count: list[int], full) -> "DimTable":
         """The table of the rows :func:`_rows` sized from ``full`` = S(0..K), which it shares."""
         self = object.__new__(cls)
-        self._set(tuple(low), tuple(count), full, offs)
+        self._set(tuple(low), tuple(count), full)
         return self
 
-    def _set(self, low: tuple[int, ...], count: tuple[int, ...], full, offs: list[int]) -> None:
+    def _set(self, low: tuple[int, ...], count: tuple[int, ...], full) -> None:
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "count", count)
-        object.__setattr__(self, "sets", SetSequence(low, count, full, offs))
+        object.__setattr__(self, "sets", SetSequence(low, count, full))
 
     def _key(self) -> tuple:
         return self.low, self.count
@@ -188,8 +187,8 @@ class SetSequence(Sequence):
     """``table.sets``: S(n) for n = 0..n_max, each rebuilt on access
     (see :class:`DimTable`); slices give tuples of sets."""
 
-    def __init__(self, low: tuple[int, ...], count: tuple[int, ...], full, offs: list[int]) -> None:
-        self._low, self._count, self._full, self._offs = low, count, full, offs
+    def __init__(self, low: tuple[int, ...], count: tuple[int, ...], full) -> None:
+        self._low, self._count, self._full = low, count, full
 
     def _check(self, n: int, reach: int, acc: int) -> None:
         lo, size = reach + _run(acc), reach + acc.bit_count()
@@ -211,7 +210,7 @@ class SetSequence(Sequence):
             return DimSet.from_prefix_tail(n, lo, self._full[n] >> lo)
         reach = self._low[n - 1]
         try:
-            acc = _step(n, reach, self._full, self._offs)
+            acc = _step(n, reach, self._full)
         except ValueError:  # only a low below the built one reads past S(K)
             raise ValueError(f"S({n}) does not rebuild from the stored low {reach}") from None
         self._check(n, reach, acc)
@@ -228,11 +227,7 @@ def full_set_limit(n_max: int) -> int:
     return min(n_max, 2 * isqrt(n_max) + 32)
 
 
-def _offsets(n_max: int) -> list[int]:
-    return [(d * d - d) // 2 for d in range(n_max + 1)]  # off_d, also top(d)
-
-
-def _step(n: int, reach: int, full, offs: list[int], first: int = 0) -> int:
+def _step(n: int, reach: int, full, first: int = 0) -> int:
     """The bits of S(n) from index ``reach`` = low[n-1] up, bit i standing
     for index reach + i: the OR of the largest-part pieces, read from the
     full sets ``full[j]`` = S(j), j <= J(n); see :func:`build_table`.
@@ -242,13 +237,16 @@ def _step(n: int, reach: int, full, offs: list[int], first: int = 0) -> int:
     line by scanning from the start.
     """
     big = 2 * (n + 2 * reach) > n * (n + 1)  # parts all below n/2 give <= n(n-1)/2
+    d = n - first
+    s, t = d * (d - 1) // 2 - reach, first * (first - 1) // 2  # off(d) - reach, off(j)
     acc = 0
     try:
-        for j in range(first, n):  # largest part n - j, the rest any partition of j
-            if big and (2 * j > n or offs[n - j] + offs[j] < reach):
+        for j in range(first, n):  # largest part d = n - j, the rest any partition of j
+            if big and (2 * j > n or s + t < 0):
                 break
-            s = offs[n - j] - reach
             acc |= full[j] << s if s >= 0 else full[j] >> -s
+            d -= 1
+            s, t = s - d, t + j  # off(d) = off(d + 1) - d, off(j + 1) = off(j) + j
     except IndexError:
         raise ValueError(
             f"S({n}) from index {reach} reads past S({len(full) - 1}), the last small set"
@@ -279,15 +277,14 @@ def build_table(n_max: int) -> DimTable:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    offs = _offsets(n_max)
-    full = _small_sets(full_set_limit(n_max), offs)
-    return DimTable._built(*_rows(0, n_max, full, offs), full, offs)
+    full = _small_sets(full_set_limit(n_max))
+    return DimTable._built(*_rows(0, n_max, full), full)
 
 
-def _rows(min_n: int, max_n: int, full, offs: list[int], start: int = 0) -> tuple[list, list]:
-    """(low, count) of S(n) for n = min_n..max_n from ``full`` = S(0..k)
-    and ``offs`` = :func:`_offsets` (max_n).  Row n > k starts at low[n - 1],
-    or the window's first at ``start``; every index below either is in S(n).
+def _rows(min_n: int, max_n: int, full, start: int = 0) -> tuple[list, list]:
+    """(low, count) of S(n) for n = min_n..max_n from ``full`` = S(0..k).
+    Row n > k starts at low[n - 1], or the window's first at ``start``;
+    every index below either is in S(n).
 
     A step from the start puts piece j, S(j), at s_j = off(n - j) - start,
     n - j below piece j - 1; piece b, the first with s_b <= 0, holds the
@@ -309,6 +306,7 @@ def _rows(min_n: int, max_n: int, full, offs: list[int], start: int = 0) -> tupl
     3n, which puts off(n - b) above n(n - 3)/4 >= g (from n = 27 on as
     b < n/4; below, by trying each b), a contradiction.
     """
+    offs = [(d * d - d) // 2 for d in range(max_n + 2)]  # off(d), read at every row
     lows = [_run(s) for s in full]
     sizes = [0, *accumulate(s.bit_count() for s in full)]  # |S(0)| + ... + |S(j - 1)|
     worst = list(accumulate(((j + 1) * (j + 2) // 2 - low for j, low in enumerate(lows)), max))
@@ -332,7 +330,7 @@ def _rows(min_n: int, max_n: int, full, offs: list[int], start: int = 0) -> tupl
             count.append(offs[n - b])
             start = offs[n - js] + lows[js]
         else:
-            start, size = _stepped(n, start, full, offs, sizes)
+            start, size = _stepped(n, start, full, sizes)
             count.append(size)
         low.append(start)
     for joins, sized in stretches:
@@ -344,26 +342,26 @@ def _rows(min_n: int, max_n: int, full, offs: list[int], start: int = 0) -> tupl
     return low, count
 
 
-def _stepped(n: int, start: int, full, offs: list[int], sizes: list[int]) -> tuple[int, int]:
+def _stepped(n: int, start: int, full, sizes: list[int]) -> tuple[int, int]:
     """(low, count) of S(n), n >= 1, by one step from ``start`` less its
     first c pieces, which lie apart, above the rest (T(j + 1) < n, s_j >= 0):
     they add ``sizes[c]`` = |S(0)| + ... + |S(c - 1)| to the count and
     nothing to the low, unless the rest is one run, which may reach them."""
     c = (isqrt(8 * n - 3) - 1) // 2 if 2 * (n + 2 * start) > n * (n + 1) else 0
-    while c and offs[n - c + 1] < start:
+    while c and (n - c + 1) * (n - c) // 2 < start:  # off(n - c + 1)
         c -= 1
-    acc = _step(n, start, full, offs, c)
+    acc = _step(n, start, full, c)
     if c and not acc & (acc + 1):  # one run, which may reach piece c - 1
-        c, acc = 0, _step(n, start, full, offs)
+        c, acc = 0, _step(n, start, full)
     return start + _run(acc), start + sizes[c] + acc.bit_count()
 
 
-def _small_sets(k: int, offs: list[int]) -> list[int]:
+def _small_sets(k: int) -> list[int]:
     """The bits of S(0..k), each step from the run of ones of the set before."""
     full = [1]  # S(0) = {0}
     for m in range(1, k + 1):
         low = _run(full[-1])
-        full.append(((_step(m, low, full, offs) + 1) << low) - 1)
+        full.append(((_step(m, low, full) + 1) << low) - 1)
     return full
 
 

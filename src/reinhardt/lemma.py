@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .dimsets import DimSet, _offsets, _rows, _run, _small_sets, _step, full_set_limit
+from .dimsets import DimSet, _rows, _run, _small_sets, _step, full_set_limit
 
 
 @lru_cache(maxsize=None)
@@ -44,12 +44,12 @@ def square_sum_set(n: int) -> DimSet:
     over them."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    k, offs = full_set_limit(n), _offsets(n)
-    full = _small_sets(k, offs)
+    k = full_set_limit(n)
+    full = _small_sets(k)
     if n == k:
         return DimSet(n, full[n])
     start = r0(n)
-    acc = _step(n, start, full, offs)
+    acc = _step(n, start, full)
     low = start + _run(acc)
     return DimSet.from_prefix_tail(n, low, acc >> (low - start))
 
@@ -61,5 +61,4 @@ def square_sum_counts(min_n: int, max_n: int) -> list[int]:
     Comparing these counts with the build's checks only that start."""
     if not 0 <= min_n <= max_n:
         raise ValueError(f"need 0 <= min_n <= max_n, got ({min_n}, {max_n})")
-    offs = _offsets(max_n)
-    return _rows(min_n, max_n, _small_sets(full_set_limit(max_n), offs), offs, r0(min_n))[1]
+    return _rows(min_n, max_n, _small_sets(full_set_limit(max_n)), r0(min_n))[1]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from reinhardt import build_table
-from reinhardt.dimsets import DimTable, _offsets, _step, full_set_limit
+from reinhardt.dimsets import DimTable, full_set_limit
 from reinhardt.partitions import iter_partition_tuples
 
 # Property tests draw the same examples on every run, and a slow example
@@ -46,21 +46,37 @@ def smooth_bounded_oracle():
     return sets
 
 
+def oracle_step(n: int, reach: int, full, offs: list[int], first: int = 0) -> int:
+    """Oracle: the bits of S(n) from index ``reach`` up, less the pieces
+    j < ``first``, as the OR of the largest-part pieces S(j) at
+    ``offs[n - j]`` = off(n - j), with the early stop of
+    :func:`~reinhardt.dimsets._step`, which carries off in closed form."""
+    big = 2 * (n + 2 * reach) > n * (n + 1)
+    acc = 0
+    for j in range(first, n):
+        if big and (2 * j > n or offs[n - j] + offs[j] < reach):
+            break
+        s = offs[n - j] - reach
+        acc |= full[j] << s if s >= 0 else full[j] >> -s
+    return acc
+
+
 def step_build(n_max: int) -> DimTable:
     """Oracle: the table by one largest-part step per row, each from
     low[n - 1], keeping S(0..K) in full for the steps above K.  It sizes
-    no row, so it shares only :func:`~reinhardt.dimsets._step` with
-    ``build_table``; its work grows as n^4."""
-    offs, keep = _offsets(n_max), full_set_limit(n_max)
+    no row and takes its steps with :func:`oracle_step`, so it shares no
+    code with ``build_table``: its table holds its own S(0..K).  Its work
+    grows as n^4."""
+    offs, keep = [(d * d - d) // 2 for d in range(n_max + 1)], full_set_limit(n_max)
     low, count, full = [1], [1], [1]  # S(0) = {0}
     for n in range(1, n_max + 1):
         reach = low[-1]
-        acc = _step(n, reach, full, offs)
+        acc = oracle_step(n, reach, full, offs)
         low.append(reach + (acc ^ (acc + 1)).bit_length() - 1)
         count.append(reach + acc.bit_count())
         if n <= keep:
             full.append(((acc + 1) << reach) - 1)
-    return DimTable(low, count)
+    return DimTable._built(low, count, full)
 
 
 @pytest.fixture(scope="session")

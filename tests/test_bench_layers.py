@@ -13,17 +13,21 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 def tool(monkeypatch):
     """The tool as a module, its child runner replaced by a stub that
     records (tree, layer) and returns a time and, off start-up, a page
-    fault count that grow with each call."""
+    fault count that grow with each call of the layer (counted per layer,
+    so that the paired ratios of the last layers stay clear of 1 at three
+    decimals)."""
     spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     module.calls = []
 
     def child(src, cwd, op, n, *args):
-        module.calls.append((src.parent.name, (op, n, *args)))
-        result = {"s": 0.01 * len(module.calls), "maxrss_mib": 1.0}
+        layer = (op, n, *args)
+        module.calls.append((src.parent.name, layer))
+        k = sum(call[1] == layer for call in module.calls)
+        result = {"s": 0.01 * k, "maxrss_mib": 1.0}
         if op != "startup":
-            result["minflt"] = 100 * len(module.calls)
+            result["minflt"] = 100 * k
         return result
 
     monkeypatch.setattr(module, "_child", child)
@@ -46,8 +50,8 @@ def _layers(calls):
 
 def _layer_count(tool, sizes):
     return (
-        len(sizes) + 2 * len(tool.SAVE_LOAD_N) + len(tool.SET_N)
-        + len(tool.TABLE_WINDOWS) + len(tool.MEMBERSHIP)
+        len(sizes) + 2 * len(tool.SAVE_LOAD_N) + len(tool.SETS_N) + len(tool.SET_N)
+        + len(tool.TABLE_WINDOWS) + len(tool.MEMBERSHIP) + len(tool.CLASSIFY_BASE)
         + len(tool.CLASSIFY) + len(tool.ENUMERATION) * len(tool.ENUMERATION_N)
         + len(tool.SUITES) + 2 + len(tool.STARTUP_ARGV)
     )
@@ -67,6 +71,8 @@ def test_two_trees_get_rounds_children_per_layer(tool, tmp_path):
     assert runs["a"]["rounds"] == tool.ROUNDS
     assert set(runs["b"]["build_table"]) == {"1000", "2000"}
     assert set(runs["b"]["set_command"]) == {str(n) for n in tool.SET_N}
+    assert set(runs["b"]["sets"]) == {str(n) for n in tool.SETS_N}
+    assert set(runs["b"]["classify_base"]) == {f"{n}, {dim}" for n, dim in tool.CLASSIFY_BASE}
     assert "set_on_demand" not in runs["b"]
     assert set(runs["b"]["table_command"]) == {f"{a}..{b}" for a, b in tool.TABLE_WINDOWS}
     assert {"100000..100001", "1000000..1000001"} <= set(runs["b"]["table_command"])
@@ -132,6 +138,15 @@ def test_the_table_command_child_runs_against_a_tree(tmp_path):
     result = _real_child(tmp_path, "cli_table", 30, "2", "t.rdim")
     assert result["exit"] == 0 and result["s"] > 0 and result["maxrss_mib"] > 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_sets_and_base_children_run_against_a_tree(tmp_path):
+    # sets[n] above K = 52 of a built n_max = 100 table: n = 53, 62, ..., 98;
+    # and classify's base at n = 80, where 80^2 - 2 is unrealizable
+    result = _real_child(tmp_path, "sets", 100)
+    assert result["sets"] == 6 and result["s"] > 0 and result["maxrss_mib"] > 0
+    result = _real_child(tmp_path, "base", 80, "6398")
+    assert result["status"] == "unrealizable" and result["s"] > 0
 
 
 def test_the_suite_child_runs_a_suite_with_or_without_n_lo(tmp_path):

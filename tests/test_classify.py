@@ -309,9 +309,9 @@ class TestLargeN:
             stepped.append(n)
             return real_step(n, *args)
 
-        def build(k, offs):
+        def build(k):
             built.append(k)
-            return real_build(k, offs)
+            return real_build(k)
 
         real_step, real_build = dimsets._step, lemma._small_sets
         for module in (dimsets, lemma):

@@ -480,9 +480,9 @@ class TestClassify:
         def no_table(*args):
             raise AssertionError("classify read or built a table")
 
-        def base_only(k, offs):
+        def base_only(k):
             assert k == dimsets.MARKED_ORACLE_MAX_N, f"built to n={k}"
-            return real_build(k, offs)
+            return real_build(k)
 
         real_build = lemma._small_sets
         for module, name in ((storage, "load_table"), (dimsets, "build_table")):

@@ -6,6 +6,7 @@ from itertools import accumulate
 from math import isqrt
 
 import pytest
+from conftest import oracle_step, step_build
 
 from reinhardt import (
     DegenerateInputWarning,
@@ -25,7 +26,6 @@ from reinhardt import dimsets, lemma, sequences
 from reinhardt.classify import MEMBERSHIP_MAX_N, _member
 from reinhardt.cli import BUILD_LIMIT
 from reinhardt.dimsets import (
-    _offsets,
     _step,
     _stepped,
     full_set_limit,
@@ -153,11 +153,10 @@ class TestBuild:
         # S(0..2 isqrt(n) + 5) rebuilds S(n), so S(0..K) covers every step
         table = table4097
         full = [s.bits for s in table.sets[: full_set_limit(4096) + 1]]
-        offs = [(d * d - d) // 2 for d in range(4097)]
         wrong = []
         for n in range(42, 4097):
             reach = table.low[n - 1]
-            acc = _step(n, reach, full[: 2 * isqrt(n) + 6], offs)
+            acc = _step(n, reach, full[: 2 * isqrt(n) + 6])
             low = reach + (acc ^ (acc + 1)).bit_length() - 1
             if (low, reach + acc.bit_count()) != (table.low[n], table.count[n]):
                 wrong.append(n)
@@ -176,10 +175,10 @@ class TestBuild:
         # the step of a row it cannot size, less the pieces apart at its
         # top, from low[n - 1] at every n (at n = 2 what is left is one run)
         full = [s.bits for s in table4097.sets[: full_set_limit(4097) + 1]]
-        offs, sizes = _offsets(4097), [0, *accumulate(bits.bit_count() for bits in full)]
+        sizes = [0, *accumulate(bits.bit_count() for bits in full)]
         for n in range(1, 4098):
             start = table4097.low[n - 1]
-            if _stepped(n, start, full, offs, sizes) != (table4097.low[n], table4097.count[n]):
+            if _stepped(n, start, full, sizes) != (table4097.low[n], table4097.count[n]):
                 wrong.append(n)
         assert wrong == []
 
@@ -188,7 +187,7 @@ class TestBuild:
         # low[n - 1], low[n] and seeded starts between, at every 9th n past
         # K + 1, against the step build.  Its docstring argues that the
         # start always lies in piece b's run; every row past 471 is sized
-        k, offs = full_set_limit(4097), _offsets(4097)
+        k = full_set_limit(4097)
         full = [s.bits for s in table4097.sets[: k + 1]]
         stepped, real = [], dimsets._stepped
         monkeypatch.setattr(dimsets, "_stepped", lambda n, *args: stepped.append(n) or real(n, *args))
@@ -199,11 +198,51 @@ class TestBuild:
             starts.update(random.Random(n).sample(range(min(starts), low[n]), 3))
             for start in starts:
                 pairs += 1
-                row = dimsets._rows(n, n, full, offs[: n + 1], start)
+                row = dimsets._rows(n, n, full, start)
                 if row != ([low[n]], [count[n]]):
                     wrong.append((n, start))
         assert wrong == [] and pairs > 2000
         assert max(stepped) <= 471
+
+    def test_step_carries_the_offsets_from_any_first_piece(self, table4097):
+        # _step carries off(n - j) and off(j) from the closed form at
+        # ``first``; the oracle reads them from a list.  Both must give the
+        # same bits from the same pieces (a late stop reads more, with no
+        # change to the bits).  Every first < n to n = 120, and to 4097 the
+        # firsts _stepped takes: 0 and its c, from low[n - 1] and from r0(n)
+        class Pieces(list):  # records the pieces a step reads
+            def __getitem__(self, j):
+                self.read.append(j)
+                return super().__getitem__(j)
+
+        full = Pieces(s.bits for s in table4097.sets[: full_set_limit(4097) + 1])
+        offs = [(d * d - d) // 2 for d in range(4099)]
+        wrong = []
+        for n in range(1, 4098):
+            for start in (table4097.low[n - 1], lemma.r0(n)):
+                big = 2 * (n + 2 * start) > n * (n + 1)
+                c = (isqrt(8 * n - 3) - 1) // 2 if big else 0
+                while c and offs[n - c + 1] < start:
+                    c -= 1
+                for first in range(n) if n <= 120 else {0, c}:
+                    full.read = []
+                    got = _step(n, start, full, first), full.read
+                    full.read = []
+                    if got != (oracle_step(n, start, full, offs, first), full.read):
+                        wrong.append((n, start, first))
+        assert wrong == []
+
+    def test_the_step_oracle_shares_no_code_with_the_build(self, monkeypatch):
+        # conftest.step_build, which makes table4097, takes its own steps
+        # and keeps its own S(0..K): with the engine's step gone it still
+        # gives the build's table
+        built = build_table(300)
+
+        def no_step(*args):
+            raise AssertionError("the oracle used the build's step")
+
+        monkeypatch.setattr(dimsets, "_step", no_step)
+        assert step_build(300) == built
 
     def test_builds_without_the_growth_lemma(self, table4097, monkeypatch):
         # lemma.square_sum_counts runs the build's own row loop, from r0 at

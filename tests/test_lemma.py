@@ -6,7 +6,7 @@ from itertools import accumulate
 import pytest
 
 from reinhardt import dimsets, lemma
-from reinhardt.dimsets import DimSet, _offsets, _step, full_set_limit
+from reinhardt.dimsets import DimSet, _step, full_set_limit
 from reinhardt.lemma import square_sum_counts, square_sum_set
 
 
@@ -24,18 +24,17 @@ def test_one_step_from_r0_gives_every_row_to_4097(table4097, monkeypatch):
     assert square_sum_counts(300, 4097) == list(table4097.count[300:])
     k = full_set_limit(4097)
     full = [s.bits for s in table4097.sets[: k + 1]]
-    offs = _offsets(4097)
     sizes = [0, *accumulate(bits.bit_count() for bits in full)]
     wrong = []
     for n in range(4098):
         start = lemma.r0(n)
-        acc = _step(n, start, full, offs)
+        acc = _step(n, start, full)
         if start + (acc ^ (acc + 1)).bit_length() - 1 != table4097.low[n]:
             wrong.append(n)
         # the step less its first pieces, as the rows the build cannot size
         # take it (for n >= 1)
         pair = (table4097.low[n], table4097.count[n])
-        if n and dimsets._stepped(n, start, full, offs, sizes) != pair:
+        if n and dimsets._stepped(n, start, full, sizes) != pair:
             wrong.append(n)
     assert wrong == []
 
@@ -67,7 +66,7 @@ def test_a_step_past_the_small_sets_is_an_error(table4097, monkeypatch):
     # J(1000) = 58: S(0..20) cannot give S(1000), and says so
     full = [s.bits for s in table4097.sets[:21]]
     with pytest.raises(ValueError, match=r"S\(1000\) from index \d+ reads past S\(20\)"):
-        _step(1000, lemma.r0(1000), full, _offsets(1000))
+        _step(1000, lemma.r0(1000), full)
     monkeypatch.setattr(lemma, "full_set_limit", lambda n: 10)
     with pytest.raises(ValueError, match=r"S\(100\) from index \d+ reads past S\(10\)"):
         square_sum_set(100)

@@ -133,7 +133,7 @@ class TestRoundTrip:
         # build it checks the records against; a table made directly
         # rebuilds them once to check its rows
         calls, real = [], dimsets._small_sets
-        monkeypatch.setattr(dimsets, "_small_sets", lambda k, o: calls.append(k) or real(k, o))
+        monkeypatch.setattr(dimsets, "_small_sets", lambda k: calls.append(k) or real(k))
         table = build_table(1000)
         assert calls == [full_set_limit(1000)]
         data = _dump(table)

@@ -24,6 +24,10 @@ the two medians cannot.  The layers are:
   child builds the table untimed, then writes it to a file of its tree)
   and ``load_table`` of that file (a child that only imports and loads),
   each with its bytes;
+* sets rebuilt on access: ``table.sets[n]`` of a built table of each
+  n_max in ``SETS_N`` (built untimed) for n = K + 1, K + 10, ... up to
+  n_max, K = ``full_set_limit(n_max)``, each a step from the sets the
+  table keeps;
 * the ``set`` command, ``reinhardt.cli.main(["set", "--n", n,
   "--no-cache"])`` in-process at each n in ``SET_N``, its stdout
   written to a null sink and the caches cleared as below;
@@ -36,6 +40,10 @@ the two medians cannot.  The layers are:
   ``MEMBERSHIP``, with every ``functools`` cache of every loaded
   ``reinhardt.*`` module cleared before each timed call, so each one pays
   for what it builds;
+* classify's fixed base: ``classify_dimension(n, dim,
+  include_realizations=False)`` for each (n, dim) in ``CLASSIFY_BASE``,
+  caches cleared as above, which at n <= 80 builds both halves of the
+  fixed base: S's small sets and G's marked rows;
 * classify, ``reinhardt.cli.main(["classify", ...])`` in-process for each
   (n, dim) in ``CLASSIFY``, with no ``REINHARDT_CACHE`` and the caches
   cleared as above, with the exit code and the status line, or the first
@@ -85,6 +93,7 @@ from pathlib import Path
 
 SAVE_LOAD_N = (1000, 4096, 32768)
 TABLE_FILE_N = 4096  # the save layer's file of this n_max also serves TABLE_WINDOWS
+SETS_N = (1000,)
 SET_N = (803, 4096)
 #: (min_n, max_n) of the `table` command: two of the windows perfbench's
 #: warm-lookups draws, two whole tables, and c and h at n = 10^5 and 10^6
@@ -94,6 +103,9 @@ TABLE_WINDOWS = (
 #: (n, dim) membership queries, both unrealizable: n^2 - 2 at n = 1000 and
 #: n^2 - 4 at n = 4000
 MEMBERSHIP = ((1000, 999998), (4000, 15999996))
+#: (n, dim) at n <= 80, unrealizable (n^2 - 2), so that all three of
+#: classify's membership tests read the base
+CLASSIFY_BASE = ((80, 6398),)
 #: (n, dim) classify queries: reach(n) + 2 and + 4, just above the
 #: growth-sequence prefix, and one unrealizable dim, at n = 10^5, 10^7 and
 #: 10^8, the membership guard
@@ -179,6 +191,15 @@ elif op == "load":
             result["bytes"] = fh.tell()
             assert table.n_max == n
             del table
+elif op == "sets":  # table.sets[m] above K, the table built untimed
+    table = reinhardt.build_table(n)
+    rows = range(reinhardt.dimsets.full_set_limit(n) + 1, n + 1, 9)
+    for _ in range(reps):
+        started = time.perf_counter()
+        for m in rows:
+            table.sets[m]
+        best = min(best, time.perf_counter() - started)
+    result["sets"] = len(rows)
 elif op.startswith("cli_"):  # a command in-process, stdout to a null sink
     from contextlib import redirect_stdout
     from reinhardt import cli
@@ -207,7 +228,7 @@ elif op.startswith("iter_"):  # drain a partition stream of n
         started = time.perf_counter()
         deque(stream(n), maxlen=0)
         best = min(best, time.perf_counter() - started)
-elif op in ("member", "classify"):  # at (n, dim = args[0]), caches cleared
+elif op in ("member", "base", "classify"):  # at (n, dim = args[0]), caches cleared
     from contextlib import redirect_stderr, redirect_stdout
     import reinhardt.classify  # loaded before the timed calls
     if op == "classify":
@@ -218,6 +239,8 @@ elif op in ("member", "classify"):  # at (n, dim = args[0]), caches cleared
         started = time.perf_counter()
         if op == "member":
             result["realizable"] = reinhardt.is_realizable(n, int(args[0]))
+        elif op == "base":
+            result["status"] = reinhardt.classify_dimension(n, int(args[0]), False).status
         else:
             with redirect_stdout(out), redirect_stderr(err):
                 result["exit"] = cli.main(["classify", "--n", str(n), "--dim", args[0]])
@@ -364,12 +387,16 @@ def measure(trees: dict[str, Path], sizes: list[int]) -> dict[str, dict]:
         for n in SAVE_LOAD_N:
             layer("save_table", str(n), "save", n, f"{n}.rdim")
             layer("load_table", str(n), "load", n, f"{n}.rdim")
+        for n in SETS_N:
+            layer("sets", str(n), "sets", n)
         for n in SET_N:
             layer("set_command", str(n), "cli_set", n)
         for lo, hi in TABLE_WINDOWS:
             layer("table_command", f"{lo}..{hi}", "cli_table", hi, str(lo), f"{TABLE_FILE_N}.rdim")
         for n, dim in MEMBERSHIP:
             layer("membership", f"{n}, {dim}", "member", n, str(dim))
+        for n, dim in CLASSIFY_BASE:
+            layer("classify_base", f"{n}, {dim}", "base", n, str(dim))
         for n, dim in CLASSIFY:
             layer("classify", f"{n}, {dim}", "classify", n, str(dim))
         for op in ENUMERATION:
