@@ -67,7 +67,7 @@ class DimSet(Frozen):
     def __init__(self, n: int, bits: int) -> None:
         if bits < 0:
             raise ValueError("bits must be a non-negative integer")
-        low = (bits ^ (bits + 1)).bit_length() - 1
+        low = _run(bits)
         self._set(n, low, bits >> low)
 
     @classmethod
@@ -143,11 +143,11 @@ class DimTable(Frozen):
 
     ``low[n]`` is the run of ones from index 0 in S(n) and ``count[n]``
     its size; :func:`compact_count` and :func:`noncompact_count` read the
-    counts.  It keeps S(0..K), K = :func:`full_set_limit` (n_max), in full:
-    a built table shares the build's; ``DimTable(low, count)`` rebuilds and
-    checks them.  ``sets[n]`` above K is rebuilt from them and ``low[n-1]``
-    with one step of the build on each access; a rebuilt set whose low or
-    size differs from the stored pair raises :class:`ValueError` naming n.
+    counts.  Every table holds the build's rows: ``DimTable(low, count)``
+    builds once, when it is made, and raises :class:`ValueError` naming the
+    first S(n) whose row differs (:func:`_first_wrong_row`).  It keeps the
+    build's S(0..K), K = :func:`full_set_limit` (n_max), in full; ``sets[n]``
+    above K is rebuilt from them and ``low[n-1]`` by one step on each access.
     """
 
     __slots__ = ("low", "count", "sets")
@@ -159,9 +159,13 @@ class DimTable(Frozen):
         low, count = tuple(low), tuple(count)
         if not low or len(low) != len(count):
             raise ValueError("a table needs one low and one count per n, from n = 0")
-        self._set(low, count, _small_sets(full_set_limit(len(low) - 1)))
-        for n, bits in enumerate(self.sets._full):
-            self.sets._check(n, 0, bits)
+        built, n = _first_wrong_row(low, count)
+        if n is not None:
+            raise ValueError(
+                f"S({n}) has low {built.low[n]} and {built.count[n]} values, but the"
+                f" table stores low {low[n]} and count {count[n]}"
+            )
+        self._set(built.low, built.count, built.sets._full)
 
     @classmethod
     def _built(cls, low: list[int], count: list[int], full) -> "DimTable":
@@ -173,7 +177,7 @@ class DimTable(Frozen):
     def _set(self, low: tuple[int, ...], count: tuple[int, ...], full) -> None:
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "count", count)
-        object.__setattr__(self, "sets", SetSequence(low, count, full))
+        object.__setattr__(self, "sets", SetSequence(low, full))
 
     def _key(self) -> tuple:
         return self.low, self.count
@@ -184,19 +188,12 @@ class DimTable(Frozen):
 
 
 class SetSequence(Sequence):
-    """``table.sets``: S(n) for n = 0..n_max, each rebuilt on access
+    """``table.sets``: S(n) for n = 0..n_max, each rebuilt on access from
+    the table's rows, which hold the build's, so no set is checked again
     (see :class:`DimTable`); slices give tuples of sets."""
 
-    def __init__(self, low: tuple[int, ...], count: tuple[int, ...], full) -> None:
-        self._low, self._count, self._full = low, count, full
-
-    def _check(self, n: int, reach: int, acc: int) -> None:
-        lo, size = reach + _run(acc), reach + acc.bit_count()
-        if (lo, size) != (self._low[n], self._count[n]):
-            raise ValueError(
-                f"S({n}) rebuilds with low {lo} and {size} values, but the table"
-                f" stores low {self._low[n]} and count {self._count[n]}"
-            )
+    def __init__(self, low: tuple[int, ...], full) -> None:
+        self._low, self._full = low, full
 
     def __len__(self) -> int:
         return len(self._low)
@@ -205,19 +202,21 @@ class SetSequence(Sequence):
         if isinstance(index, slice):
             return tuple(self[n] for n in range(len(self))[index])
         n = range(len(self))[index]
-        lo = self._low[n]
         if n < len(self._full):
-            return DimSet.from_prefix_tail(n, lo, self._full[n] >> lo)
-        reach = self._low[n - 1]
-        try:
-            acc = _step(n, reach, self._full)
-        except ValueError:  # only a low below the built one reads past S(K)
-            raise ValueError(f"S({n}) does not rebuild from the stored low {reach}") from None
-        self._check(n, reach, acc)
-        return DimSet.from_prefix_tail(n, lo, acc >> (lo - reach))
+            return DimSet(n, self._full[n])
+        return _stepped_set(n, self._low[n - 1], self._full)
 
     def __repr__(self) -> str:
         return f"SetSequence(n_max={len(self) - 1})"
+
+
+def _first_wrong_row(low, count) -> tuple[DimTable, int | None]:
+    """:func:`build_table` (len(low) - 1) and the first n whose (low[n],
+    count[n]) differs from its row, or None: the one check of a table's
+    rows, for :class:`DimTable` and :func:`~reinhardt.storage.load_table`."""
+    table = build_table(len(low) - 1)
+    rows = zip(zip(low, count), zip(table.low, table.count))
+    return table, next((n for n, (row, built) in enumerate(rows) if row != built), None)
 
 
 def full_set_limit(n_max: int) -> int:
@@ -252,6 +251,13 @@ def _step(n: int, reach: int, full, first: int = 0) -> int:
             f"S({n}) from index {reach} reads past S({len(full) - 1}), the last small set"
         ) from None
     return acc
+
+
+def _stepped_set(n: int, start: int, full) -> DimSet:
+    """S(n) by one :func:`_step` from ``start``, below which S(n) has every index."""
+    acc = _step(n, start, full)
+    low = start + _run(acc)
+    return DimSet.from_prefix_tail(n, low, acc >> (low - start))
 
 
 def build_table(n_max: int) -> DimTable:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .dimsets import DimSet, _rows, _run, _small_sets, _step, full_set_limit
+from .dimsets import DimSet, _rows, _small_sets, _stepped_set, full_set_limit
 
 
 @lru_cache(maxsize=None)
@@ -40,18 +40,13 @@ def r0(n: int) -> int:
 
 def square_sum_set(n: int) -> DimSet:
     """S(n): S(K) from the small sets S(0..K), K = full_set_limit(n), when
-    n = K, else one step (:func:`~reinhardt.dimsets._step`) from r0(n)
-    over them."""
+    n = K, else one step (:func:`~reinhardt.dimsets._stepped_set`) from
+    r0(n) over them."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     k = full_set_limit(n)
     full = _small_sets(k)
-    if n == k:
-        return DimSet(n, full[n])
-    start = r0(n)
-    acc = _step(n, start, full)
-    low = start + _run(acc)
-    return DimSet.from_prefix_tail(n, low, acc >> (low - start))
+    return DimSet(n, full[n]) if n == k else _stepped_set(n, r0(n), full)
 
 
 def square_sum_counts(min_n: int, max_n: int) -> list[int]:

@@ -8,7 +8,7 @@ Wire format v4 (all integers little-endian, fixed regardless of host):
     then one 20-byte record per n = 0..n_max (see
     :class:`~reinhardt.dimsets.DimTable`):
         low     u64   run of ones from index 0 in S(n)
-        count   u64   size of S(n); 1 <= low <= count <= (n^2 - n)/2 + 1
+        count   u64   size of S(n)
         crc     u32   CRC-32 (zlib) of the header and of the low and
                       count fields of records 0..n
 
@@ -20,8 +20,10 @@ The chain leaves the stored CRCs out: a CRC-32 over some bytes and
 their own CRC always ends in the same state (the residue 0x2144DF1C),
 so a chain through them would restart at every record and let whole
 records swap places unseen.  A load then compares every record with
-:func:`~reinhardt.dimsets.build_table` (n_max), which it returns: behind
-valid CRCs, the first that differs raises :class:`TableCorruptionError`.
+:func:`~reinhardt.dimsets.build_table` (n_max), which it returns, by the
+row check a :class:`~reinhardt.dimsets.DimTable` makes: behind valid
+CRCs, the first that differs, out of range or not, raises
+:class:`TableCorruptionError`.
 
 Format v4 replaced v3, which stored each set's tail, on purpose.  Files
 of versions 1 to 3 are not read: :class:`UnsupportedFormatError` names
@@ -36,7 +38,7 @@ import struct
 import zlib
 from typing import BinaryIO
 
-from .dimsets import DimTable, build_table, set_bit_length
+from .dimsets import DimTable, _first_wrong_row
 
 MAGIC = b"RDIM"
 VERSION = 4
@@ -70,8 +72,9 @@ def save_table(table: DimTable, sink: BinaryIO) -> int:
 
 def load_table(source: BinaryIO) -> DimTable:
     """Read and validate a table written by :func:`save_table`: the stream
-    whole, then the magic, the version, each record's CRC and range in
-    order, that no byte follows the last record, and each row (above)."""
+    whole, then the magic, the version, each record's CRC in order, that
+    no byte follows the last record, and each row against the build
+    (:func:`~reinhardt.dimsets._first_wrong_row`), whose table it returns."""
     data = source.read()
     magic = data[: len(MAGIC)]
     if magic != MAGIC:
@@ -85,7 +88,7 @@ def load_table(source: BinaryIO) -> DimTable:
             f"table format version {version}; only version {VERSION} is read"
         )
     crc = zlib.crc32(data[:end])
-    rows = []
+    lows, counts = [], []
     for n in range(n_max + 1):
         start, end = end, end + _RECORD.size
         if len(data) < end:
@@ -97,21 +100,15 @@ def load_table(source: BinaryIO) -> DimTable:
                 f"record {n} checksum mismatch: stored {stored:#010x}, computed {crc:#010x}",
                 record_index=n,
             )
-        if not 1 <= lo <= size <= set_bit_length(n):
-            raise TableCorruptionError(
-                f"record {n} declares low {lo} and count {size},"
-                f" outside 1 <= low <= count <= {set_bit_length(n)}",
-                record_index=n,
-            )
-        rows.append((lo, size))
+        lows.append(lo)
+        counts.append(size)
     if len(data) > end:
         raise TableCorruptionError("trailing bytes after the last record")
-    table = build_table(n_max)
-    for n, (row, built) in enumerate(zip(rows, zip(table.low, table.count))):
-        if row != built:
-            raise TableCorruptionError(
-                f"record {n} stores low {row[0]} and count {row[1]}, but the build"
-                f" gives low {built[0]} and count {built[1]}",
-                record_index=n,
-            )
+    table, n = _first_wrong_row(lows, counts)
+    if n is not None:
+        raise TableCorruptionError(
+            f"record {n} stores low {lows[n]} and count {counts[n]}, but the build"
+            f" gives low {table.low[n]} and count {table.count[n]}",
+            record_index=n,
+        )
     return table

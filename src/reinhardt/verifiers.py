@@ -8,8 +8,9 @@ conflating the two would overstate what a finite scan can show.  Every
 suite is deterministic: the same range yields the same report (modulo
 elapsed time), and every recorded counterexample re-fails on its own.
 Before any work a suite refuses a range past its own limit, or one that
-needs a table built past n = :data:`TABLE_MAX_N`; a table passed in is
-used as it is.
+needs a table built past n = :data:`TABLE_MAX_N`.  A table passed in is
+used as it is: every :class:`~reinhardt.dimsets.DimTable` holds the
+build's rows, checked once when it was made.
 """
 
 from __future__ import annotations

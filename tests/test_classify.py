@@ -314,8 +314,7 @@ class TestLargeN:
             return real_build(k)
 
         real_step, real_build = dimsets._step, lemma._small_sets
-        for module in (dimsets, lemma):
-            monkeypatch.setattr(module, "_step", step)
+        monkeypatch.setattr(dimsets, "_step", step)  # lemma's steps go through dimsets too
         monkeypatch.setattr(classify, "_small_sets", build)
         classify._small_squares.cache_clear()  # so the base is built under the patch
         assert classify_dimension(300, dim).status == status

@@ -4,13 +4,14 @@ import os
 import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 import reinhardt.cli
 import reinhardt.storage
 import reinhardt.verifiers
-from reinhardt import DimTable, build_table, save_table
+from reinhardt import build_table, save_table
 from reinhardt.cli import main
 
 
@@ -206,10 +207,15 @@ class TestCache:
             blob[12] ^= 0x10  # in record 0, so any read of the file fails
             cache.write_bytes(bytes(blob))
         elif kind == "resealed":
-            table = build_table(100)
-            count = list(table.count)
-            count[90] -= 1
-            _save(cache, DimTable(table.low, count))
+            _save(cache, build_table(100))
+            blob = bytearray(cache.read_bytes())
+            at = 10 + 20 * 90 + 8  # record 90's count, after the 10-byte header
+            struct.pack_into("<Q", blob, at, struct.unpack_from("<Q", blob, at)[0] - 1)
+            crc = zlib.crc32(blob[:10])
+            for start in range(10, len(blob), 20):  # reseal each record's CRC
+                crc = zlib.crc32(blob[start : start + 16], crc)
+                struct.pack_into("<I", blob, start + 16, crc)
+            cache.write_bytes(bytes(blob))
         elif kind == "foreign":
             cache.write_bytes(b"not a table at all\n")
         elif kind == "old-format":

@@ -266,15 +266,13 @@ class TestBuild:
         assert hashlib.sha256(data).hexdigest()[:16] == digest
 
     def test_a_table_rebuilds_its_sets_and_checks_them(self, table300):
-        assert DimTable(table300.low, table300.count) == table300
+        # the rows are checked when the table is made (test_storage's
+        # test_a_wrong_row_fails_when_the_table_is_made); its sets are the build's
+        made = DimTable(table300.low, table300.count)
+        assert made == table300 and made.sets[:] == table300.sets[:]
         assert len(table300.sets) == 301 and table300.sets[-1] == table300.sets[300]
         with pytest.raises(IndexError):
             table300.sets[301]
-        for n in (20, 200):  # a set kept in full, then one rebuilt on access
-            count = list(table300.count)
-            count[n] += 1
-            with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds with low"):
-                DimTable(table300.low, count).sets[n]
         with pytest.raises(ValueError, match="one low and one count"):
             DimTable((1, 1), (1,))
 

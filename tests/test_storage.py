@@ -1,5 +1,6 @@
 import hashlib
 import io
+import re
 import struct
 import zlib
 
@@ -21,6 +22,11 @@ from reinhardt import dimsets
 from reinhardt.dimsets import full_set_limit
 
 HEADER, RECORD = 10, 20  # bytes: magic, version and n_max; low, count and CRC
+
+
+@pytest.fixture(scope="module")
+def table300():
+    return build_table(300)
 
 
 def _dump(table) -> bytes:
@@ -50,9 +56,11 @@ def _chain(data: bytes, n: int) -> int:
 
 
 def _reseal(data: bytearray) -> None:
-    """Recompute the CRC that closes each record, in place."""
+    """Recompute the CRC that closes each record, in place, in one pass."""
+    crc = zlib.crc32(data[:HEADER])
     for n in range((len(data) - HEADER) // RECORD):
-        data[_record_end(n) - 4 : _record_end(n)] = struct.pack("<I", _chain(data, n))
+        crc = zlib.crc32(data[_record_start(n) : _record_start(n) + 16], crc)
+        data[_record_end(n) - 4 : _record_end(n)] = struct.pack("<I", crc)
 
 
 def _put(data: bytearray, n: int, field: int, value: int) -> None:
@@ -131,7 +139,7 @@ class TestRoundTrip:
     def test_one_pass_of_the_small_sets_per_table(self, monkeypatch):
         # the build hands its S(0..K) to its table, and a load returns the
         # build it checks the records against; a table made directly
-        # rebuilds them once to check its rows
+        # builds once to check its rows and keeps that build's S(0..K)
         calls, real = [], dimsets._small_sets
         monkeypatch.setattr(dimsets, "_small_sets", lambda k: calls.append(k) or real(k))
         table = build_table(1000)
@@ -185,7 +193,7 @@ class TestValidation:
         data = bytearray(_dump(build_table(4)))
         _put(data, 3, field, value)
         _reseal(data)
-        with pytest.raises(TableCorruptionError, match="record 3 declares") as err:
+        with pytest.raises(TableCorruptionError, match="record 3 stores") as err:
             load_table(io.BytesIO(bytes(data)))
         assert err.value.record_index == 3
 
@@ -203,41 +211,37 @@ class TestValidation:
         with pytest.raises(TableCorruptionError, match=f"record {n} stores") as err:
             load_table(io.BytesIO(bytes(data)))
         assert err.value.record_index == n
-        # a table made from such rows directly rebuilds S(30) when it is
-        # made, and S(90) only when it is asked for, and checks each then
-        low, count = list(table.low), list(table.count)
-        (count if field else low)[n] = stored - 1
-        if n <= 52:
-            with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds"):
+
+    @pytest.mark.parametrize("field", [0, 8], ids=["low", "count"])
+    @pytest.mark.parametrize("n", [*range(full_set_limit(300) + 1), *range(70, 301, 10)])
+    def test_a_wrong_row_fails_when_the_table_is_made(self, table300, n, field):
+        # every n <= K = 66, whose set the table keeps, and every 10th n
+        # above, whose set it rebuilds on access: low[n] or count[n] one off
+        # either way fails DimTable(low, count) and the load of the same
+        # rows behind resealed CRCs, each naming n
+        data = _dump(table300)
+        for delta in (-1, 1):
+            low, count = list(table300.low), list(table300.count)
+            row = count if field else low
+            row[n] += delta
+            made = (
+                f"S({n}) has low {table300.low[n]} and {table300.count[n]} values,"
+                f" but the table stores low {low[n]} and count {count[n]}"
+            )
+            with pytest.raises(ValueError, match=re.escape(made)):
                 DimTable(low, count)
-            return
-        made = DimTable(low, count)
-        assert made.sets[n - 1] == table.sets[n - 1]
-        with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds with low {table.low[n]}"):
-            made.sets[n]
-        if field:
-            return
-        # a stored low seeds the next step: raised up to low[n+1] the step
-        # still rebuilds S(n+1), raised past it S(n+1) rebuilds too high,
-        # and cut to 1 the step needs sets the table does not keep
-        for value, error in [
-            (1, "does not rebuild from"),
-            (stored + 1, None),
-            (table.low[n + 1] + 1, "rebuilds with low"),
-        ]:
-            low[n] = value
-            loaded = DimTable(low, count)
-            with pytest.raises(ValueError, match=f"S\\({n}\\) rebuilds with low {table.low[n]}"):
-                loaded.sets[n]
-            if error is None:
-                assert loaded.sets[n + 1] == table.sets[n + 1]
-            else:
-                with pytest.raises(ValueError, match=f"S\\({n + 1}\\) {error}"):
-                    loaded.sets[n + 1]
+            edited = bytearray(data)
+            _put(edited, n, field, row[n])
+            _reseal(edited)
+            loaded = f"record {n} stores low {low[n]} and count {count[n]}, but the build"
+            with pytest.raises(TableCorruptionError, match=loaded) as err:
+                load_table(io.BytesIO(bytes(edited)))
+            assert err.value.record_index == n
 
     def test_count_above_k_behind_valid_crcs_fails_the_load(self):
-        # n_max = 200 keeps S(0..60) in full; a count of 150 lowered by 2
-        # would serve c(150) and h(149) 2 low, and only S(150) would raise
+        # n_max = 200 keeps S(0..60) in full; a count of 150 lowered by 2,
+        # which would serve c(150) and h(149) 2 low, fails the load and a
+        # table made from the same rows alike
         table = build_table(200)
         assert full_set_limit(200) == 60
         data = bytearray(_dump(table))
@@ -246,9 +250,10 @@ class TestValidation:
         with pytest.raises(TableCorruptionError, match="record 150 stores low") as err:
             load_table(io.BytesIO(bytes(data)))
         assert err.value.record_index == 150
-        made = DimTable(table.low, [*table.count[:150], table.count[150] - 2, *table.count[151:]])
-        assert (compact_count(made, 150), compact_count(table, 150)) == (9165, 9167)
-        assert (noncompact_count(made, 149), noncompact_count(table, 149)) == (125, 127)
+        assert (compact_count(table, 150), noncompact_count(table, 149)) == (9167, 127)
+        count = [*table.count[:150], table.count[150] - 2, *table.count[151:]]
+        with pytest.raises(ValueError, match=r"^S\(150\) has low \d+ and 9168 values"):
+            DimTable(table.low, count)
 
     def test_truncation_names_first_incomplete_record(self):
         data = _dump(build_table(4))

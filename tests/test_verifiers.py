@@ -19,8 +19,8 @@ from reinhardt.verifiers import _max_square_sum
 
 
 class _WrongTable:
-    """A table stand-in that holds its sets as given; a real table would
-    refuse a set that its recurrence does not rebuild."""
+    """A table stand-in that holds its sets as given; a real table refuses
+    any row that differs from the build's when it is made."""
 
     def __init__(self, sets):
         self.sets = sets
