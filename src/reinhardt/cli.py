@@ -25,10 +25,10 @@ from typing import Any, Iterable, NoReturn, Sequence, TextIO
 #: Last row `table` prints, and largest n whose set `set` prints, without
 #: --force.  The verify suites keep their own limits (see `verifiers`).
 BUILD_LIMIT = 4096
-#: Last row `sequence` prints: its rows are held before they are written.
+#: Last row `sequence` prints: its walk keeps every reach(n) until the anchor has a proved bound.
 SEQUENCE_LIMIT = 100_000
 
-_CHUNK = 4096  # values per write in `set`
+_CHUNK = 4096  # values per write in `set`, rows per JSON write in the others
 _CENTURIES = 64  # whole centuries of `set`'s dense run per write
 _DIGITS = [f"{d:02d}" for d in range(100)]  # the last two digits of a century's values
 
@@ -39,27 +39,28 @@ class CliError(Exception):
 
 def _emit(fmt: str, header: Sequence[str], rows: Iterable[Sequence[Any]], out: TextIO) -> None:
     """Write ``rows`` as CSV under ``header`` (None is an empty field), or
-    as JSON, each row an object keyed by ``header``."""
-    if fmt == "json":
-        out.write(_json_text([dict(zip(header, row)) for row in rows]))
+    as JSON, each row an object keyed by ``header``: the text of one
+    ``json.dumps`` of the document, one dump per :data:`_CHUNK` rows."""
+    if fmt == "csv":
+        import csv
+
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
         return
-    import csv
-
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _json_text(rows: Sequence[dict[str, Any]]) -> str:
     import json
 
-    return json.dumps({"rows": list(rows)}, ensure_ascii=False) + "\n"
+    head, tail = _json_frame()
+    out.write(head)
+    rows, lead = iter(rows), ""
+    while chunk := [dict(zip(header, row)) for row in islice(rows, _CHUNK)]:
+        out.write(lead + json.dumps(chunk, ensure_ascii=False)[1:-1])
+        lead = ", "
+    out.write(tail)
 
 
-def _open_out(path: str | None):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+def _json_frame() -> tuple[str, str]:
+    return '{"rows": [', "]}\n"  # the JSON document around its rows
 
 
 def cmd_table(args: SimpleNamespace) -> int:
@@ -73,17 +74,16 @@ def cmd_table(args: SimpleNamespace) -> int:
         raise CliError(f"`table` prints rows to n={BUILD_LIMIT} unless --force is given")
     counts = square_sum_counts(lo, hi)  # --cache and --no-cache are accepted and not read
     # h(n) needs |S(n + 1)|, so the last row has none
-    rows = list(map(_ratio_row, range(lo, hi + 1), counts, [*counts[1:], None]))
+    rows = map(_ratio_row, range(lo, hi + 1), counts, [*counts[1:], None])
     if args.format == "csv":
         header = ("n", "c", "c/n^2", "h", "h/n")
     else:
         header = ("n", "c", "c_over_n2", "h", "h_over_n")
-    out, close = _open_out(args.out)
-    try:
-        _emit(args.format, header, rows, out)
-    finally:
-        if close:
-            out.close()
+    if args.out in (None, "-"):
+        _emit(args.format, header, rows, sys.stdout)
+    else:
+        with open(args.out, "w", encoding="utf-8") as out:
+            _emit(args.format, header, rows, out)
     return 0
 
 
@@ -91,8 +91,6 @@ def cmd_set(args: SimpleNamespace) -> int:
     from .lemma import square_sum_set
 
     n = args.n
-    if n < 0:
-        raise CliError(f"n must be non-negative, got {n}")
     if n > BUILD_LIMIT and not args.force:
         raise CliError(
             f"S({n}) holds about {n * n // 2} values; `set` prints at most S({BUILD_LIMIT})"
@@ -101,11 +99,9 @@ def cmd_set(args: SimpleNamespace) -> int:
     dimset = square_sum_set(n)  # --cache and --no-cache are accepted and not read
     if args.format == "csv":
         head, sep, tail = f"n,values\n{n},", " ", "\n"
-    else:
-        # the empty set's document, split at its one "[]"; json.dumps
-        # separates list items with ", "
-        head, tail = _json_text([{"n": n, "values": []}]).split("[]")
-        head, sep, tail = head + "[", ", ", "]" + tail
+    else:  # the one row {"n": n, "values": [...]}, as json.dumps spells it
+        head, tail = _json_frame()
+        head, sep, tail = f'{head}{{"n": {n}, "values": [', ", ", "]}" + tail
     sys.stdout.write(head)
     # the dense prefix straight from its range; only the tail is walked bit by bit
     lead = _write_run(n, n + 2 * dimset.low, sep, sys.stdout)
@@ -175,14 +171,10 @@ def cmd_classify(args: SimpleNamespace) -> int:
         raise CliError(f"classification needs n >= 2, got {args.n}")
     result = classify_dimension(args.n, args.dim)
     if args.format == "json":
-        sys.stdout.write(_json_text([_classification_record(result)]))
+        record = _classification_record(result)
+        _emit("json", record.keys(), [record.values()], sys.stdout)
         return 0
-    rows: list[tuple[str, Any]] = [
-        ("n", result.n),
-        ("dim", result.dim),
-        ("status", result.status),
-        ("notes", result.notes),
-    ]
+    rows = [(key, getattr(result, key)) for key in ("n", "dim", "status", "notes")]
     for fam in result.families:
         params = "; ".join(fam.parameters)
         rows.append(("family", f"{fam.tag}: {fam.description}" + (f" [{params}]" if params else "")))
@@ -244,7 +236,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
         "counterexamples": [list(ce) for ce in report.counterexamples],
     }
     if args.format == "json":
-        sys.stdout.write(_json_text([record]))
+        _emit("json", record.keys(), [record.values()], sys.stdout)
     else:
         rows = [(key, value) for key, value in record.items() if key != "counterexamples"]
         for n, value, detail in report.counterexamples:
@@ -254,13 +246,14 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def cmd_sequence(args: SimpleNamespace) -> int:
-    from .sequences import growth_sequence
+    from .sequences import _growth_walk
 
     if args.max_n < 1:
         raise CliError(f"max_n must be positive, got {args.max_n}")
     if args.max_n > SEQUENCE_LIMIT:
         raise CliError(f"sequence rows stop at n={SEQUENCE_LIMIT}, got --max-n {args.max_n}")
-    rows = [(r.n, r.reach, 2 * r.threshold, r.anchor) for r in growth_sequence(args.max_n)]
+    # 2g(n) = reach(n) + n + 4 (see `sequences.growth_sequence`)
+    rows = ((n, f, f + n + 4, k) for n, (f, k) in enumerate(zip(*_growth_walk(args.max_n))))
     _emit(args.format, ("n", "f", "2g", "k"), rows, sys.stdout)
     return 0
 

@@ -51,8 +51,8 @@ def _layers(calls):
 def _layer_count(tool, sizes):
     return (
         len(sizes) + 2 * len(tool.SAVE_LOAD_N) + len(tool.SETS_N) + len(tool.SET_N)
-        + len(tool.TABLE_WINDOWS) + len(tool.MEMBERSHIP) + len(tool.CLASSIFY_BASE)
-        + len(tool.CLASSIFY) + len(tool.ENUMERATION) * len(tool.ENUMERATION_N)
+        + len(tool.TABLE_WINDOWS) + len(tool.SEQUENCE) + len(tool.MEMBERSHIP)
+        + len(tool.CLASSIFY_BASE) + len(tool.CLASSIFY) + len(tool.ENUMERATION) * len(tool.ENUMERATION_N)
         + len(tool.SUITES) + 2 + len(tool.STARTUP_ARGV)
     )
 
@@ -76,6 +76,8 @@ def test_two_trees_get_rounds_children_per_layer(tool, tmp_path):
     assert "set_on_demand" not in runs["b"]
     assert set(runs["b"]["table_command"]) == {f"{a}..{b}" for a, b in tool.TABLE_WINDOWS}
     assert {"100000..100001", "1000000..1000001"} <= set(runs["b"]["table_command"])
+    assert set(runs["b"]["sequence_command"]) == {f"{n} {fmt}" for n, fmt in tool.SEQUENCE}
+    assert {"100000 csv", "100000 json"} <= set(runs["b"]["sequence_command"])
     assert len(runs["b"]["startup"]) == 2 + len(tool.STARTUP_ARGV)
     # the stub's times grow with each call, so the tree that goes second
     # in a round reads higher: b reads lower in the rounds it leads
@@ -138,6 +140,13 @@ def test_the_table_command_child_runs_against_a_tree(tmp_path):
     result = _real_child(tmp_path, "cli_table", 30, "2", "t.rdim")
     assert result["exit"] == 0 and result["s"] > 0 and result["maxrss_mib"] > 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_sequence_command_child_runs_against_a_tree(tmp_path):
+    # `sequence --max-n 30` in-process, in each format
+    for fmt in ("csv", "json"):
+        result = _real_child(tmp_path, "cli_sequence", 30, fmt)
+        assert result["exit"] == 0 and result["s"] > 0 and result["maxrss_mib"] > 0
 
 
 def test_the_sets_and_base_children_run_against_a_tree(tmp_path):

@@ -36,6 +36,9 @@ the two medians cannot.  The layers are:
   window (a, b) in ``TABLE_WINDOWS``, FILE being the n_max = 4096 file
   the save layer wrote, so a tree that reads its cache times a warm load;
   stdout and caches as for ``set``;
+* the ``sequence`` command, ``reinhardt.cli.main(["sequence", "--max-n",
+  n, "--format", FORMAT])`` in-process for each (n, FORMAT) in
+  ``SEQUENCE``, stdout and caches as for ``set``;
 * membership, ``is_realizable(n, dim)`` for each (n, dim) in
   ``MEMBERSHIP``, with every ``functools`` cache of every loaded
   ``reinhardt.*`` module cleared before each timed call, so each one pays
@@ -100,6 +103,8 @@ SET_N = (803, 4096)
 TABLE_WINDOWS = (
     (668, 779), (933, 957), (2, 1004), (2, 4096), (10**5, 10**5 + 1), (10**6, 10**6 + 1)
 )
+#: (max_n, format) of the `sequence` command: perfbench's size and the limit
+SEQUENCE = ((1005, "csv"), (1005, "json"), (100_000, "csv"), (100_000, "json"))
 #: (n, dim) membership queries, both unrealizable: n^2 - 2 at n = 1000 and
 #: n^2 - 4 at n = 4000
 MEMBERSHIP = ((1000, 999998), (4000, 15999996))
@@ -205,6 +210,8 @@ elif op.startswith("cli_"):  # a command in-process, stdout to a null sink
     from reinhardt import cli
     if op == "cli_set":  # `set --n n --no-cache`
         argv = ["set", "--n", str(n), "--no-cache"]
+    elif op == "cli_sequence":  # `sequence --max-n n --format args[0]`
+        argv = ["sequence", "--max-n", str(n), "--format", args[0]]
     else:  # `table --min-n args[0] --max-n n --cache args[1] --force`
         argv = ["table", "--min-n", args[0], "--max-n", str(n), "--cache", args[1], "--force"]
     with open(os.devnull, "w") as sink, redirect_stdout(sink):
@@ -393,6 +400,8 @@ def measure(trees: dict[str, Path], sizes: list[int]) -> dict[str, dict]:
             layer("set_command", str(n), "cli_set", n)
         for lo, hi in TABLE_WINDOWS:
             layer("table_command", f"{lo}..{hi}", "cli_table", hi, str(lo), f"{TABLE_FILE_N}.rdim")
+        for n, fmt in SEQUENCE:
+            layer("sequence_command", f"{n} {fmt}", "cli_sequence", n, fmt)
         for n, dim in MEMBERSHIP:
             layer("membership", f"{n}, {dim}", "member", n, str(dim))
         for n, dim in CLASSIFY_BASE:
