@@ -14,10 +14,11 @@ defined inductively:
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple
+from itertools import count
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .dimsets import DimTable
-from .partitions import DegenerateInputWarning
+if TYPE_CHECKING:
+    from .dimsets import DimTable
 
 
 class GrowthRow(NamedTuple):
@@ -36,14 +37,18 @@ def growth_sequence(n_max: int) -> list[GrowthRow]:
     # reach(n) has the parity of n (each row adds m^2 + m), so the halving is exact
     return [
         GrowthRow(n, reach, (reach + n + 4) // 2, anchor)
-        for n, (reach, anchor) in enumerate(zip(*_growth_walk(n_max)))
+        for n, (reach, anchor) in zip(range(n_max + 1), _growth_walk())
     ]
 
 
-def _growth_walk(n_max: int) -> tuple[list[int], list[int | None]]:
-    """reach(n) and anchor(n) for n = 0..n_max; the anchor is None at n = 0."""
-    reach, anchor, k = [0], [None], 0
-    for n in range(1, n_max + 1):
+def _growth_walk() -> Iterator[tuple[int, int | None]]:
+    """reach(n) and anchor(n) for n = 0, 1, 2, ...; the anchor is None at n = 0.
+    It holds k = anchor(n), reach(k), reach(k + 1) and a walk behind it."""
+    yield 0, None
+    yield 1, 0
+    behind = (reach for reach, _ in _growth_walk())
+    k, here, after = 0, next(behind), next(behind)  # reach(k), reach(k + 1)
+    for n in count(2):
         # The kappa with threshold(kappa) <= n form a prefix, so walking up
         # from the previous anchor finds its end.  By induction on n:
         # reach(kappa) + kappa is even (each row adds m^2 + m, m = n - k),
@@ -51,11 +56,9 @@ def _growth_walk(n_max: int) -> tuple[list[int], list[int | None]]:
         # strictly increases there and the anchor moves up by at most 1
         # (by 2 would need reach(k+2) < reach(k+1)); hence reach(n) >=
         # reach(n-1), for every n.
-        while k + 1 < n and reach[k + 1] + k + 1 + 4 <= 2 * n:
-            k += 1
-        reach.append((n - k) ** 2 + reach[k])
-        anchor.append(k)
-    return reach, anchor
+        while k + 1 < n and after + k + 1 + 4 <= 2 * n:
+            k, here, after = k + 1, after, next(behind)
+        yield (n - k) ** 2 + here, k
 
 
 def format_ratio(numerator: int, denominator: int) -> str:
@@ -103,6 +106,7 @@ def ratio_table(table: DimTable, ns: list[int]) -> list[RatioRow]:
     count = table.count
     for n in ns:
         if not 2 <= n <= table.n_max:
+            from .partitions import DegenerateInputWarning
             warnings.warn(
                 f"n={n} outside table range 2..{table.n_max}; row skipped",
                 DegenerateInputWarning,

@@ -77,7 +77,9 @@ def test_two_trees_get_rounds_children_per_layer(tool, tmp_path):
     assert set(runs["b"]["table_command"]) == {f"{a}..{b}" for a, b in tool.TABLE_WINDOWS}
     assert {"100000..100001", "1000000..1000001"} <= set(runs["b"]["table_command"])
     assert set(runs["b"]["sequence_command"]) == {f"{n} {fmt}" for n, fmt in tool.SEQUENCE}
-    assert {"100000 csv", "100000 json"} <= set(runs["b"]["sequence_command"])
+    assert {"1004 csv", "100000 json", "1000000 csv", "1000000 json"} <= set(
+        runs["b"]["sequence_command"]
+    )
     assert len(runs["b"]["startup"]) == 2 + len(tool.STARTUP_ARGV)
     # the stub's times grow with each call, so the tree that goes second
     # in a round reads higher: b reads lower in the rounds it leads
@@ -99,6 +101,29 @@ def test_each_tree_goes_first_in_half_the_rounds(tool, tmp_path):
         rounds = [trees[i : i + 2] for i in range(0, len(trees), 2)]
         assert all(sorted(pair) == ["a", "b"] for pair in rounds)
         assert [pair[0] for pair in rounds].count("a") == tool.ROUNDS // 2
+
+
+def test_a_refused_command_records_no_time(tool, tmp_path, monkeypatch):
+    # tree a refuses `sequence --max-n 10^6`, as a tree with a row limit does
+    timed = tool._child
+
+    def child(src, cwd, op, n, *args):
+        result = timed(src, cwd, op, n, *args)
+        if src.parent.name == "a" and op == "cli_sequence" and n == 10**6:
+            return result | {"s": None, "exit": 1, "refused": "error: rows stop"}
+        return result
+
+    monkeypatch.setattr(tool, "_child", child)
+    out = tmp_path / "out.json"
+    tool.main(["--tree", _tree(tmp_path, "a"), "--tree", _tree(tmp_path, "b"),
+               "--out", str(out), "--sizes", "1000"])
+    layers = json.loads(out.read_text())["runs"]
+    for fmt in ("csv", "json"):
+        a, b = (layers[t]["sequence_command"][f"1000000 {fmt}"] for t in "ab")
+        assert a["refused"] == "error: rows stop" and a["s"] is None
+        assert "s_quartiles" not in a and a["maxrss_mib"] == 1.0
+        assert b["s"] > 0 and "ratio" not in b
+    assert "ratio" in layers["b"]["sequence_command"]["100000 csv"]
 
 
 def test_one_tree_writes_its_label_and_keeps_other_runs(tool, tmp_path):
@@ -147,6 +172,10 @@ def test_the_sequence_command_child_runs_against_a_tree(tmp_path):
     for fmt in ("csv", "json"):
         result = _real_child(tmp_path, "cli_sequence", 30, fmt)
         assert result["exit"] == 0 and result["s"] > 0 and result["maxrss_mib"] > 0
+    # one it refuses gives the error and no time
+    result = _real_child(tmp_path, "cli_sequence", 0, "csv")
+    assert result["exit"] == 1 and result["s"] is None
+    assert result["refused"] == "error: max_n must be positive, got 0"
 
 
 def test_the_sets_and_base_children_run_against_a_tree(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 import reinhardt.cli
 import reinhardt.storage
 import reinhardt.verifiers
-from reinhardt import build_table, save_table
+from reinhardt import build_table, lemma, save_table
 from reinhardt.classify import classify_dimension
 from reinhardt.cli import main
 from reinhardt.lemma import square_sum_counts
@@ -680,30 +680,29 @@ class TestSequence:
         assert lines[5] == "4,10,18,1"
         assert lines[19] == "18,142,164,7"
 
-    def test_refuses_beyond_limit_before_any_row(self, capsys, monkeypatch):
-        import reinhardt.sequences
+    def test_rows_past_100000(self, capsys):
+        # no row limit: the walk holds no list that grows with n
+        code, out, _ = run(capsys, "sequence", "--max-n", "100001")
+        lines = out.splitlines()
+        assert (code, len(lines)) == (0, 1 + 100_002)
+        f = lemma.reach(100_001)
+        n, f_out, g2, _ = lines[-1].split(",")
+        assert (int(n), int(f_out), int(g2)) == (100_001, f, f + 100_001 + 4)
 
-        def no_rows(n_max):
-            raise AssertionError(f"built rows to n={n_max}")
-
-        monkeypatch.setattr(reinhardt.sequences, "_growth_walk", no_rows)
-        limit = reinhardt.cli.SEQUENCE_LIMIT
-        code, out, err = run(capsys, "sequence", "--max-n", str(limit + 1))
-        assert (code, out) == (1, "")
-        assert err == f"error: sequence rows stop at n={limit}, got --max-n {limit + 1}\n"
-        with pytest.raises(AssertionError, match=f"n={limit}"):
-            run(capsys, "sequence", "--max-n", str(limit))
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_max_n_below_1_exits_1_before_any_row(self, capsys, max_n):
+        code, out, err = run(capsys, "sequence", "--max-n", max_n)
+        assert (code, out, err) == (1, "", f"error: max_n must be positive, got {max_n}\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_per_row_is_the_walks_alone(self, fmt):
-        # tracemalloc peaks of `sequence` at 20 000 and 40 000 rows, stdout
+        # tracemalloc peaks of `sequence` at 20 000 and 80 000 rows, stdout
         # to a null sink.  Per extra row, on CPython 3.11: 287 B in CSV and
-        # 434 B in JSON when the command held its rows (the walk's two
-        # lists, a GrowthRow and a tuple per row, and for JSON a dict per
-        # row and the whole text), and 41 B and 48 B when it writes them as
-        # they are made, which is about the walk's reach list.
+        # 434 B in JSON when the command held its rows, 41 B and 48 B when
+        # it wrote them as they were made but its walk kept every reach(n),
+        # and none now that the walk reads reach(kappa) from a walk behind it
         peaks = []
-        for n_max in (20_000, 40_000):
+        for n_max in (20_000, 80_000):
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
                 tracemalloc.start()
                 try:
@@ -711,7 +710,7 @@ class TestSequence:
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / 20_000 < 120
+        assert (peaks[1] - peaks[0]) / 60_000 < 2
 
     def test_json_null_anchor_at_zero(self, capsys):
         code, out, _ = run(capsys, "sequence", "--max-n", "2", "--format", "json")

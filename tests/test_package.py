@@ -27,7 +27,7 @@ def test_unknown_name_raises_attribute_error():
 
 
 # Run in a fresh interpreter: prints the modules that `import reinhardt.cli`,
-# then one `set` command, one `table` command and one `sequence` command
+# then one `sequence` command, one `set` command and one `table` command
 # load on top of what the interpreter started with.
 _PROBE = """
 import io, json, sys
@@ -36,14 +36,14 @@ before = set(sys.modules)
 import reinhardt.cli
 after_import = set(sys.modules) - before
 with redirect_stdout(io.StringIO()):
-    code = reinhardt.cli.main(["set", "--n", "30", "--no-cache"])
+    code = reinhardt.cli.main(["sequence", "--max-n", "20"])
+after_sequence = set(sys.modules) - before
+with redirect_stdout(io.StringIO()):
+    code |= reinhardt.cli.main(["set", "--n", "30", "--no-cache"])
 after_set = set(sys.modules) - before
 with redirect_stdout(io.StringIO()):
     code |= reinhardt.cli.main(["table", "--min-n", "89", "--max-n", "100", "--cache", "t.rdim"])
 after_table = set(sys.modules) - before
-with redirect_stdout(io.StringIO()):
-    code |= reinhardt.cli.main(["sequence", "--max-n", "20"])
-after_sequence = set(sys.modules) - before
 print(json.dumps([sorted(after_import), sorted(after_set), sorted(after_table),
                   sorted(after_sequence), code]))
 """
@@ -71,6 +71,10 @@ def test_cli_imports_only_what_a_command_runs(tmp_path):
     )
     assert list(tmp_path.iterdir()) == []  # and writes no cache
     assert not {"fractions", "decimal"} & set(after_sequence)
+    # `sequence` runs the growth walk alone: no sets, no partitions
+    assert not {"reinhardt.dimsets", "reinhardt._frozen", "reinhardt.partitions"} & set(
+        after_sequence
+    )
 
 
 # Run in a fresh interpreter: prints the `reinhardt` modules that one

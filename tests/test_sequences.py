@@ -7,9 +7,11 @@ from reinhardt import (
     compact_count,
     format_ratio,
     growth_sequence,
+    lemma,
     noncompact_count,
     ratio_table,
 )
+from reinhardt.sequences import _growth_walk
 
 # frozen by evaluating the five inductive rules by hand
 REACH_0_TO_10 = [0, 1, 4, 5, 10, 13, 14, 21, 30, 35, 46]
@@ -47,6 +49,26 @@ class TestGrowthSequence:
         rows = growth_sequence(20000)
         keys = [r.reach + r.n for r in rows]
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    def test_walk_equals_the_memoized_search_to_a_million(self):
+        # the walk that feeds on a walk behind it, against lemma.reach, the
+        # gallop and bisection that shares no code with it: every n to 2000,
+        # then a grid of step 997 and 10^k - 1 .. 10^k + 1, to n = 10^6
+        top = 10**6
+        grid = {*range(2001), *range(2001, top, 997), top}
+        grid |= {10**k + d for k in range(4, 6) for d in (-1, 0, 1)}
+        reach = lemma.reach
+        reach.cache_clear()
+        seen = 0
+        for n, (f, k) in zip(range(top + 1), _growth_walk()):
+            if n in grid:
+                assert f == reach(n), n
+                if n:  # k is the last kappa in [0, n) with reach(kappa) + kappa + 4 <= 2n
+                    assert k == 0 or reach(k) + k + 4 <= 2 * n, n
+                    assert k + 1 == n or reach(k + 1) + k + 5 > 2 * n, n
+                seen += 1
+        reach.cache_clear()
+        assert (seen, n) == (len(grid), top)
 
     def test_parity_and_monotone_anchor(self):
         rows = growth_sequence(300)

@@ -39,6 +39,9 @@ the two medians cannot.  The layers are:
 * the ``sequence`` command, ``reinhardt.cli.main(["sequence", "--max-n",
   n, "--format", FORMAT])`` in-process for each (n, FORMAT) in
   ``SEQUENCE``, stdout and caches as for ``set``;
+* of these three commands, one that a tree refuses (exit 1) records no
+  time: its child gives ``refused``, the first line of its stderr, and
+  the layer keeps that, with no ratio;
 * membership, ``is_realizable(n, dim)`` for each (n, dim) in
   ``MEMBERSHIP``, with every ``functools`` cache of every loaded
   ``reinhardt.*`` module cleared before each timed call, so each one pays
@@ -103,8 +106,8 @@ SET_N = (803, 4096)
 TABLE_WINDOWS = (
     (668, 779), (933, 957), (2, 1004), (2, 4096), (10**5, 10**5 + 1), (10**6, 10**6 + 1)
 )
-#: (max_n, format) of the `sequence` command: perfbench's size and the limit
-SEQUENCE = ((1005, "csv"), (1005, "json"), (100_000, "csv"), (100_000, "json"))
+#: (max_n, format) of the `sequence` command: perfbench's size, 10^5 and 10^6
+SEQUENCE = tuple((n, fmt) for n in (1004, 100_000, 10**6) for fmt in ("csv", "json"))
 #: (n, dim) membership queries, both unrealizable: n^2 - 2 at n = 1000 and
 #: n^2 - 4 at n = 4000
 MEMBERSHIP = ((1000, 999998), (4000, 15999996))
@@ -206,7 +209,7 @@ elif op == "sets":  # table.sets[m] above K, the table built untimed
         best = min(best, time.perf_counter() - started)
     result["sets"] = len(rows)
 elif op.startswith("cli_"):  # a command in-process, stdout to a null sink
-    from contextlib import redirect_stdout
+    from contextlib import redirect_stderr, redirect_stdout
     from reinhardt import cli
     if op == "cli_set":  # `set --n n --no-cache`
         argv = ["set", "--n", str(n), "--no-cache"]
@@ -214,12 +217,15 @@ elif op.startswith("cli_"):  # a command in-process, stdout to a null sink
         argv = ["sequence", "--max-n", str(n), "--format", args[0]]
     else:  # `table --min-n args[0] --max-n n --cache args[1] --force`
         argv = ["table", "--min-n", args[0], "--max-n", str(n), "--cache", args[1], "--force"]
-    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+    err = io.StringIO()
+    with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(err):
         for _ in range(reps):
             clear_caches()
             started = time.perf_counter()
             result["exit"] = cli.main(argv)
             best = min(best, time.perf_counter() - started)
+    if result["exit"]:  # refused: the time of an error message is no time
+        best, result["refused"] = None, err.getvalue().split("\n")[0]
 elif op.startswith("verify_"):  # a suite over n = int(args[0])..n, or 0..n
     suite = getattr(reinhardt, op)
     for _ in range(reps):
@@ -319,13 +325,17 @@ def _interleaved(trees: dict[str, tuple[Path, str]], op: str, n: int, *args: str
             results[label].append(_child(*trees[label], op, n, *args))
     layer = {}
     for label, runs in results.items():
+        if runs[0]["s"] is None:  # the tree refused the job
+            layer[label] = runs[0] | {"maxrss_mib": max(r["maxrss_mib"] for r in runs)}
+            continue
         q1, median, q3 = _quartiles([r["s"] for r in runs])
         layer[label] = runs[0] | {"s": round(median, 4), "s_quartiles": [round(q1, 4), round(q3, 4)]}
         if "maxrss_mib" in runs[0]:
             layer[label]["maxrss_mib"] = max(r["maxrss_mib"] for r in runs)
         if "minflt" in runs[0]:
             layer[label]["minflt"] = round(statistics.median(r["minflt"] for r in runs))
-    if len(labels) == 2:  # the second tree's time over the first's, round by round
+    if len(labels) == 2 and all(runs[0]["s"] is not None for runs in results.values()):
+        # the second tree's time over the first's, round by round
         ratios = [b["s"] / a["s"] for a, b in zip(*results.values())]
         q1, median, q3 = _quartiles(ratios)
         layer[labels[1]]["ratio"] = {
