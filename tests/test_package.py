@@ -70,6 +70,8 @@ def test_cli_imports_only_what_a_command_runs(tmp_path):
         after_table
     )
     assert list(tmp_path.iterdir()) == []  # and writes no cache
+    # after_table holds what all three commands loaded
+    assert not {"fractions", "decimal"} & set(after_table)
     assert not {"fractions", "decimal"} & set(after_sequence)
     # `sequence` runs the growth walk alone: no sets, no partitions
     assert not {"reinhardt.dimsets", "reinhardt._frozen", "reinhardt.partitions"} & set(
