@@ -52,9 +52,6 @@ STATUS_GENERAL_ONLY = "general_only"
 
 NOT_VERIFIED_LABEL = "canonical candidate; automorphism group not verified by this library"
 
-#: Largest n whose S(n) and G(n) membership is decided: an input guard.
-MEMBERSHIP_MAX_N = 10**8
-
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
@@ -112,10 +109,7 @@ def _ball_family(n: int) -> DomainFamily:
 
 
 def _ball_times_disc_family(n: int) -> DomainFamily:
-    return DomainFamily(
-        "BallTimesDisc",
-        f"B{_sup(n - 1)} × Δ (up to dilations and permutations)",
-    )
+    return DomainFamily("BallTimesDisc", f"B{_sup(n - 1)} × Δ (up to dilations and permutations)")
 
 
 def n_squared_families(n: int) -> list[DomainFamily]:
@@ -239,29 +233,42 @@ def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
 def is_realizable(n: int, dim: int) -> bool:
     """Whether ``dim`` lies in G(n), the values of marked partitions of n
     with any number of marks; see :func:`_member`."""
-    _check_membership_n(n)
+    if n < 0:
+        raise ValueError(f"S(n) and G(n) membership needs 0 <= n, got {n}")
     return _member(n, dim, True)
 
 
-def _check_membership_n(n: int) -> None:
-    if not 0 <= n <= MEMBERSHIP_MAX_N:
-        raise ValueError(f"S(n) and G(n) membership needs 0 <= n <= {MEMBERSHIP_MAX_N}, got {n}")
-
-
 def _member(n: int, value: int, marked: bool) -> bool:
-    """Whether ``value`` lies in G(n) if ``marked``, else in S(n).
+    """Whether ``value`` lies in G(n) if ``marked``, else in S(n), at any n >= 0.
 
     A marked block d adds d^2 + 2d to the value, an unmarked one d^2.  For
     n <= :data:`MARKED_ORACLE_MAX_N` a fixed base answers.  Above it every
     value up to reach(n) is a square sum (the growth lemma: the tests check
     it for every n <= 10^5, and past that it rests on the paper's proof).
-    reach(n) passes n(n+3)/2 (tested to n = 100 000 and on a grid up to the
-    guard), and parts all below n/2 give at most sum d(d + 2) <= n(n+3)/2,
-    so a value above reach(n) has a largest part p = n - j >= n/2: it is in
-    S(n) iff value - p^2 is in S(j), and in G(n) iff value - p^2 or
-    value - p^2 - 2p is in G(j).  j starts where p^2 + j <= value (the rest
-    is at least j ones), and rises while p^2 + j^2 (+ 2n in G), the largest
-    such value, still reaches the value; that falls as j rises to n/2.
+    reach(n) >= n^2/2 (below), so a value up to n^2/2 needs no reach(n),
+    whose cold search memoizes about 7 200 values at n = 10^4299; past
+    n = 1.5 * 10^2150 a dim of at most 4300 digits, as the CLI parses, is
+    always such a value.
+    Parts all below n/2 give at most sum d(d + 2) <= n(n+3)/2, and
+    2 reach(n) > n(n+3) (below), so a value above reach(n) has a largest
+    part p = n - j >= n/2: it is in S(n) iff value - p^2 is in S(j), and in
+    G(n) iff value - p^2 or value - p^2 - 2p is in G(j).  j starts where
+    p^2 + j <= value (the rest is at least j ones), and rises while
+    p^2 + j^2 (+ 2n in G), the largest such value, still reaches the value;
+    that falls as j rises to n/2.
+
+    The bounds, reach(n) >= n^2/2 for n >= 41 and 2 reach(n) > n(n+3) for
+    n >= 45, by strong induction on n.  Let k = anchor(n), so that
+    reach(k) + k + 4 <= 2n and reach(n) = (n - k)^2 + reach(k).  If k >= 41,
+    then reach(k) >= k^2/2, so k^2 <= 2 reach(k) < 4n, k < 2 sqrt(n) and
+    reach(n) >= (n - 2 sqrt(n))^2.  Otherwise k <= 40 and
+    reach(n) >= (n - 40)^2.  Now (n - 2 sqrt(n))^2 >= n^2/2 for n >= 47 and
+    (n - 40)^2 >= n^2/2 for n >= 137, which carries the first bound
+    forward; and 2 (n - 2 sqrt(n))^2 > n(n+3) once n - 8 sqrt(n) + 5 > 0
+    (n >= 54), and 2 (n - 40)^2 > n(n+3) for n >= 141, which gives the
+    second.  The base, from the growth walk: reach(n) >= n^2/2 at every
+    41 <= n <= 200 000, and 2 reach(n) > n(n+3) at every 45 <= n <= 200 000
+    (both in the tests).  Past 200 000 both steps apply.
     """
     pad = 2 * n if marked else 0
     if (value - n) % 2 or not n <= value <= n * n + pad:
@@ -269,7 +276,7 @@ def _member(n: int, value: int, marked: bool) -> bool:
     if n <= MARKED_ORACLE_MAX_N:
         base = _marked_rows()[n][n] if marked else _small_squares()[n]
         return bool(base >> (value - n) // 2 & 1)
-    if value <= reach(n):
+    if 2 * value <= n * n or value <= reach(n):  # reach(n) >= n^2/2, below
         return True
     q = min(n, (1 + isqrt(1 + 4 * (value - n))) // 2)  # the largest p with p^2 - p <= value - n
     for j in range(n - q, n // 2 + 1):
@@ -297,9 +304,10 @@ def _small_squares() -> tuple[int, ...]:
 def classify_dimension(n: int, dim: int, include_realizations: bool = True) -> Classification:
     """Classify the query (n, dim); see the module docstring for the ladder.
 
-    A dim of the parity of n from n to n^2 - 2 raises :class:`ValueError`
-    for n above :data:`MEMBERSHIP_MAX_N`; other values
-    answer at any n.  Realizations are listed for n <= 80, else a note says so;
+    Every query answers at any n: a dim of the parity of n from n to
+    n^2 - 2 takes the membership tests of :func:`_member`, whose cost grows
+    with the digits of n, and other values are decided from n alone.
+    Realizations are listed for n <= 80, else a note says so;
     ``include_realizations=False`` skips them without changing the status
     (bulk scans would otherwise materialize millions of records).
     """
@@ -309,7 +317,6 @@ def classify_dimension(n: int, dim: int, include_realizations: bool = True) -> C
     notes: list[str] = []
     families: tuple[DomainFamily, ...] = ()
     if (dim - n) % 2 == 0 and n <= dim <= top - 2:
-        _check_membership_n(n)
         if _member(n, dim, False):  # below n^2 - 2, so not the top value
             status = STATUS_COMPACT_BAD
         elif _member(n + 1, dim + 1, False):  # noncompact_set's index, below (n+1)^2
@@ -376,9 +383,7 @@ def make_witness(realization: Realization) -> WitnessDomain:
     if realization.length < 2:
         raise ValueError("witness constructions need at least two blocks")
     parts = realization.marked.partition.parts
-    marked_value = None
-    if realization.mark_count == 1:
-        marked_value = realization.marked.marks[0][0]
+    marked_value = realization.marked.marks[0][0] if realization.mark_count == 1 else None
     blocks: list[tuple[int, int]] = []
     terms: list[str] = []
     next_exponent = 2

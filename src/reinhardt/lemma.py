@@ -8,11 +8,14 @@ from r0(n) over the small sets S(0..J(n)) alone, J(n) <= 2 isqrt(n) + 5
 of :func:`square_sum_counts`, the build's rows from r0.  The tests check
 the lemma against the build for every n <= 4097, and on it to n = 10^5;
 past that it rests on the paper's proof, as :mod:`reinhardt.classify` does.
+:func:`reach` itself answers at any n: it searches the anchor's interval,
+not the rows below n, so a cold call at n = 10^100 memoizes about 200 values.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .dimsets import DimSet, _rows, _small_sets, _stepped_set, full_set_limit
 
@@ -21,16 +24,39 @@ from .dimsets import DimSet, _rows, _small_sets, _stepped_set, full_set_limit
 def reach(n: int) -> int:
     """reach(n) = (n - k)^2 + reach(k), reach(0) = 0, where k = anchor(n) is
     the largest kappa in [1, n) with reach(kappa) + kappa + 4 <= 2n, else 0.
-    The test holds on a prefix of kappa (see the comment in
-    :func:`~reinhardt.sequences._growth_walk`), so a gallop and a bisection
-    find k.  The memo holds only fixed ints, so it is safe to share."""
-    lo, hi = 0, 1  # the test holds at lo (or lo = 0) and fails at hi (or hi = n)
-    while hi < n and reach(hi) + hi + 4 <= 2 * n:
-        lo, hi = hi, min(2 * hi, n)
+
+    reach(kappa) + kappa rises with kappa (see the comment in
+    :func:`~reinhardt.sequences._growth_walk`), so the threshold
+    t_k = (reach(k) + k + 4)/2 rises with k, and kappa's anchor is k on
+    t_k <= kappa < t_(k+1), where reach(kappa) + kappa is the quadratic
+    (kappa - k)^2 + kappa + reach(k).  So with m = 2n - 4, anchor(n) is
+    k* + x, where k* is the largest k with G(k) = reach(t_k) + t_k <= m and
+    x the largest with x^2 + x <= m - k* - reach(k*); k* + x lies below
+    t_(k*+1), since reach(k) + 4 >= k.  G(k) is at most about k^4/4, so
+    the search for k* starts just below (4m)^(1/4), gallops up and
+    bisects: it reads reach near n^(1/4) and at the anchor, about
+    2 sqrt(n), and one cold call at n = 10^100 memoizes about 200 values.
+    reach(0..4) are the base.  The memo holds only fixed ints, so it is
+    safe to share."""
+    if n < 5:
+        return (0, 1, 4, 5, 10)[n]
+    m = 2 * n - 4
+
+    def g(k: int) -> int:  # G(k), reach(kappa) + kappa at kappa = t_k
+        t = (reach(k) + k + 4) // 2
+        return (t - k) ** 2 + t + reach(k)
+
+    # g(lo) <= m, since (lo + 2)^4 <= 4m: g(0) = 6 <= m, and for k >= 1,
+    # reach(k) <= k^2 gives 4 g(k) < (k + 2)^4
+    lo = isqrt(isqrt(4 * m)) - 2
+    hi = lo + 1  # gallop to a hi with g(hi) > m, then bisect
+    while g(hi) <= m:
+        lo, hi = hi, 3 * hi - 2 * lo  # the step doubles
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if reach(mid) + mid + 4 <= 2 * n else (lo, mid)
-    return (n - lo) ** 2 + reach(lo) if lo else n * n
+        lo, hi = (lo, mid) if g(mid) > m else (mid, hi)
+    k = lo + (isqrt(4 * (m - lo - reach(lo)) + 1) - 1) // 2  # lo = k*
+    return (n - k) ** 2 + reach(k)
 
 
 def r0(n: int) -> int:

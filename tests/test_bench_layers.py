@@ -51,7 +51,7 @@ def _layers(calls):
 def _layer_count(tool, sizes):
     return (
         len(sizes) + 2 * len(tool.SAVE_LOAD_N) + len(tool.SETS_N) + len(tool.SET_N)
-        + len(tool.TABLE_WINDOWS) + len(tool.SEQUENCE) + len(tool.MEMBERSHIP)
+        + len(tool.TABLE_WINDOWS) + len(tool.SEQUENCE) + len(tool.MEMBERSHIP) + len(tool.REACH)
         + len(tool.CLASSIFY_BASE) + len(tool.CLASSIFY) + len(tool.ENUMERATION) * len(tool.ENUMERATION_N)
         + len(tool.SUITES) + 2 + len(tool.STARTUP_ARGV)
     )
@@ -73,6 +73,8 @@ def test_two_trees_get_rounds_children_per_layer(tool, tmp_path):
     assert set(runs["b"]["set_command"]) == {str(n) for n in tool.SET_N}
     assert set(runs["b"]["sets"]) == {str(n) for n in tool.SETS_N}
     assert set(runs["b"]["classify_base"]) == {f"{n}, {dim}" for n, dim in tool.CLASSIFY_BASE}
+    assert set(runs["b"]["reach"]) == {str(10**30), str(10**100)}
+    assert {f"{10**100}, {10**200 - 2}", f"{10**30}, {10**60 - 4}"} <= set(runs["b"]["classify"])
     assert "set_on_demand" not in runs["b"]
     assert set(runs["b"]["table_command"]) == {f"{a}..{b}" for a, b in tool.TABLE_WINDOWS}
     assert {"100000..100001", "1000000..1000001"} <= set(runs["b"]["table_command"])
@@ -185,6 +187,17 @@ def test_the_sets_and_base_children_run_against_a_tree(tmp_path):
     assert result["sets"] == 6 and result["s"] > 0 and result["maxrss_mib"] > 0
     result = _real_child(tmp_path, "base", 80, "6398")
     assert result["status"] == "unrealizable" and result["s"] > 0
+
+
+def test_the_reach_and_classify_children_run_against_a_tree(tmp_path):
+    # cold reach(10^30) with its memo; classify at 10^30 and one it refuses
+    result = _real_child(tmp_path, "reach", 10**30)
+    assert result["s"] > 0 and 0 < result["memo"] < 1000
+    result = _real_child(tmp_path, "classify", 10**30, str(10**60 - 2))
+    assert (result["exit"], result["answer"]) == (0, "status,unrealizable") and result["s"] > 0
+    result = _real_child(tmp_path, "classify", 1, "3")
+    assert result["exit"] == 1 and result["s"] is None and "answer" not in result
+    assert result["refused"] == "error: classification needs n >= 2, got 1"
 
 
 def test_the_suite_child_runs_a_suite_with_or_without_n_lo(tmp_path):

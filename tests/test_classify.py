@@ -11,8 +11,8 @@ from reinhardt import (
     n_squared_families,
     realizations,
 )
-from reinhardt.classify import MEMBERSHIP_MAX_N
 from reinhardt.dimsets import MARKED_ORACLE_MAX_N, marked_set_rows
+from reinhardt.lemma import reach
 from reinhardt.partitions import iter_partition_tuples, partition_count
 
 
@@ -103,12 +103,11 @@ class TestLadderGoldens:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             classify_dimension(1, 3)
-        # the membership rung answers up to its guard, at n + 1 too
+        # the membership rung answers at any n, at n + 1 too
         assert classify_dimension(64, 64).status == "compact_bad"
-        top = MEMBERSHIP_MAX_N
-        assert classify_dimension(top, top * top - 2).status == "unrealizable"
-        with pytest.raises(ValueError, match=f"needs 0 <= n <= {top}, got {top + 1}"):
-            classify_dimension(top + 1, (top + 1) ** 2 - 2)
+        for n in (10**8, 10**8 + 1, 10**30, 10**100):
+            assert classify_dimension(n, n * n - 2).status == "unrealizable", n
+            assert classify_dimension(n, reach(n)).status == "compact_bad", n
         # values decided by n alone answer at any n
         big = 10**12
         assert classify_dimension(big, big * big + 2 * big).status == "ball"

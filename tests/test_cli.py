@@ -843,6 +843,21 @@ class TestProcess:
         child = self._child("-m", "reinhardt.cli", *argv)
         assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
 
+    def test_classify_answers_past_10_8(self):
+        # no size limit: reach(n) is compact at 10^30 and 10^100, and an n
+        # of 4301 digits, past Python's int parse limit, is a usage error
+        for n in (10**30, 10**100):
+            f = lemma.reach(n)
+            child = self._child("-m", "reinhardt.cli", "classify", "--n", str(n), "--dim", str(f))
+            assert (child.returncode, child.stderr) == (0, ""), n
+            assert child.stdout == (
+                f"field,value\nn,{n}\ndim,{f}\nstatus,compact_bad\n"
+                "notes,realization enumeration skipped for n > 80\n"
+            )
+        child = self._child("-m", "reinhardt.cli", "classify", "--n", "1" + "0" * 4300, "--dim", "5")
+        assert (child.returncode, child.stdout) == (2, "")
+        assert "error: argument --n: invalid int value" in child.stderr
+
     def test_entry_point_freezes_after_the_command(self):
         probe = (
             "import gc, sys\n"

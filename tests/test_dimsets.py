@@ -23,7 +23,7 @@ from reinhardt import (
     two_block_dimensions,
 )
 from reinhardt import dimsets, lemma, sequences
-from reinhardt.classify import MEMBERSHIP_MAX_N, _member
+from reinhardt.classify import _member
 from reinhardt.cli import BUILD_LIMIT
 from reinhardt.dimsets import (
     _step,
@@ -33,7 +33,7 @@ from reinhardt.dimsets import (
     set_bit_length,
 )
 from reinhardt.partitions import iter_partition_tuples, iter_square_sums
-from reinhardt.sequences import growth_sequence
+from reinhardt.sequences import _growth_walk, growth_sequence
 
 
 class TestDimSet:
@@ -517,10 +517,25 @@ class TestRealizableMembership:
         assert not is_realizable(4, 15) and not is_realizable(4, 25) and is_realizable(4, 24)
         with pytest.raises(ValueError, match="needs 0 <= n"):
             is_realizable(-1, 1)
-        top = MEMBERSHIP_MAX_N
-        assert is_realizable(top, top * top + 2 * top)
-        with pytest.raises(ValueError, match=f"needs 0 <= n <= {top}, got {top + 1}"):
-            is_realizable(top + 1, (top + 1) ** 2)
+        # no size limit: the ball's value, reach(n) and n^2 - 2 past 10^8
+        for n in (10**8, 10**8 + 1, 10**30, 10**100):
+            assert is_realizable(n, n * n + 2 * n), n
+            assert is_realizable(n, lemma.reach(n)), n
+            assert not is_realizable(n, n * n - 2), n
+
+    def test_values_up_to_half_n_squared_need_no_reach(self, monkeypatch):
+        # reach(n) >= n^2/2 past 40, so _member answers them without it:
+        # at n = 10^4000 a cold reach(n) would take seconds
+        from reinhardt import classify
+
+        def no_reach(n):
+            raise AssertionError(f"reach({n}) computed")
+
+        monkeypatch.setattr(classify, "reach", no_reach)
+        for n in (81, 1000, 10**8 + 1, 10**4000):
+            half = n * n // 2 - (n * n // 2 - n) % 2  # the largest value of n's parity
+            for value in (n, n + 2, half - 2, half):
+                assert _member(n, value, False) and _member(n, value, True), (n, value)
 
     def test_fallback_only_below_41(self, table300):
         # above n = 40 the prefix reaches past n(n+3)/2, so every query that
@@ -528,26 +543,36 @@ class TestRealizableMembership:
         assert 2 * (40 + 2 * table300.low[40]) <= 40 * 43
         for n in range(41, 301):
             assert 2 * (n + 2 * table300.low[n]) > n * (n + 3), n
-        # and on: reach(n) lies in the prefix (the `sequences` suite checks it)
-        for row in growth_sequence(100_000)[45:]:
-            assert 2 * row.reach > row.n * (row.n + 3), row.n
+        # and on: reach(n) lies in the prefix (the `sequences` suite checks
+        # it).  This is the base of _member's proof: reach(n) >= n^2/2 from
+        # 41 (it fails at 40) and 2 reach(n) > n(n+3) from 45 (fails at 44)
+        assert 2 * lemma.reach(40) < 40**2 and 2 * lemma.reach(44) <= 44 * 47
+        for n, (f, _) in zip(range(200_001), _growth_walk()):
+            if n >= 41:
+                assert 2 * f >= n * n, n
+            if n >= 45:
+                assert 2 * f > n * (n + 3), n
 
     def test_anchor_step_equals_the_sequence(self):
         lemma.reach.cache_clear()
         lemma.reach(100_001)  # one query memoizes a few anchors, not every row
         assert lemma.reach.cache_info().currsize < 100
-        for row in growth_sequence(100_001):
-            assert lemma.reach(row.n) == row.reach, row.n
+        for n, (f, _) in zip(range(200_001), _growth_walk()):
+            assert lemma.reach(n) == f, n
         lemma.reach.cache_clear()
 
-    def test_reach_passes_the_largest_part_bound_to_the_guard(self):
-        # the membership loop's 2j <= n needs 2 reach(n) > n(n+3) past the
-        # base; the test above covers every n to 100 000, this a 1% grid on
+    def test_reach_passes_the_largest_part_bound_on_a_grid(self):
+        # the bound _member's proof gives, past its base: on a 1% grid from
+        # 10^5 to 10^8, and at seeded n up to 10^100
         n = 100_000
-        while n <= MEMBERSHIP_MAX_N:
+        while n <= 10**8:
             for m in (n, n + 1):
                 assert 2 * lemma.reach(m) > m * (m + 3), m
             n += n // 100
+        rng = random.Random(41)
+        for digits in rng.choices(range(9, 101), k=200):
+            m = rng.randrange(10 ** (digits - 1), 10**digits)
+            assert 2 * lemma.reach(m) > m * (m + 3), m
 
     def test_growth_lemma_to_the_build_limit(self, table4097):
         # _member's shortcut: every value up to reach(n) is in S(n), so the

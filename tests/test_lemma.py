@@ -1,13 +1,48 @@
 """S(n) and |S(n)| from the growth lemma's start against the sequential build."""
 
-from functools import partial
+import random
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import pytest
 
 from reinhardt import dimsets, lemma
 from reinhardt.dimsets import DimSet, _step, full_set_limit
-from reinhardt.lemma import square_sum_counts, square_sum_set
+from reinhardt.lemma import reach, square_sum_counts, square_sum_set
+
+
+@lru_cache(maxsize=None)
+def _galloping_reach(n):
+    """The definition searched from kappa = 1 up: a gallop and a bisection
+    over every kappa below the anchor, which shares no code with
+    :func:`~reinhardt.lemma.reach` (about a second cold at n = 10^100)."""
+    lo, hi = 0, 1  # the test holds at lo (or lo = 0) and fails at hi (or hi = n)
+    while hi < n and _galloping_reach(hi) + hi + 4 <= 2 * n:
+        lo, hi = hi, min(2 * hi, n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _galloping_reach(mid) + mid + 4 <= 2 * n else (lo, mid)
+    return (n - lo) ** 2 + _galloping_reach(lo) if lo else n * n
+
+
+def test_reach_equals_the_galloping_search_to_10_40():
+    # every n to 3000, and 60 seeded n of 4 to 40 digits, cold
+    rng = random.Random(4040)
+    digits = rng.choices(range(4, 41), k=60)
+    ns = [*range(3001), *(rng.randrange(10 ** (d - 1), 10**d) for d in digits)]
+    reach.cache_clear()
+    assert [reach(n) for n in ns] == [_galloping_reach(n) for n in ns]
+    reach.cache_clear()
+    _galloping_reach.cache_clear()
+
+
+def test_reach_at_any_size_reads_few_anchors():
+    # one cold call memoizes a few hundred reach values, not a row per n
+    for digits, most in ((30, 100), (100, 300), (300, 800)):
+        reach.cache_clear()
+        reach(10**digits)
+        assert reach.cache_info().currsize <= most, digits
+    reach.cache_clear()
 
 
 def test_one_step_from_r0_gives_every_row_to_4097(table4097, monkeypatch):

@@ -46,14 +46,17 @@ the two medians cannot.  The layers are:
   ``MEMBERSHIP``, with every ``functools`` cache of every loaded
   ``reinhardt.*`` module cleared before each timed call, so each one pays
   for what it builds;
+* the growth prefix, ``lemma.reach(n)`` for each n in ``REACH``, caches
+  cleared as above, with the size of its memo after the call (``memo``);
 * classify's fixed base: ``classify_dimension(n, dim,
   include_realizations=False)`` for each (n, dim) in ``CLASSIFY_BASE``,
   caches cleared as above, which at n <= 80 builds both halves of the
   fixed base: S's small sets and G's marked rows;
 * classify, ``reinhardt.cli.main(["classify", ...])`` in-process for each
   (n, dim) in ``CLASSIFY``, with no ``REINHARDT_CACHE`` and the caches
-  cleared as above, with the exit code and the status line, or the first
-  line of stderr when it exits 1;
+  cleared as above, with the exit code and the status line; a query that
+  a tree refuses (exit 1) records ``refused`` and no time, as the commands
+  above do;
 * enumeration: each stream in ``ENUMERATION`` drained at each n in
   ``ENUMERATION_N``, all partitions uncapped;
 * each verify suite in ``SUITES`` at its range;
@@ -114,9 +117,12 @@ MEMBERSHIP = ((1000, 999998), (4000, 15999996))
 #: (n, dim) at n <= 80, unrealizable (n^2 - 2), so that all three of
 #: classify's membership tests read the base
 CLASSIFY_BASE = ((80, 6398),)
+#: n of the cold ``lemma.reach`` layer
+REACH = (10**30, 10**100)
 #: (n, dim) classify queries: reach(n) + 2 and + 4, just above the
 #: growth-sequence prefix, and one unrealizable dim, at n = 10^5, 10^7 and
-#: 10^8, the membership guard
+#: 10^8; and the two unrealizable n^2 - 2 and n^2 - 4, which take all three
+#: membership tests, at n = 10^30 and 10^100
 CLASSIFY = (
     (10**5, 9903036100),
     (10**5, 9903036102),
@@ -127,6 +133,7 @@ CLASSIFY = (
     (10**8, 9997133805402704),
     (10**8, 9997133805402706),
     (10**8, 9999999999999996),
+    *((n, n * n - d) for n in REACH for d in (2, 4)),
 )
 #: the partition streams drained by the enumeration layer, and their n
 ENUMERATION = ("iter_partition_tuples", "iter_square_sums")
@@ -241,6 +248,14 @@ elif op.startswith("iter_"):  # drain a partition stream of n
         started = time.perf_counter()
         deque(stream(n), maxlen=0)
         best = min(best, time.perf_counter() - started)
+elif op == "reach":  # lemma.reach(n) cold, and the memo it leaves
+    from reinhardt import lemma
+    for _ in range(reps):
+        clear_caches()
+        started = time.perf_counter()
+        lemma.reach(n)
+        best = min(best, time.perf_counter() - started)
+    result["memo"] = lemma.reach.cache_info().currsize
 elif op in ("member", "base", "classify"):  # at (n, dim = args[0]), caches cleared
     from contextlib import redirect_stderr, redirect_stdout
     import reinhardt.classify  # loaded before the timed calls
@@ -259,10 +274,10 @@ elif op in ("member", "base", "classify"):  # at (n, dim = args[0]), caches clea
                 result["exit"] = cli.main(["classify", "--n", str(n), "--dim", args[0]])
         best = min(best, time.perf_counter() - started)
     if op == "classify":
-        lines = out.getvalue().splitlines()
-        result["answer"] = next(
-            (l for l in lines if l.startswith("status,")), err.getvalue().split("\n")[0]
-        )
+        if result["exit"]:  # refused: the time of an error message is no time
+            best, result["refused"] = None, err.getvalue().split("\n")[0]
+        else:
+            result["answer"] = next(l for l in out.getvalue().splitlines() if l.startswith("status,"))
 else:  # startup: the wall time of a whole python ARGV (args) process
     import subprocess
     env = {  # as perfbench/run.py's CHILD_ENV: bytecode caching stays on
@@ -414,6 +429,8 @@ def measure(trees: dict[str, Path], sizes: list[int]) -> dict[str, dict]:
             layer("sequence_command", f"{n} {fmt}", "cli_sequence", n, fmt)
         for n, dim in MEMBERSHIP:
             layer("membership", f"{n}, {dim}", "member", n, str(dim))
+        for n in REACH:
+            layer("reach", str(n), "reach", n)
         for n, dim in CLASSIFY_BASE:
             layer("classify_base", f"{n}, {dim}", "base", n, str(dim))
         for n, dim in CLASSIFY:
