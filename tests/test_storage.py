@@ -2,7 +2,6 @@ import hashlib
 import io
 import re
 import struct
-import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,7 @@ from reinhardt import (
 from reinhardt import dimsets
 from reinhardt.dimsets import full_set_limit
 
-HEADER, RECORD = 10, 20  # bytes: magic, version and n_max; low, count and CRC
+HEADER, RECORD = 10, 16  # bytes: magic, version and n_max; low and count
 
 
 @pytest.fixture(scope="module")
@@ -43,24 +42,8 @@ def _record_start(n: int) -> int:
 
 
 def _record_end(n: int) -> int:
-    """Offset just past record n's CRC."""
+    """Offset just past record n's ``count``."""
     return HEADER + RECORD * (n + 1)
-
-
-def _chain(data: bytes, n: int) -> int:
-    """CRC-32 of the header and of the low and count fields of records 0..n."""
-    crc = zlib.crc32(data[:HEADER])
-    for k in range(n + 1):
-        crc = zlib.crc32(data[_record_start(k) : _record_start(k) + 16], crc)
-    return crc
-
-
-def _reseal(data: bytearray) -> None:
-    """Recompute the CRC that closes each record, in place, in one pass."""
-    crc = zlib.crc32(data[:HEADER])
-    for n in range((len(data) - HEADER) // RECORD):
-        crc = zlib.crc32(data[_record_start(n) : _record_start(n) + 16], crc)
-        data[_record_end(n) - 4 : _record_end(n)] = struct.pack("<I", crc)
 
 
 def _put(data: bytearray, n: int, field: int, value: int) -> None:
@@ -98,42 +81,32 @@ class TestRoundTrip:
 
     def test_trivial_table_layout(self):
         data = _dump(build_table(0))
-        # magic, version, n_max, one record (low 1, count 1, CRC-32)
+        # magic, version, n_max, one record (low 1, count 1)
         assert data[:4] == b"RDIM"
         version, n_max = struct.unpack("<HI", data[4:10])
-        assert (version, n_max) == (4, 0)
+        assert (version, n_max) == (5, 0)
         low, count = struct.unpack("<QQ", data[10:26])
         assert (low, count) == (1, 1)
-        (crc,) = struct.unpack("<I", data[26:30])
-        assert crc == zlib.crc32(data[:26])
-        assert len(data) == 30
-
-    def test_each_crc_covers_every_byte_before_it(self):
-        # every byte but the earlier CRCs, each of which is checked in turn
-        data = _dump(build_table(40))
-        assert len(data) == _record_end(40)
-        for n in range(41):
-            end = _record_end(n)
-            (crc,) = struct.unpack("<I", data[end - 4 : end])
-            assert crc == _chain(data, n)
+        assert len(data) == 26
 
     def test_records_hold_low_and_count(self):
         table = build_table(40)
         data = _dump(table)
+        assert len(data) == _record_end(40)
         for n, dimset in enumerate(table.sets):
             low, count = struct.unpack_from("<QQ", data, _record_start(n))
             assert (low, count) == (dimset.low, len(dimset)) == (table.low[n], table.count[n])
 
-    def test_file_is_twenty_bytes_a_record(self):
-        assert len(_dump(build_table(1000))) == 20030  # the tails took 2 743 974 bytes
+    def test_file_is_sixteen_bytes_a_record(self):
+        assert len(_dump(build_table(1000))) == 16026  # the tails took 2 743 974 bytes
 
     def test_bytes_at_the_build_limit(self, table4097):
         # pins the build bit for bit one past the CLI's inline limit
         data = _dump(table4097)
-        assert len(data) == 81970
+        assert len(data) == 65578
         assert (
             hashlib.sha256(data).hexdigest()
-            == "85062e03e07c6734df467447956ecb6c25a840771643812875c4a8d6a504300e"
+            == "66d80753ef2a0ef5114f4b991de98c016d76e87776b2f072cb3e90811228c805"
         )
 
     def test_one_pass_of_the_small_sets_per_table(self, monkeypatch):
@@ -164,17 +137,38 @@ class TestValidation:
         with pytest.raises(UnsupportedFormatError, match="version"):
             load_table(io.BytesIO(bytes(data)))
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5, 0xFFFF])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 0xFFFF])
     def test_only_older_versions_are_old_format_errors(self, version):
         data = bytearray(_dump(build_table(2)))
         data[4:6] = struct.pack("<H", version)
         with pytest.raises(UnsupportedFormatError, match=f"version {version};"):
             load_table(io.BytesIO(bytes(data)))
 
+    def test_a_v4_file_is_an_old_format(self):
+        # format v4's dump of build_table(0): one record of low 1, count 1
+        # and the CRC-32 that chained through it
+        v4 = bytes.fromhex("5244494d0400000000000100000000000000010000000000000076a87541")
+        with pytest.raises(UnsupportedFormatError, match="version 4; only version 5 is read"):
+            load_table(io.BytesIO(v4))
+
+    def test_length_is_checked_before_the_build(self, monkeypatch):
+        # a header claiming n_max = 2^32 - 1 over one record fails at record
+        # 1 without building anything
+        data = bytearray(_dump(build_table(0)))
+        data[6:10] = struct.pack("<I", 2**32 - 1)
+        calls = []
+        monkeypatch.setattr(dimsets, "_small_sets", lambda k: calls.append(k))
+        with pytest.raises(TableCorruptionError) as err:
+            load_table(io.BytesIO(bytes(data)))
+        assert (str(err.value), err.value.record_index) == (
+            "truncated stream while reading record 1", 1
+        )
+        assert len(data) == 26 and calls == []
+
     def test_single_bit_corruption_detected(self):
         data = bytearray(_dump(build_table(4)))
         data[_record_start(4) + 8] ^= 0x01  # record 4's count
-        with pytest.raises(TableCorruptionError, match="record 4 checksum"):
+        with pytest.raises(TableCorruptionError, match="record 4 stores"):
             load_table(io.BytesIO(bytes(data)))
 
     def test_bit_length_mismatch_names_record(self):
@@ -192,7 +186,6 @@ class TestValidation:
         # record 3 is S(3) = {3, 5, 9}: low 2, count 3, of the 4 indices of n = 3
         data = bytearray(_dump(build_table(4)))
         _put(data, 3, field, value)
-        _reseal(data)
         with pytest.raises(TableCorruptionError, match="record 3 stores") as err:
             load_table(io.BytesIO(bytes(data)))
         assert err.value.record_index == 3
@@ -207,7 +200,6 @@ class TestValidation:
         data = bytearray(_dump(table))
         stored = struct.unpack_from("<Q", data, _record_start(n) + field)[0]
         _put(data, n, field, stored - 1)
-        _reseal(data)
         with pytest.raises(TableCorruptionError, match=f"record {n} stores") as err:
             load_table(io.BytesIO(bytes(data)))
         assert err.value.record_index == n
@@ -218,7 +210,7 @@ class TestValidation:
         # every n <= K = 66, whose set the table keeps, and every 10th n
         # above, whose set it rebuilds on access: low[n] or count[n] one off
         # either way fails DimTable(low, count) and the load of the same
-        # rows behind resealed CRCs, each naming n
+        # rows, each naming n
         data = _dump(table300)
         for delta in (-1, 1):
             low, count = list(table300.low), list(table300.count)
@@ -232,7 +224,6 @@ class TestValidation:
                 DimTable(low, count)
             edited = bytearray(data)
             _put(edited, n, field, row[n])
-            _reseal(edited)
             loaded = f"record {n} stores low {low[n]} and count {count[n]}, but the build"
             with pytest.raises(TableCorruptionError, match=loaded) as err:
                 load_table(io.BytesIO(bytes(edited)))
@@ -246,7 +237,6 @@ class TestValidation:
         assert full_set_limit(200) == 60
         data = bytearray(_dump(table))
         _put(data, 150, 8, table.count[150] - 2)
-        _reseal(data)
         with pytest.raises(TableCorruptionError, match="record 150 stores low") as err:
             load_table(io.BytesIO(bytes(data)))
         assert err.value.record_index == 150
@@ -276,7 +266,7 @@ class TestValidation:
         data = bytearray(_dump(build_table(20)))
         seven, eight = slice(_record_start(7), _record_end(7)), slice(_record_end(7), _record_end(8))
         data[seven], data[eight] = data[eight], data[seven]
-        with pytest.raises(TableCorruptionError, match="record 7 checksum"):
+        with pytest.raises(TableCorruptionError, match="record 7 stores"):
             load_table(io.BytesIO(bytes(data)))
 
 
@@ -284,16 +274,16 @@ FUZZ_N_MAX = 12
 _FUZZ_TABLE = build_table(FUZZ_N_MAX)
 _FUZZ_DATA = _dump(_FUZZ_TABLE)
 # starts of the magic, version and n_max fields, then of every record's
-# low, count and CRC
+# low and count
 _FIELD_STARTS = sorted(
     {0, 4, 6}
-    | {_record_start(n) + field for n in range(FUZZ_N_MAX + 1) for field in (0, 8, 16)}
+    | {_record_start(n) + field for n in range(FUZZ_N_MAX + 1) for field in (0, 8)}
 )
 
 
 @st.composite
 def _corruptions(draw):
-    """One word flipped, or two words swapped, in the fuzz table's v4 bytes."""
+    """One word flipped, or two words swapped, in the fuzz table's v5 bytes."""
     data = bytearray(_FUZZ_DATA)
     width = draw(st.sampled_from([1, 4, 8]))
     offsets = st.one_of(
@@ -330,13 +320,15 @@ class TestCorruptionFuzz:
         low, count = data[start : start + 8], data[start + 8 : start + 16]
         assert low != count
         data[start : start + 16] = count + low
-        with pytest.raises(TableCorruptionError, match="record 100 checksum"):
+        with pytest.raises(TableCorruptionError, match="record 100 stores"):
             load_table(io.BytesIO(bytes(data)))
 
     @pytest.mark.parametrize("n_max,records", [(100, range(101)), (1000, (0, 1, 500, 999, 1000))])
     def test_every_single_byte_corruption_names_its_record(self, n_max, records):
-        # every byte of the header and of the given records, two flips each;
-        # each record's CRC is checked before the next record's
+        # every byte of the header and of the given records, two flips each:
+        # a record byte names its record, a byte of n_max fails the length
+        # check before any build, and the magic and the version are not
+        # this format
         data = _dump(build_table(n_max))
         positions = [*range(HEADER), *(p for n in records for p in range(_record_start(n), _record_end(n)))]
         missed = []
@@ -344,11 +336,14 @@ class TestCorruptionFuzz:
             for flip in (0x01, 0xFF):
                 corrupted = bytearray(data)
                 corrupted[pos] ^= flip
-                n = max(0, (pos - HEADER) // RECORD)  # the header is under record 0's CRC
                 try:
                     load_table(io.BytesIO(bytes(corrupted)))
                 except TableCorruptionError as exc:
-                    if exc.record_index != n:
+                    if pos < HEADER:
+                        named = pos >= 6 and str(exc).startswith(("truncated", "trailing"))
+                    else:
+                        named = exc.record_index == (pos - HEADER) // RECORD
+                    if not named:
                         missed.append((pos, flip))
                 except UnsupportedFormatError:
                     if pos >= 6:  # only the magic and the version name no record

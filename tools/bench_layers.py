@@ -20,10 +20,10 @@ the two medians cannot.  The layers are:
 
 * ``build_table(n)`` for each n in ``--sizes``, and the build's growth
   exponent from n = 1000 to each larger size (from the medians);
-* ``save_table`` of the n_max = 1000, 4096 and 32768 tables to memory (the
-  child builds the table untimed, then writes it to a file of its tree)
-  and ``load_table`` of that file (a child that only imports and loads),
-  each with its bytes;
+* ``save_table`` of the n_max = 1000, 4096, 32768 and 10^5 tables to
+  memory (the child builds the table untimed, then writes it to a file of
+  its tree) and ``load_table`` of that file (a child that only imports and
+  loads), each with its bytes;
 * sets rebuilt on access: ``table.sets[n]`` of a built table of each
   n_max in ``SETS_N`` (built untimed) for n = K + 1, K + 10, ... up to
   n_max, K = ``full_set_limit(n_max)``, each a step from the sets the
@@ -100,7 +100,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-SAVE_LOAD_N = (1000, 4096, 32768)
+SAVE_LOAD_N = (1000, 4096, 32768, 100_000)
 TABLE_FILE_N = 4096  # the save layer's file of this n_max also serves TABLE_WINDOWS
 SETS_N = (1000,)
 SET_N = (803, 4096)
