@@ -28,7 +28,7 @@ _EXPORTS = {
     "Partition": "partitions",
     "RatioRow": "sequences",
     "Realization": "classify",
-    "TableCorruptionError": "storage",
+    "TableCorruptionError": "dimsets",
     "UnsupportedFormatError": "storage",
     "WitnessDomain": "classify",
     "arm_count": "partitions",

@@ -26,7 +26,7 @@ from typing import Any, Iterable, NoReturn, Sequence, TextIO
 #: --force.  The verify suites keep their own limits (see `verifiers`).
 BUILD_LIMIT = 4096
 
-_CHUNK = 4096  # values per write in `set`, rows per JSON write in the others
+_CHUNK = 512  # values per write in `set`, rows per JSON write in the others
 _CENTURIES = 64  # whole centuries of `set`'s dense run per write
 _DIGITS = [f"{d:02d}" for d in range(100)]  # the last two digits of a century's values
 

@@ -138,16 +138,25 @@ class DimSet(Frozen):
         return set(self.values())
 
 
+class TableCorruptionError(ValueError):
+    """A table's stream is structurally broken, or a row is not the build's."""
+
+    def __init__(self, message: str, record_index: int | None = None):
+        super().__init__(message)
+        self.record_index = record_index
+
+
 class DimTable(Frozen):
     """The square-sum sets for n = 0..n_max, held as two numbers per n.
 
     ``low[n]`` is the run of ones from index 0 in S(n) and ``count[n]``
     its size; :func:`compact_count` and :func:`noncompact_count` read the
     counts.  Every table holds the build's rows: ``DimTable(low, count)``
-    builds once, when it is made, and raises :class:`ValueError` naming the
-    first S(n) whose row differs (:func:`_first_wrong_row`).  It keeps the
-    build's S(0..K), K = :func:`full_set_limit` (n_max), in full; ``sets[n]``
-    above K is rebuilt from them and ``low[n-1]`` by one step on each access.
+    builds once, when it is made, and raises :class:`TableCorruptionError`
+    naming the first n whose row differs, the one row check of a table (a
+    load's too).  It keeps the build's S(0..K), K = :func:`full_set_limit`
+    (n_max), in full; ``sets[n]`` above K is rebuilt from them and
+    ``low[n-1]`` by one step on each access.
     """
 
     __slots__ = ("low", "count", "sets")
@@ -159,11 +168,14 @@ class DimTable(Frozen):
         low, count = tuple(low), tuple(count)
         if not low or len(low) != len(count):
             raise ValueError("a table needs one low and one count per n, from n = 0")
-        built, n = _first_wrong_row(low, count)
-        if n is not None:
-            raise ValueError(
-                f"S({n}) has low {built.low[n]} and {built.count[n]} values, but the"
-                f" table stores low {low[n]} and count {count[n]}"
+        built = build_table(len(low) - 1)
+        if (low, count) != (built.low, built.count):
+            rows = zip(zip(low, count), zip(built.low, built.count))
+            n = next(n for n, (row, want) in enumerate(rows) if row != want)
+            raise TableCorruptionError(
+                f"record {n} stores low {low[n]} and count {count[n]}, but the build"
+                f" gives low {built.low[n]} and count {built.count[n]}",
+                record_index=n,
             )
         self._set(built.low, built.count, built.sets._full)
 
@@ -208,15 +220,6 @@ class SetSequence(Sequence):
 
     def __repr__(self) -> str:
         return f"SetSequence(n_max={len(self) - 1})"
-
-
-def _first_wrong_row(low, count) -> tuple[DimTable, int | None]:
-    """:func:`build_table` (len(low) - 1) and the first n whose (low[n],
-    count[n]) differs from its row, or None: the one check of a table's
-    rows, for :class:`DimTable` and :func:`~reinhardt.storage.load_table`."""
-    table = build_table(len(low) - 1)
-    rows = zip(zip(low, count), zip(table.low, table.count))
-    return table, next((n for n, (row, built) in enumerate(rows) if row != built), None)
 
 
 def full_set_limit(n_max: int) -> int:

@@ -20,7 +20,7 @@ from math import isqrt
 from .dimsets import DimSet, _rows, _small_sets, _stepped_set, full_set_limit
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)  # over twice the ~7 200 values of one cold call at 4300 digits
 def reach(n: int) -> int:
     """reach(n) = (n - k)^2 + reach(k), reach(0) = 0, where k = anchor(n) is
     the largest kappa in [1, n) with reach(kappa) + kappa + 4 <= 2n, else 0.
@@ -37,7 +37,7 @@ def reach(n: int) -> int:
     bisects: it reads reach near n^(1/4) and at the anchor, about
     2 sqrt(n), and one cold call at n = 10^100 memoizes about 200 values.
     reach(0..4) are the base.  The memo holds only fixed ints, so it is
-    safe to share."""
+    safe to share; it keeps the last 2^14, so no run of calls grows it."""
     if n < 5:
         return (0, 1, 4, 5, 10)[n]
     m = 2 * n - 4

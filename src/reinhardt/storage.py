@@ -12,14 +12,14 @@ Wire format v5 (all integers little-endian, fixed regardless of host):
 
 A table is its lows and counts: every set follows from them by the
 build's own steps, so the n_max = 1000 file takes 16 026 bytes.  A load
-checks the magic, the version, and then the exact length that n_max
-gives, before it builds anything: a short stream names its first
-incomplete record, and trailing bytes are refused.  It then compares
-every record with :func:`~reinhardt.dimsets.build_table` (n_max), which
-it returns, by the row check a :class:`~reinhardt.dimsets.DimTable`
-makes: the first that differs, out of range or not, raises
-:class:`TableCorruptionError` naming it.  That check catches any corrupt
-or reordered record or word, so the file carries no checksum.
+reads the header, then at most the records n_max gives and one byte,
+and checks the magic, the version and the exact length before it builds
+anything: a short stream names its first incomplete record, and
+trailing bytes are refused.  It returns ``DimTable(low, count)`` of the
+records, whose row check against the build raises
+:class:`~reinhardt.dimsets.TableCorruptionError` naming the first that
+differs, out of range or not.  That check catches any corrupt or
+reordered record or word, so the file carries no checksum.
 
 Format v5 replaced v4, which chained a CRC-32 through its records, on
 purpose.  Files of versions 1 to 4 are not read:
@@ -33,25 +33,18 @@ from __future__ import annotations
 import struct
 from typing import BinaryIO
 
-from .dimsets import DimTable, _first_wrong_row
+from .dimsets import DimTable, TableCorruptionError
 
 MAGIC = b"RDIM"
 VERSION = 5
 _HEADER = struct.Struct("<HI")  # version, n_max
 _START = len(MAGIC) + _HEADER.size
 _RECORD = 16  # bytes: low and count, each a u64
+_READ = 1 << 20  # bytes asked of the stream at most per read
 
 
 class UnsupportedFormatError(ValueError):
     """The stream is not a table file this version understands."""
-
-
-class TableCorruptionError(ValueError):
-    """The stream is structurally broken or stores a row the build does not give."""
-
-    def __init__(self, message: str, record_index: int | None = None):
-        super().__init__(message)
-        self.record_index = record_index
 
 
 def save_table(table: DimTable, sink: BinaryIO) -> int:
@@ -65,12 +58,11 @@ def save_table(table: DimTable, sink: BinaryIO) -> int:
 
 
 def load_table(source: BinaryIO) -> DimTable:
-    """Read and validate a table written by :func:`save_table`: the stream
-    whole, then the magic, the version, the length, and each row against
-    the build (:func:`~reinhardt.dimsets._first_wrong_row`), whose table
-    it returns."""
-    data = source.read()
-    magic = data[: len(MAGIC)]
+    """Read and validate a table written by :func:`save_table`: the magic,
+    the version and the length, then ``DimTable(low, count)`` of its
+    records, which checks each row against the build."""
+    data = _read(source, _START, bytearray())
+    magic = bytes(data[: len(MAGIC)])
     if magic != MAGIC:
         raise UnsupportedFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if len(data) < _START:
@@ -81,6 +73,7 @@ def load_table(source: BinaryIO) -> DimTable:
             f"table format version {version}; only version {VERSION} is read"
         )
     end = _START + _RECORD * (n_max + 1)
+    _read(source, end + 1, data)
     if len(data) < end:
         n = (len(data) - _START) // _RECORD
         raise TableCorruptionError(f"truncated stream while reading record {n}", record_index=n)
@@ -88,12 +81,14 @@ def load_table(source: BinaryIO) -> DimTable:
         raise TableCorruptionError("trailing bytes after the last record")
     rows = struct.unpack_from(f"<{2 * (n_max + 1)}Q", data, _START)
     lows, counts = rows[0::2], rows[1::2]
-    del rows  # not held through the build: 1.3 MiB at n_max = 10^5
-    table, n = _first_wrong_row(lows, counts)
-    if n is not None:
-        raise TableCorruptionError(
-            f"record {n} stores low {lows[n]} and count {counts[n]}, but the build"
-            f" gives low {table.low[n]} and count {table.count[n]}",
-            record_index=n,
-        )
-    return table
+    del data, rows  # not held through the build: 3 MiB at n_max = 10^5
+    return DimTable(lows, counts)
+
+
+def _read(source: BinaryIO, size: int, data: bytearray) -> bytearray:
+    """``data`` extended from ``source`` to ``size`` bytes, or to the end of
+    the stream if that comes first.  No read asks for more than
+    :data:`_READ` bytes: a file's ``read(k)`` allocates k bytes up front."""
+    while len(data) < size and (chunk := source.read(min(size - len(data), _READ))):
+        data += chunk
+    return data

@@ -425,7 +425,7 @@ class TestSet:
         assert code == 0 and len(out.encode()) == size
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
-    @pytest.mark.parametrize("chunk", [1, 3, 7, CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, CHUNK, 4096])  # 4096: more than any window
     def test_chunked_output_equals_one_join(self, capsys, monkeypatch, chunk, row_documents):
         values = [5, 7, 9, 11, 13, 17, 25]
         monkeypatch.setattr(reinhardt.cli, "_CHUNK", chunk)

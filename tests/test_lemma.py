@@ -6,7 +6,8 @@ from itertools import accumulate
 
 import pytest
 
-from reinhardt import dimsets, lemma
+from reinhardt import classify, dimsets, lemma
+from reinhardt.classify import classify_dimension
 from reinhardt.dimsets import DimSet, _step, full_set_limit
 from reinhardt.lemma import reach, square_sum_counts, square_sum_set
 
@@ -42,6 +43,24 @@ def test_reach_at_any_size_reads_few_anchors():
         reach.cache_clear()
         reach(10**digits)
         assert reach.cache_info().currsize <= most, digits
+    reach.cache_clear()
+
+
+def test_a_run_of_queries_keeps_the_memo_bounded(monkeypatch):
+    # 200 queries at seeded n of 100 digits memoize about 156 values each,
+    # none reused: the bounded memo keeps at most its 2^14 and answers as
+    # an unbounded one does
+    rng = random.Random(9900)
+    ns = [rng.randrange(10**99, 10**100) for _ in range(200)]
+    reach.cache_clear()
+    statuses = [classify_dimension(n, n * n - 2, False).status for n in ns]
+    assert reach.cache_info().maxsize == 1 << 14
+    assert reach.cache_info().currsize <= 1 << 14
+    unbounded = lru_cache(maxsize=None)(reach.__wrapped__)
+    monkeypatch.setattr(lemma, "reach", unbounded)  # the name its recursion reads
+    monkeypatch.setattr(classify, "reach", unbounded)
+    assert [classify_dimension(n, n * n - 2, False).status for n in ns] == statuses
+    assert unbounded.cache_info().currsize > 1 << 14
     reach.cache_clear()
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import io
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +168,52 @@ class TestValidation:
         )
         assert len(data) == 26 and calls == []
 
+    def test_a_huge_claimed_n_max_is_read_in_bounded_steps(self, tmp_path, monkeypatch):
+        # from a file, whose read(k) allocates k bytes up front, the same
+        # header fails at record 1: no read asks for 16 * 2^32 bytes
+        data = bytearray(_dump(build_table(0)))
+        data[6:10] = struct.pack("<I", 2**32 - 1)
+        path = tmp_path / "huge.rdim"
+        path.write_bytes(data)
+        calls = []
+        monkeypatch.setattr(dimsets, "_small_sets", lambda k: calls.append(k))
+        with open(path, "rb") as fh, pytest.raises(TableCorruptionError) as err:
+            load_table(fh)
+        assert (str(err.value), err.value.record_index) == (
+            "truncated stream while reading record 1", 1
+        )
+        assert calls == []
+
+    def test_trailing_bytes_are_refused_unread(self, tmp_path):
+        # an n_max = 0 table followed by 64 MiB of zeros: the load reads one
+        # byte past the record and refuses the rest.  The child reports its
+        # own VmHWM: its ru_maxrss would include this process, which it
+        # starts as a copy of
+        path = tmp_path / "padded.rdim"
+        with open(path, "wb") as fh:
+            fh.write(_dump(build_table(0)))
+            fh.truncate(26 + (64 << 20))
+        probe = (
+            "import sys\n"
+            "from reinhardt import TableCorruptionError, load_table\n"
+            "try:\n"
+            "    with open(sys.argv[1], 'rb') as fh:\n"
+            "        load_table(fh)\n"
+            "except TableCorruptionError as exc:\n"
+            "    print(exc)\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(l.split()[1] for l in fh if l.startswith('VmHWM:')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(dimsets.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(path)],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+        message, hwm_kib = out.splitlines()
+        assert message == "trailing bytes after the last record"
+        assert int(hwm_kib) / 1024 <= 20
+
     def test_single_bit_corruption_detected(self):
         data = bytearray(_dump(build_table(4)))
         data[_record_start(4) + 8] ^= 0x01  # record 4's count
@@ -182,13 +231,19 @@ class TestValidation:
         [(0, 0), (0, 4), (8, 1), (8, 5)],
         ids=["low-0", "low-over-count", "count-under-low", "count-over-range"],
     )
-    def test_out_of_range_record_behind_valid_crcs(self, field, value):
-        # record 3 is S(3) = {3, 5, 9}: low 2, count 3, of the 4 indices of n = 3
+    def test_out_of_range_record_fails_the_row_check(self, field, value):
+        # record 3 is S(3) = {3, 5, 9}: low 2, count 3, of the 4 indices of
+        # n = 3; a load and a table made from the same rows name it alike
         data = bytearray(_dump(build_table(4)))
         _put(data, 3, field, value)
         with pytest.raises(TableCorruptionError, match="record 3 stores") as err:
             load_table(io.BytesIO(bytes(data)))
         assert err.value.record_index == 3
+        low, count = list(build_table(4).low), list(build_table(4).count)
+        (count if field else low)[3] = value
+        with pytest.raises(TableCorruptionError, match="record 3 stores") as made:
+            DimTable(low, count)
+        assert (str(made.value), made.value.record_index) == (str(err.value), 3)
 
     @pytest.mark.parametrize("field", [0, 8], ids=["low", "count"])
     @pytest.mark.parametrize("n", [30, 90])
@@ -210,26 +265,26 @@ class TestValidation:
         # every n <= K = 66, whose set the table keeps, and every 10th n
         # above, whose set it rebuilds on access: low[n] or count[n] one off
         # either way fails DimTable(low, count) and the load of the same
-        # rows, each naming n
+        # rows with one error, naming n
         data = _dump(table300)
         for delta in (-1, 1):
             low, count = list(table300.low), list(table300.count)
             row = count if field else low
             row[n] += delta
-            made = (
-                f"S({n}) has low {table300.low[n]} and {table300.count[n]} values,"
-                f" but the table stores low {low[n]} and count {count[n]}"
+            wrong = (
+                f"record {n} stores low {low[n]} and count {count[n]}, but the build"
+                f" gives low {table300.low[n]} and count {table300.count[n]}"
             )
-            with pytest.raises(ValueError, match=re.escape(made)):
+            with pytest.raises(TableCorruptionError, match=f"^{re.escape(wrong)}$") as made:
                 DimTable(low, count)
+            assert made.value.record_index == n
             edited = bytearray(data)
             _put(edited, n, field, row[n])
-            loaded = f"record {n} stores low {low[n]} and count {count[n]}, but the build"
-            with pytest.raises(TableCorruptionError, match=loaded) as err:
+            with pytest.raises(TableCorruptionError, match=f"^{re.escape(wrong)}$") as err:
                 load_table(io.BytesIO(bytes(edited)))
             assert err.value.record_index == n
 
-    def test_count_above_k_behind_valid_crcs_fails_the_load(self):
+    def test_count_above_k_fails_the_load_and_the_table(self):
         # n_max = 200 keeps S(0..60) in full; a count of 150 lowered by 2,
         # which would serve c(150) and h(149) 2 low, fails the load and a
         # table made from the same rows alike
@@ -242,8 +297,10 @@ class TestValidation:
         assert err.value.record_index == 150
         assert (compact_count(table, 150), noncompact_count(table, 149)) == (9167, 127)
         count = [*table.count[:150], table.count[150] - 2, *table.count[151:]]
-        with pytest.raises(ValueError, match=r"^S\(150\) has low \d+ and 9168 values"):
+        wrong = r"^record 150 stores low \d+ and count 9166, but the build gives low \d+ and count 9168$"
+        with pytest.raises(TableCorruptionError, match=wrong) as made:
             DimTable(table.low, count)
+        assert (str(made.value), made.value.record_index) == (str(err.value), 150)
 
     def test_truncation_names_first_incomplete_record(self):
         data = _dump(build_table(4))
