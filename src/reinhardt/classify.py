@@ -185,11 +185,10 @@ def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
     smooth = mode == "smooth_bounded"
     if smooth and dim > n * n - 2:  # this also rules out the single block (n)
         return []
-    max_marks = 1 if smooth else n
-    index, odd = divmod(dim - n, 2)
-    rows = _marked_rows()
-    if odd or index < 0 or not rows[n][n] >> index & 1:
+    if not _member(n, dim, True):
         return []
+    max_marks = 1 if smooth else n
+    rows = _marked_rows()
     found: list[Realization] = []
 
     def extend(m: int, cap: int, parts: tuple[int, ...], states: list) -> None:
@@ -225,7 +224,7 @@ def realizations(n: int, dim: int, mode: str = "all") -> list[Realization]:
                 if kept:
                     extend(m - k * d, d - 1, parts + (d,) * k, kept)
 
-    extend(n, n, (), [(index, (), 0)])
+    extend(n, n, (), [((dim - n) // 2, (), 0)])
     found.sort(key=lambda real: real.mark_count)  # stable: keeps the rest of the order
     return found
 

@@ -165,8 +165,6 @@ def _classification_record(result) -> dict[str, Any]:
 def cmd_classify(args: SimpleNamespace) -> int:
     from .classify import classify_dimension
 
-    if args.n < 2:
-        raise CliError(f"classification needs n >= 2, got {args.n}")
     result = classify_dimension(args.n, args.dim)
     if args.format == "json":
         record = _classification_record(result)

@@ -177,19 +177,20 @@ class DimTable(Frozen):
                 f" gives low {built.low[n]} and count {built.count[n]}",
                 record_index=n,
             )
-        self._set(built.low, built.count, built.sets._full)
+        self._set(built.low, built.count, built.sets)
 
     @classmethod
     def _built(cls, low: list[int], count: list[int], full) -> "DimTable":
         """The table of the rows :func:`_rows` sized from ``full`` = S(0..K), which it shares."""
         self = object.__new__(cls)
-        self._set(tuple(low), tuple(count), full)
+        low = tuple(low)
+        self._set(low, tuple(count), SetSequence(low, full))
         return self
 
-    def _set(self, low: tuple[int, ...], count: tuple[int, ...], full) -> None:
+    def _set(self, low: tuple[int, ...], count: tuple[int, ...], sets: SetSequence) -> None:
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "count", count)
-        object.__setattr__(self, "sets", SetSequence(low, full))
+        object.__setattr__(self, "sets", sets)
 
     def _key(self) -> tuple:
         return self.low, self.count

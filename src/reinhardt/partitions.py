@@ -33,12 +33,11 @@ class Partition(Frozen):
 
     The empty partition (of 0) is allowed so that recurrences over all
     smaller partitions need no special base case.  ``n``, the sum of the
-    parts, is derived, so only ``parts`` takes part in equality.
+    parts, is derived on access; ``parts`` is the only field.
     """
 
-    __slots__ = ("parts", "n")
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
-    n: int
 
     def __init__(self, parts: Iterable[int]) -> None:
         parts = tuple(parts)
@@ -47,10 +46,10 @@ class Partition(Frozen):
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be non-increasing, got {parts}")
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "n", sum(parts))
 
-    def _key(self) -> tuple[int, ...]:
-        return self.parts
+    @property
+    def n(self) -> int:
+        return sum(self.parts)
 
     @property
     def length(self) -> int:
@@ -122,7 +121,6 @@ def _partition_unchecked(parts: tuple[int, ...]) -> Partition:
     """Construct without validation; callers guarantee the invariants."""
     p = object.__new__(Partition)
     object.__setattr__(p, "parts", parts)
-    object.__setattr__(p, "n", sum(parts))
     return p
 
 

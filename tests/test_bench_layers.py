@@ -52,7 +52,8 @@ def _layer_count(tool, sizes):
     return (
         len(sizes) + 2 * len(tool.SAVE_LOAD_N) + len(tool.SETS_N) + len(tool.SET_N)
         + len(tool.TABLE_WINDOWS) + len(tool.SEQUENCE) + len(tool.MEMBERSHIP) + len(tool.REACH)
-        + len(tool.CLASSIFY_BASE) + len(tool.CLASSIFY) + len(tool.ENUMERATION) * len(tool.ENUMERATION_N)
+        + len(tool.CLASSIFY_BASE) + len(tool.CLASSIFY) + len(tool.REALIZATIONS)
+        + len(tool.ENUMERATION) * len(tool.ENUMERATION_N)
         + len(tool.SUITES) + 2 + len(tool.STARTUP_ARGV)
     )
 
@@ -75,6 +76,7 @@ def test_two_trees_get_rounds_children_per_layer(tool, tmp_path):
     assert set(runs["b"]["classify_base"]) == {f"{n}, {dim}" for n, dim in tool.CLASSIFY_BASE}
     assert set(runs["b"]["reach"]) == {str(10**30), str(10**100)}
     assert {f"{10**100}, {10**200 - 2}", f"{10**30}, {10**60 - 4}"} <= set(runs["b"]["classify"])
+    assert set(runs["b"]["realizations"]) == {"30, 300", "40, 800"}
     assert "set_on_demand" not in runs["b"]
     assert set(runs["b"]["table_command"]) == {f"{a}..{b}" for a, b in tool.TABLE_WINDOWS}
     assert {"100000..100001", "1000000..1000001"} <= set(runs["b"]["table_command"])
@@ -197,7 +199,13 @@ def test_the_reach_and_classify_children_run_against_a_tree(tmp_path):
     assert (result["exit"], result["answer"]) == (0, "status,unrealizable") and result["s"] > 0
     result = _real_child(tmp_path, "classify", 1, "3")
     assert result["exit"] == 1 and result["s"] is None and "answer" not in result
-    assert result["refused"] == "error: classification needs n >= 2, got 1"
+    assert result["refused"] == "error: queries need n >= 2, got 1"
+
+
+def test_the_realizations_child_runs_against_a_tree(tmp_path):
+    # the search at (30, 300), the marked rows built untimed
+    result = _real_child(tmp_path, "realizations", 30, "300")
+    assert result["count"] == 851 and result["s"] > 0 and result["maxrss_mib"] > 0
 
 
 def test_the_suite_child_runs_a_suite_with_or_without_n_lo(tmp_path):

@@ -660,6 +660,10 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["rows"][0]["status"] == "pass"
 
+    def test_sequences_refuses_max_n_0(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "sequences", "--max-n", "0")
+        assert (code, out, err) == (1, "", "error: n_max must be positive, got 0\n")
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "bogus", "--max-n", "5"])

@@ -52,7 +52,7 @@ CASES = {
         lambda: Partition((3, 1)),
         lambda: Partition([3, 1]),
         lambda: Partition((2, 2)),
-        ("parts", "n"),
+        ("parts",),
     ),
     "MarkedPartition": (
         lambda: MarkedPartition(Partition((2, 2, 1)), ((1, 1), (2, 1))),
@@ -149,10 +149,14 @@ def test_copy_and_pickle_keep_the_value(case):
     assert pickle.loads(pickle.dumps(value)) == value
 
 
-def test_partition_n_is_left_out_of_comparison():
-    odd = Partition((3, 1))
-    object.__setattr__(odd, "n", 99)  # bypasses the immutability on purpose
-    assert odd == Partition((3, 1)) and hash(odd) == hash(Partition((3, 1)))
+def test_partition_n_is_derived_from_its_parts():
+    partition = Partition((3, 1))
+    assert "n" not in Partition.__slots__ and partition.n == sum(partition.parts) == 4
+    assert Partition(()).n == 0
+    for setter in (setattr, object.__setattr__):  # the second bypasses Frozen on purpose
+        with pytest.raises(AttributeError):
+            setter(partition, "n", 99)
+    assert partition.n == 4 and repr(partition) == "Partition(parts=(3, 1))"
 
 
 def test_values_of_different_types_differ():

@@ -257,6 +257,10 @@ class TestGrowthSequenceSuite:
         assert report.status == "fail"
         assert [ce[:2] for ce in report.counterexamples] == [(40, 60)]
 
+    def test_refuses_an_empty_range(self):
+        with pytest.raises(ValueError, match=r"^n_max must be positive, got 0$"):
+            verify_growth_sequence(0)
+
 
 class TestTableLimit:
     def test_a_covering_table_runs_past_the_limit(self, monkeypatch, table64):

@@ -57,6 +57,9 @@ the two medians cannot.  The layers are:
   cleared as above, with the exit code and the status line; a query that
   a tree refuses (exit 1) records ``refused`` and no time, as the commands
   above do;
+* the realizations search, ``realizations(n, dim)`` for each (n, dim) in
+  ``REALIZATIONS``, the marked rows it reads built once, untimed, with
+  the number of realizations (``count``);
 * enumeration: each stream in ``ENUMERATION`` drained at each n in
   ``ENUMERATION_N``, all partitions uncapped;
 * each verify suite in ``SUITES`` at its range;
@@ -135,6 +138,9 @@ CLASSIFY = (
     (10**8, 9999999999999996),
     *((n, n * n - d) for n in REACH for d in (2, 4)),
 )
+#: (n, dim) of the realizations search, which small-n-queries' `classify`
+#: and `witness` run: 851 and 110 realizations
+REALIZATIONS = ((30, 300), (40, 800))
 #: the partition streams drained by the enumeration layer, and their n
 ENUMERATION = ("iter_partition_tuples", "iter_square_sums")
 ENUMERATION_N = (40, 50, 60)
@@ -248,6 +254,15 @@ elif op.startswith("iter_"):  # drain a partition stream of n
         started = time.perf_counter()
         deque(stream(n), maxlen=0)
         best = min(best, time.perf_counter() - started)
+elif op == "realizations":  # at (n, dim = args[0]), the marked rows built untimed
+    from reinhardt import classify
+    classify._marked_rows()
+    for _ in range(reps):
+        started = time.perf_counter()
+        found = reinhardt.realizations(n, int(args[0]))
+        best = min(best, time.perf_counter() - started)
+        result["count"] = len(found)
+        del found
 elif op == "reach":  # lemma.reach(n) cold, and the memo it leaves
     from reinhardt import lemma
     for _ in range(reps):
@@ -435,6 +450,8 @@ def measure(trees: dict[str, Path], sizes: list[int]) -> dict[str, dict]:
             layer("classify_base", f"{n}, {dim}", "base", n, str(dim))
         for n, dim in CLASSIFY:
             layer("classify", f"{n}, {dim}", "classify", n, str(dim))
+        for n, dim in REALIZATIONS:
+            layer("realizations", f"{n}, {dim}", "realizations", n, str(dim))
         for op in ENUMERATION:
             for n in ENUMERATION_N:
                 layer("enumeration", f"{op}({n})", op, n)
